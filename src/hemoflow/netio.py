@@ -455,11 +455,13 @@ def write_series(path, t, P, Q, A) -> None:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("series columns have mismatched lengths")
+    # one %-operation over all rows; "%.9e" formats exactly like _FMT
+    values = np.column_stack(arrays).ravel().tolist()
+    text = ("%.9e,%.9e,%.9e,%.9e\n" * n) % tuple(values)
     try:
         with path.open("w") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for i in range(n):
-                fh.write(",".join(_FMT.format(a[i]) for a in arrays) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write series to {path}: {exc}") from exc
 

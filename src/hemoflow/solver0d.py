@@ -11,7 +11,12 @@ constant reference values R0, L0, C0.
 A network is assembled into one global ODE system (root vessel QinQout,
 interior vessels as chains of two PinQout compartments, terminal vessels
 PinPout, plus one capacitor pressure per RCR terminal) and advanced with
-classical RK4.
+classical RK4. Assembly flattens the tree into an evaluation plan of
+constant tuples, state offsets and junction/terminal coupling in tree
+order; the network right-hand side is one pass over that plan on Python
+floats. The compartment laws (``_Compartment.pressure_law`` and
+``_Compartment.flow_law``) are shared by that pass and the per-vessel
+classes, which remain the single-vessel API.
 """
 
 from __future__ import annotations
@@ -46,6 +51,15 @@ class ModelMode:
     def nonlinear(cls) -> "ModelMode":
         return cls(True, True, True)
 
+    @property
+    def flags(self) -> tuple[bool, bool, bool]:
+        """Whether pressure, resistance and inductance follow the
+        instantaneous area. A frozen area pins R and L at A0, where the
+        nonlinear expressions equal the reference values R0 and L0."""
+        return (self.nonlinear_pressure,
+                self.nonlinear_resistance and not self.frozen_area,
+                self.nonlinear_inductance and not self.frozen_area)
+
     @classmethod
     def from_name(cls, name: str) -> "ModelMode":
         table = {
@@ -64,60 +78,69 @@ class ModelMode:
 
 class _Compartment:
     """A lumped piece of a vessel: ``fraction`` of its length, with the
-    reference volume and constants scaled accordingly."""
+    reference volume and constants scaled accordingly.
 
-    __slots__ = ("length", "A0", "V0", "K", "m", "n", "P0", "p_ext",
-                 "rho_kR_l", "rho_l", "R0", "L0", "C0")
+    ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l).
+    The two static laws below are the only place where a compartment's
+    pressure, resistance and inductance are evaluated; the per-vessel
+    classes and the assembled network pass both call them.
+    """
+
+    __slots__ = ("length", "consts")
 
     def __init__(self, spec: VesselSpec, fraction: float = 1.0):
         w, f = spec.wall, spec.fluid
-        self.length = fraction * spec.length
-        self.A0 = w.A0
-        self.V0 = w.A0 * self.length
-        self.K, self.m, self.n = w.K, w.m, w.n
-        self.P0, self.p_ext = w.P0, w.p_ext
-        self.rho_kR_l = f.rho * f.k_R * self.length
-        self.rho_l = f.rho * self.length
-        self.R0 = self.rho_kR_l / (w.A0 * w.A0)
-        self.L0 = self.rho_l / w.A0
-        self.C0 = self.length / tube_law_slope(w.A0, w)
+        length = fraction * spec.length
+        rho_kR_l = f.rho * f.k_R * length
+        rho_l = f.rho * length
+        self.length = length
+        self.consts = (w.A0 * length, w.K, w.m, w.n, w.P0 + w.p_ext,
+                       length / tube_law_slope(w.A0, w),
+                       rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
 
-    def area(self, V: float) -> float:
-        return V / self.length
+    @staticmethod
+    def pressure_law(c: tuple, V: float, nonlinear: bool) -> float:
+        """Pressure at volume V: the elastic tube law at the mean area V/l,
+        or its linearisation with the reference compliance C0."""
+        if V <= 0.0:
+            raise CollapseError(f"compartment volume became non-positive: {V}")
+        V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
+        if nonlinear:
+            x = V / V0  # = A_hat / A0
+            return K * (x ** m - x ** n) + P_ref
+        return P_ref + (V - V0) / C0
+
+    @staticmethod
+    def flow_law(c: tuple, A_hat: float, nonlinear_r: bool,
+                 nonlinear_l: bool) -> tuple[float, float]:
+        """(R, L) at mean area A_hat, or the reference values R0, L0."""
+        if (nonlinear_r or nonlinear_l) and A_hat <= 0.0:
+            raise CollapseError(f"mean area became non-positive: {A_hat}")
+        V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
+        return (rho_kR_l / (A_hat * A_hat) if nonlinear_r else R0,
+                rho_l / A_hat if nonlinear_l else L0)
 
     def pressure(self, V: float, mode: ModelMode) -> float:
         """Compartment pressure from its volume, per the mode's law."""
-        if V <= 0.0:
-            raise CollapseError(f"compartment volume became non-positive: {V}")
-        if mode.nonlinear_pressure:
-            x = V / self.V0  # = A_hat / A0
-            return self.K * (x ** self.m - x ** self.n) + self.P0 + self.p_ext
-        return self.P0 + (V - self.V0) / self.C0 + self.p_ext
+        return self.pressure_law(self.consts, V, mode.nonlinear_pressure)
+
+    def flow(self, A_hat: float, mode: ModelMode) -> tuple[float, float]:
+        _, nl_r, nl_l = mode.flags
+        return self.flow_law(self.consts, A_hat, nl_r, nl_l)
 
     def resistance(self, A_hat: float, mode: ModelMode) -> float:
-        if not mode.nonlinear_resistance:
-            return self.R0
-        if mode.frozen_area:
-            A_hat = self.A0
-        if A_hat <= 0.0:
-            raise CollapseError(f"mean area became non-positive: {A_hat}")
-        return self.rho_kR_l / (A_hat * A_hat)
+        return self.flow_law(self.consts, A_hat, mode.flags[1], False)[0]
 
     def inductance(self, A_hat: float, mode: ModelMode) -> float:
-        if not mode.nonlinear_inductance:
-            return self.L0
-        if mode.frozen_area:
-            A_hat = self.A0
-        if A_hat <= 0.0:
-            raise CollapseError(f"mean area became non-positive: {A_hat}")
-        return self.rho_l / A_hat
+        return self.flow_law(self.consts, A_hat, False, mode.flags[2])[1]
 
     def pressure_array(self, V: np.ndarray, mode: ModelMode) -> np.ndarray:
-        """Vectorized pressure law, for post-processing sampled volumes."""
+        """Vectorized ``pressure_law``, for post-processing sampled volumes."""
+        V0, K, m, n, P_ref, C0 = self.consts[:6]
         if mode.nonlinear_pressure:
-            x = V / self.V0
-            return self.K * (x ** self.m - x ** self.n) + self.P0 + self.p_ext
-        return self.P0 + (V - self.V0) / self.C0 + self.p_ext
+            x = V / V0
+            return K * (x ** m - x ** n) + P_ref
+        return P_ref + (V - V0) / C0
 
 
 def pressure_of_volume(V: float, spec: VesselSpec, mode: ModelMode) -> float:
@@ -148,9 +171,7 @@ class PinQoutVessel:
         V, Q = y
         c = self.comp
         P = c.pressure(V, mode)
-        A_hat = c.area(V)
-        R = c.resistance(A_hat, mode)
-        L = c.inductance(A_hat, mode)
+        R, L = c.flow(V / c.length, mode)
         return (Q - q_out, (p_in - R * Q - P) / L)
 
     def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
@@ -158,7 +179,7 @@ class PinQoutVessel:
         P = self.comp.pressure(V, mode)
         if not self.distal_split:
             return P
-        R_d = 0.5 * self.comp.resistance(self.comp.area(V), mode)
+        R_d = 0.5 * self.comp.resistance(V / self.comp.length, mode)
         return P - R_d * q_out
 
 
@@ -176,9 +197,7 @@ class QinPoutVessel:
         V, Q = y
         c = self.comp
         P = c.pressure(V, mode)
-        A_hat = c.area(V)
-        R = c.resistance(A_hat, mode)
-        L = c.inductance(A_hat, mode)
+        R, L = c.flow(V / c.length, mode)
         return (q_in - Q, (P - R * Q - p_out) / L)
 
     def inlet_pressure(self, y, q_in: float, mode: ModelMode) -> float:
@@ -186,7 +205,7 @@ class QinPoutVessel:
         P = self.comp.pressure(V, mode)
         if not self.proximal_split:
             return P
-        R_p = 0.5 * self.comp.resistance(self.comp.area(V), mode)
+        R_p = 0.5 * self.comp.resistance(V / self.comp.length, mode)
         return P + R_p * q_in
 
 
@@ -206,9 +225,8 @@ class PinPoutVessel:
         V, Q, Qd = y
         c = self.comp
         P = c.pressure(V, mode)
-        A_hat = c.area(V)
-        Rh = 0.5 * c.resistance(A_hat, mode)
-        Lh = 0.5 * c.inductance(A_hat, mode)
+        R, L = c.flow(V / c.length, mode)
+        Rh, Lh = 0.5 * R, 0.5 * L
         return (Q - Qd, (p_in - Rh * Q - P) / Lh, (P - Rh * Qd - p_out) / Lh)
 
 
@@ -240,14 +258,13 @@ class QinQoutVessel:
         V, Q, Vd = y
         P = self.half.pressure(V, mode)
         Pd = self.half.pressure(Vd, mode)
-        A_hat = self.full.area(V + Vd)
-        R = self.r_frac * self.full.resistance(A_hat, mode)
-        L = self.full.inductance(A_hat, mode)
+        R, L = self.full.flow((V + Vd) / self.full.length, mode)
+        R = self.r_frac * R
         return (q_in - Q, (P - R * Q - Pd) / L, Q - q_out)
 
     def inlet_pressure(self, y, q_in: float, mode: ModelMode) -> float:
         V = y[0]
-        R_p = self.rp_frac * self.full.resistance(self.half.area(V), mode)
+        R_p = self.rp_frac * self.full.resistance(V / self.half.length, mode)
         return self.half.pressure(V, mode) + R_p * q_in
 
     def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
@@ -255,7 +272,7 @@ class QinQoutVessel:
         return self.half.pressure(Vd, mode) - self.distal_resistance(y, mode) * q_out
 
     def distal_resistance(self, y, mode: ModelMode) -> float:
-        return self.rd_frac * self.full.resistance(self.half.area(y[2]), mode)
+        return self.rd_frac * self.full.resistance(y[2] / self.half.length, mode)
 
 
 class TwoSplitPinQout:
@@ -345,6 +362,12 @@ class NetworkModel0D:
     prescribed), interior vessels are two-split PinQout chains, and leaf
     vessels are PinPout. One capacitor pressure per RCR terminal is appended
     to the state vector.
+
+    Assembly also flattens the network into an evaluation plan: per vessel
+    its state offset and compartment constants, junctions numbered in tree
+    order (parents before daughters) with the state indices of the flows
+    they collect, and per terminal its element and capacitor index.
+    ``rhs`` walks that plan once over Python floats.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -382,6 +405,117 @@ class NetworkModel0D:
             if R1 <= 0.0 and root_model.rd_frac == 0.0:
                 raise ConfigurationError(
                     "flow-typed terminal coupling has zero total resistance")
+        self._build_plan()
+
+    def _build_plan(self) -> None:
+        net, layout, models = self.network, self.layout, self.models
+        by_parent = {j.parent: j for j in net.junctions}
+        self._flags = self.mode.flags
+        #: junctions and terminal vessels in plan order
+        self._junctions = junctions = []
+        self._terminals = terminals = []
+        self._interior = interior = []
+        self._leaves = leaves = []
+        j_in: dict[str, int] = {}
+        order = [net.root]
+        for vid in order:  # breadth-first: parents before daughters
+            model, off = models[vid], layout[vid]
+            # outlet: (junction or terminal position, the daughters' proximal
+            # flows a junction collects, terminal, capacitor index)
+            junction = by_parent.get(vid)
+            if junction is None:
+                outlet = (len(terminals), (), net.terminals[vid],
+                          self.wk_index.get(vid, -1))
+                terminals.append(vid)
+            else:
+                j = len(junctions)
+                junctions.append(junction)
+                # a proximal flow is the state after its vessel's first volume
+                flows = []
+                for d in junction.daughters:
+                    order.append(d)
+                    j_in[d] = j
+                    flows.append(layout[d] + 1)
+                outlet = (j, tuple(flows), None, -1)
+            if vid == net.root:
+                self._root = (off, model.half.consts, model.half.length,
+                              model.full.consts, model.full.length,
+                              model.r_frac, model.rd_frac, *outlet)
+            elif junction is not None:  # interior: two PinQout halves
+                c = model.first.comp
+                interior.append((off, c.consts, c.length, j_in[vid], *outlet[:2]))
+            else:  # PinPout leaf
+                c = model.comp
+                k, _, term, wk = outlet
+                leaves.append((off, c.consts, c.length, j_in[vid], k, term, wk))
+
+    def _evaluate(self, t: float, s: list[float]):
+        """One pass of the plan at time t over the state list s.
+
+        Returns the derivative list, the root inflow, per junction its
+        interface pressure and the flow its daughters draw, and per
+        terminal the value handed back to its vessel: the outlet pressure of
+        a PinPout leaf, or the outlet flow of a single-vessel network.
+        """
+        pressure, flow = _Compartment.pressure_law, _Compartment.flow_law
+        nl_p, nl_r, nl_l = self._flags
+        d = [0.0] * self.dim
+        p_if = [0.0] * len(self._junctions)
+        q_if = [0.0] * len(self._junctions)
+        t_out = [0.0] * len(self._terminals)
+
+        q_in = float(self.inflow(t))
+        o, hc, hl, fc, fl, r_frac, rd_frac, j, flows, term, wk = self._root
+        V, Q, Vd = s[o:o + 3]
+        P = pressure(hc, V, nl_p)
+        Pd = pressure(hc, Vd, nl_p)
+        R, L = flow(fc, (V + Vd) / fl, nl_r, nl_l)
+        R = r_frac * R
+        # the distal end resistance sits at the distal half's mean area
+        R_d = rd_frac * flow(fc, Vd / hl, nl_r, False)[0]
+        if term is None:
+            q_out = 0.0
+            for i in flows:
+                q_out += s[i]
+            p_if[j] = Pd - R_d * q_out
+            q_if[j] = q_out
+        else:  # single-vessel network: flow-typed terminal coupling
+            q_out, dP_wk = terminal_flow_coupling(
+                Pd, R_d, term, s[wk] if wk >= 0 else 0.0)
+            t_out[j] = q_out
+            if wk >= 0:
+                d[wk] = dP_wk
+        d[o:o + 3] = (q_in - Q, (P - R * Q - Pd) / L, Q - q_out)
+
+        for o, c, l, j_in, j, flows in self._interior:
+            V1, Q1, V2, Q2 = s[o:o + 4]
+            P1 = pressure(c, V1, nl_p)
+            R1, L1 = flow(c, V1 / l, nl_r, nl_l)
+            P2 = pressure(c, V2, nl_p)
+            R2, L2 = flow(c, V2 / l, nl_r, nl_l)
+            q_out = 0.0
+            for i in flows:
+                q_out += s[i]
+            p_if[j] = P2 - 0.5 * R2 * q_out
+            q_if[j] = q_out
+            # the halves meet at the first half's distal-split pressure
+            p_mid = P1 - 0.5 * R1 * Q2
+            d[o:o + 4] = (Q1 - Q2, (p_if[j_in] - R1 * Q1 - P1) / L1,
+                          Q2 - q_out, (p_mid - R2 * Q2 - P2) / L2)
+
+        for o, c, l, j_in, k, term, wk in self._leaves:
+            V, Q, Qd = s[o:o + 3]
+            P = pressure(c, V, nl_p)
+            R, L = flow(c, V / l, nl_r, nl_l)
+            Rh, Lh = 0.5 * R, 0.5 * L
+            p_out, dP_wk = terminal_pressure_coupling(
+                Qd, term, s[wk] if wk >= 0 else 0.0)
+            t_out[k] = p_out
+            if wk >= 0:
+                d[wk] = dP_wk
+            d[o:o + 3] = (Q - Qd, (p_if[j_in] - Rh * Q - P) / Lh,
+                          (P - Rh * Qd - p_out) / Lh)
+        return d, q_in, p_if, q_if, t_out
 
     @property
     def volume_indices(self) -> list[int]:
@@ -416,64 +550,28 @@ class NetworkModel0D:
             y0[idx] = net.initial_pressure
         return y0
 
-    def _proximal_flow(self, y, vid: str) -> float:
-        """Flow state adjacent to the vessel inlet (Q of the first
-        compartment for every configuration used here)."""
-        return y[self.layout[vid] + 1]
-
     def _vessel_inputs(self, t: float, y):
         """Junction and terminal coupling: per-vessel (inlet, outlet) input
         values and the terminal capacitor derivatives."""
-        net, mode = self.network, self.mode
+        d, q_in, p_if, q_if, t_out = self._evaluate(
+            t, np.asarray(y, dtype=float).tolist())
         inputs: dict[str, list] = {vid: [None, None] for vid in self.models}
-        dwk: dict[str, float] = {}
-
-        inputs[net.root][0] = float(self.inflow(t))
-
-        for j in net.junctions:
-            off = self.layout[j.parent]
-            parent = self.models[j.parent]
-            q_out = sum(self._proximal_flow(y, d) for d in j.daughters)
-            y_p = y[off:off + parent.nstates]
-            p_interface = parent.outlet_pressure(y_p, q_out, mode)
-            inputs[j.parent][1] = q_out
-            for d in j.daughters:
-                inputs[d][0] = p_interface
-
-        for vid, term in net.terminals.items():
-            model = self.models[vid]
-            off = self.layout[vid]
-            P_wk = y[self.wk_index[vid]] if vid in self.wk_index else 0.0
-            if isinstance(model, PinPoutVessel):
-                q_d = y[off + 2]
-                out_val, dP_wk = terminal_pressure_coupling(q_d, term, P_wk)
-            else:  # single-vessel network: flow-typed QinQout outlet
-                y_v = y[off:off + model.nstates]
-                P_d = model.half.pressure(y_v[2], mode)
-                R_d = model.distal_resistance(y_v, mode)
-                # the coupling returns the outlet flow, not a pressure
-                out_val, dP_wk = terminal_flow_coupling(P_d, R_d, term, P_wk)
-            inputs[vid][1] = out_val
-            if vid in self.wk_index:
-                dwk[vid] = dP_wk
+        inputs[self.network.root][0] = q_in
+        for j, junction in enumerate(self._junctions):
+            inputs[junction.parent][1] = q_if[j]
+            for daughter in junction.daughters:
+                inputs[daughter][0] = p_if[j]
+        for k, vid in enumerate(self._terminals):
+            inputs[vid][1] = t_out[k]
+        dwk = {vid: d[idx] for vid, idx in self.wk_index.items()}
         return inputs, dwk
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        inputs, dwk = self._vessel_inputs(t, y)
-        dy = np.empty(self.dim)
-        for vid, model in self.models.items():
-            off = self.layout[vid]
-            d = model.rhs(y[off:off + model.nstates], inputs[vid][0],
-                          inputs[vid][1], self.mode)
-            dy[off:off + model.nstates] = d
-        for vid, idx in self.wk_index.items():
-            dy[idx] = dwk[vid]
-        return dy
+        return np.array(self._evaluate(t, y.tolist())[0])
 
     def boundary_flows(self, t: float, y):
         """(inflow at the root, per-leaf outflow into the terminals);
         used for mass-balance verification."""
-        q_in = float(self.inflow(t))
         inputs, _ = self._vessel_inputs(t, y)
         outflows = {}
         for vid in self.network.terminals:
@@ -483,7 +581,7 @@ class NetworkModel0D:
                 outflows[vid] = y[off + 2]
             else:
                 outflows[vid] = inputs[vid][1]
-        return q_in, outflows
+        return inputs[self.network.root][0], outflows
 
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,

@@ -282,6 +282,9 @@ def junction_solve(node: JunctionNode, vessels: dict[str, Vessel1D],
                                            for v, a in zip(ves, A)])
 
     rho = ves[0].rho
+    # Vessel1D.pressure carries round-off of order eps * |P0 + p_ext|, so the
+    # total-pressure rows are scaled by at least that magnitude
+    p_ref = max(abs(v.spec.wall.P0 + v.spec.wall.p_ext) for v in ves)
     x = np.concatenate([A, q])
 
     def residual(x):
@@ -298,7 +301,7 @@ def junction_solve(node: JunctionNode, vessels: dict[str, Vessel1D],
         r[N:] = u + inv_sign * 4.0 * c - W
         scale = np.empty(2 * N)
         scale[0] = max(1.0, np.max(np.abs(q)))
-        scale[1:N] = max(1.0, abs(pt[0]))
+        scale[1:N] = max(1.0, abs(pt[0]), p_ref)
         scale[N:] = np.maximum(1.0, np.abs(W))
         return r, scale
 

@@ -183,10 +183,12 @@ def tube_law_area(p: float, wall: WallModel, rtol: float = 1e-12,
             lo = max(lo, A)
         step = f / tube_law_slope(A, wall)
         A_new = A - step
-        if not (lo < A_new < hi):
-            A_new = 0.5 * (lo + hi)
+        # converged before the safeguard: at an exact root the zero step
+        # leaves A on a bracket end, which the safeguard would bisect away
         if abs(A_new - A) <= rtol * abs(A_new):
             return A_new
+        if not (lo < A_new < hi):
+            A_new = 0.5 * (lo + hi)
         A = A_new
     raise ConvergenceError(
         f"tube law inversion did not converge for p={p} (m={wall.m}, n={wall.n})")

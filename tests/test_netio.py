@@ -274,6 +274,29 @@ class TestSeriesPersistence:
         np.testing.assert_allclose(data["P"], P, rtol=1e-8)
         np.testing.assert_allclose(data["Q"], Q, rtol=1e-8)
 
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # the reference is the per-value "{:.9e}" formatting, row by row
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                   -2.2250738585072e-308, 1e308]
+        values = np.concatenate([
+            rng.normal(scale=1e5, size=2000),
+            rng.uniform(-1.0, 1.0, size=2000) * 10.0 ** rng.integers(-300, 300, 2000),
+            np.tile(special, 4),
+        ])
+        columns = values.reshape(4, -1)
+        path = tmp_path / "s.csv"
+        write_series(path, *columns)
+        expected = "t,P,Q,A\n" + "".join(
+            ",".join("{:.9e}".format(c[i]) for c in columns) + "\n"
+            for i in range(columns.shape[1]))
+        assert path.read_bytes() == expected.encode()
+
+    def test_empty_series(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_series(path, [], [], [], [])
+        assert path.read_text() == "t,P,Q,A\n"
+
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="mismatched"):
             write_series(tmp_path / "x.csv", [0.0, 1.0], [1.0], [1.0, 2.0],

@@ -479,6 +479,179 @@ r2 = 3.1013e4
             model.rhs(0.0, y)
 
 
+def single_vessel_network(terminal: str):
+    """One QinQout vessel whose outlet couples flow-typed to ``terminal``."""
+    return parse_network(f"""
+[fluid]
+rho = 1.06
+mu = 0.04
+pressure_ref = 1.0e4
+initial_pressure = 1.2e4
+
+[vessel v]
+length = 8.0
+area = 2.0
+wall_thickness = 0.1
+youngs_modulus = 5.0e6
+
+[inflow]
+vessel = v
+
+[terminal v]
+{terminal}
+""")
+
+
+RCR_TERMINAL = "type = rcr\nr1 = 6.8e2\nc = 3.7e-5\nr2 = 3.1e4\np_out = 500.0"
+R_TERMINAL = "type = r\nr = 2.0e4\np_out = 300.0"
+
+#: parent -> daughters of a 17-vessel tree with a trifurcation, a
+#: single-daughter junction and branches of unequal depth
+ASYMMETRIC_TREE = {
+    "v0": ("v1", "v2", "v3"), "v1": ("v4", "v5"), "v2": ("v6",),
+    "v4": ("v7", "v8"), "v6": ("v9", "v10"), "v7": ("v11", "v12"),
+    "v9": ("v13", "v14"), "v13": ("v15", "v16"),
+}
+
+
+def asymmetric_tree_network():
+    """The tree above, vessels listed in reverse so that the state layout
+    differs from tree order; leaves alternate RCR and single-resistance
+    terminals."""
+    depth = {"v0": 0}
+    for parent, daughters in ASYMMETRIC_TREE.items():
+        for d in daughters:
+            depth[d] = depth[parent] + 1
+    lines = ["[fluid]", "rho = 1.06", "mu = 0.04", "pressure_ref = 1.0e4",
+             "initial_pressure = 1.3e4", ""]
+    for i in reversed(range(17)):
+        vid = f"v{i}"
+        lines += [f"[vessel {vid}]", f"length = {3.0 + (i * 7) % 5}",
+                  f"area = {2.4 * 0.75 ** depth[vid] * (1.0 + 0.03 * i)}",
+                  f"wall_thickness = {0.1 * 0.85 ** depth[vid]}",
+                  f"youngs_modulus = {5.0e6 + 2.0e5 * i}", ""]
+    for parent, daughters in ASYMMETRIC_TREE.items():
+        lines += ["[junction]", f"parent = {parent}",
+                  f"daughters = {' '.join(daughters)}", ""]
+    lines += ["[inflow]", "vessel = v0", ""]
+    leaves = [f"v{i}" for i in range(17) if f"v{i}" not in ASYMMETRIC_TREE]
+    for k, vid in enumerate(leaves):
+        lines += [f"[terminal {vid}]", RCR_TERMINAL if k % 2 == 0 else R_TERMINAL, ""]
+    return parse_network("\n".join(lines))
+
+
+def composed_inputs(model, t, y):
+    """Reference coupling composed from the per-vessel classes: per-vessel
+    (inlet, outlet) inputs and terminal capacitor derivatives."""
+    net, mode = model.network, model.mode
+    inputs = {vid: [None, None] for vid in model.models}
+    dwk = {}
+    inputs[net.root][0] = float(model.inflow(t))
+    for j in net.junctions:
+        off = model.layout[j.parent]
+        parent = model.models[j.parent]
+        q_out = sum(y[model.layout[d] + 1] for d in j.daughters)
+        p_if = parent.outlet_pressure(y[off:off + parent.nstates], q_out, mode)
+        inputs[j.parent][1] = q_out
+        for d in j.daughters:
+            inputs[d][0] = p_if
+    for vid, term in net.terminals.items():
+        vessel, off = model.models[vid], model.layout[vid]
+        P_wk = y[model.wk_index[vid]] if vid in model.wk_index else 0.0
+        if isinstance(vessel, PinPoutVessel):
+            out, dP_wk = terminal_pressure_coupling(y[off + 2], term, P_wk)
+        else:
+            y_v = y[off:off + 3]
+            out, dP_wk = terminal_flow_coupling(
+                vessel.half.pressure(y_v[2], mode),
+                vessel.distal_resistance(y_v, mode), term, P_wk)
+        inputs[vid][1] = out
+        if vid in model.wk_index:
+            dwk[vid] = dP_wk
+    return inputs, dwk
+
+
+def composed_rhs(model, t, y):
+    """Reference right-hand side: each per-vessel class's rhs on its slice
+    of the state, driven by ``composed_inputs``."""
+    inputs, dwk = composed_inputs(model, t, y)
+    dy = np.empty(model.dim)
+    for vid, vessel in model.models.items():
+        off = model.layout[vid]
+        dy[off:off + vessel.nstates] = vessel.rhs(
+            y[off:off + vessel.nstates], inputs[vid][0], inputs[vid][1],
+            model.mode)
+    for vid, idx in model.wk_index.items():
+        dy[idx] = dwk[vid]
+    return dy
+
+
+def random_state(model, rng):
+    """Volumes within 30% of the initial state, random flows and
+    capacitor pressures."""
+    y = model.initial_state()
+    vol = model.volume_indices
+    y[vol] *= rng.uniform(0.7, 1.3, size=len(vol))
+    for i in set(range(model.dim)) - set(vol):
+        y[i] = rng.normal(scale=30.0) if y[i] == 0.0 else y[i] * rng.uniform(0.5, 1.5)
+    return y
+
+
+EQUIVALENCE_MODES = {name: ModelMode.from_name(name)
+                     for name in ("linear", "nonlinear", "nl-p", "nl-r", "nl-l")}
+EQUIVALENCE_MODES["frozen_area"] = ModelMode(True, True, True, frozen_area=True)
+
+
+class TestAssembledPlan:
+    """The assembled network pass against the per-vessel composition."""
+
+    NETWORKS = {
+        "two_vessel": two_vessel_network,
+        "three_level": three_level_network,
+        "single_rcr": lambda: single_vessel_network(RCR_TERMINAL),
+        "single_r": lambda: single_vessel_network(R_TERMINAL),
+        "asymmetric_tree": asymmetric_tree_network,
+    }
+
+    def networks(self, bifurcation):
+        yield "bifurcation", bifurcation
+        for name, build in self.NETWORKS.items():
+            yield name, build()
+
+    @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
+    def test_matches_per_vessel_composition(self, bifurcation, mode_name):
+        mode = EQUIVALENCE_MODES[mode_name]
+        rng = np.random.default_rng(2024)
+        for name, net in self.networks(bifurcation):
+            model = assemble_network(net, mode, synthetic_inflow())
+            for _ in range(10):
+                y = random_state(model, rng)
+                t = rng.uniform(0.0, 2.2)
+                assert np.array_equal(model.rhs(t, y), composed_rhs(model, t, y)), name
+                inputs, dwk = model._vessel_inputs(t, y)
+                ref_inputs, ref_dwk = composed_inputs(model, t, y)
+                assert inputs == ref_inputs and dwk == ref_dwk, name
+
+    def test_tree_assembly(self):
+        model = assemble_network(asymmetric_tree_network(), NL, synthetic_inflow())
+        kinds = [type(m) for m in model.models.values()]
+        assert kinds.count(QinQoutVessel) == 1
+        assert kinds.count(TwoSplitPinQout) == len(ASYMMETRIC_TREE) - 1
+        assert kinds.count(PinPoutVessel) == 17 - len(ASYMMETRIC_TREE)
+        assert 0 < len(model.wk_index) < kinds.count(PinPoutVessel)
+
+    @pytest.mark.parametrize("network", ["asymmetric_tree", "single_rcr"])
+    @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
+    def test_non_positive_volume_collapses(self, network, mode):
+        model = assemble_network(self.NETWORKS[network](), mode, synthetic_inflow())
+        for i in model.volume_indices:
+            for bad in (0.0, -1.0e-3):
+                y = model.initial_state()
+                y[i] = bad
+                with pytest.raises(CollapseError):
+                    model.rhs(0.1, y)
+
+
 class TestRK4:
     def test_exponential_decay(self):
         integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.05, 1.0)

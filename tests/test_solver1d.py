@@ -279,6 +279,62 @@ class TestJunctionSolve:
             W_s = q_s / A_s + sign[end] * 4.0 * float(v.celerity(A_s))
             assert W_s == pytest.approx(W_b, abs=1e-8 * max(1.0, abs(W_b)))
 
+    def test_zero_pressure_start_with_large_reference_pressure(self):
+        # From initial_pressure = 0 with pressure_ref ~ 9.5e4 the total
+        # pressures at the junction are near zero, while Vessel1D.pressure
+        # carries round-off of order eps * pressure_ref; the residual scale
+        # must allow for it or the first step stalls in the Newton solve.
+        text = """
+[fluid]
+rho = 1.060
+mu = 0.04
+zeta = 9
+pressure_ref = 94666.66666666667
+initial_pressure = 0.0
+
+[vessel aorta]
+length = 8.6
+area = 2.3235
+wall_thickness = 0.1032
+youngs_modulus = 5.0e6
+
+[vessel left_iliac]
+length = 8.5
+area = 0.624
+wall_thickness = 0.072
+youngs_modulus = 7.0e6
+
+[vessel right_iliac]
+length = 8.5
+area = 0.624
+wall_thickness = 0.072
+youngs_modulus = 7.0e6
+
+[junction]
+parent = aorta
+daughters = left_iliac right_iliac
+
+[inflow]
+vessel = aorta
+
+[terminal left_iliac]
+type = rcr
+r1 = 6.8123e2
+c = 3.6664e-5
+r2 = 3.1013e4
+
+[terminal right_iliac]
+type = rcr
+r1 = 6.8123e2
+c = 3.6664e-5
+r2 = 3.1013e4
+"""
+        sim = Simulation1D(parse_network(text), synthetic_inflow())
+        for _ in range(5):
+            sim.step()  # raised ConvergenceError before the scale included P0
+        for ves in sim.vessels.values():
+            assert np.all(np.isfinite(ves.A)) and np.all(ves.A > 0.0)
+
     def test_too_few_members(self):
         with pytest.raises(ConfigurationError):
             JunctionNode(members=(("p", "right"),))
