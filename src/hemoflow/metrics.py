@@ -58,11 +58,16 @@ class ErrorReport:
 
 
 def _resample(cycle: CycleSeries, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channels of ``cycle`` at relative times tau, with periodic linear
-    interpolation on the cycle's own span."""
+    """Channels of ``cycle`` at relative times tau, by linear interpolation
+    of its samples. The samples include both ends of the cycle, so a cycle
+    that is not yet periodic has two values at phase 0: tau = 0 takes the
+    first and tau = span the last. Relative times past the span wrap around
+    to the start of the cycle."""
     rel = cycle.t - cycle.t[0]
-    P = np.interp(tau, rel, cycle.P, period=cycle.span)
-    Q = np.interp(tau, rel, cycle.Q, period=cycle.span)
+    span = cycle.span
+    phase = np.where(tau > span, np.mod(tau, span), tau)
+    P = np.interp(phase, rel, cycle.P)
+    Q = np.interp(phase, rel, cycle.Q)
     return P, Q
 
 

@@ -8,6 +8,7 @@ are CGS.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -141,6 +142,8 @@ class WaveformSeries:
     period: float
     _tp: np.ndarray = field(init=False, repr=False, compare=False)
     _qp: np.ndarray = field(init=False, repr=False, compare=False)
+    _tl: list = field(init=False, repr=False, compare=False)
+    _ql: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -165,8 +168,22 @@ class WaveformSeries:
             tp, qp = t, q
         object.__setattr__(self, "_tp", tp)
         object.__setattr__(self, "_qp", qp)
+        object.__setattr__(self, "_tl", tp.tolist())
+        object.__setattr__(self, "_ql", qp.tolist())
 
     def __call__(self, time):
+        """Value at ``time``, a float or an array. A float takes a scalar
+        path (bisection over the samples) with the arithmetic of np.mod and
+        np.interp, so both give the same bits; it returns a float."""
+        if isinstance(time, float):
+            tau = time % self.period
+            if tau != tau:
+                return tau
+            tp, qp = self._tl, self._ql
+            j = bisect_right(tp, tau) - 1
+            if j == len(tp) - 1 or tp[j] == tau:
+                return qp[j]
+            return (qp[j + 1] - qp[j]) / (tp[j + 1] - tp[j]) * (tau - tp[j]) + qp[j]
         tau = np.mod(time, self.period)
         return np.interp(tau, self._tp, self._qp)
 

@@ -93,6 +93,27 @@ class TestErrorMetrics:
         assert abs(rep.eps_p_rms) < 1e-2
         assert abs(rep.eps_q_rms) < 0.1
 
+    def test_non_periodic_cycle_compared_pointwise(self):
+        # a cycle that has not yet reached the periodic regime: its ends
+        # differ, and each end is compared with the reference's same end
+        t = np.linspace(0.0, 1.1, 301)
+        phase = 2.0 * math.pi * t / 1.1
+        ref = CycleSeries(t=t, P=1.0e5 * (1.0 + 0.2 * np.sin(phase)) + 4.0e3 * t,
+                          Q=60.0 * np.maximum(np.sin(phase), 0.0) + 5.0 + 3.0 * t)
+        rep = error_metrics(ref, ref)
+        assert rep.eps_p_rms == 0.0 and rep.eps_q_rms == 0.0
+        test = CycleSeries(t=t, P=1.01 * ref.P, Q=ref.Q)
+        assert error_metrics(test, ref).eps_p_rms == pytest.approx(1.0, rel=1e-12)
+
+    def test_relative_times_past_the_span_wrap(self):
+        test = CycleSeries(t=[0.0, 1.0, 2.0], P=[100.0, 200.0, 150.0],
+                           Q=[1.0, 2.0, 1.5])
+        # tau = 3 lies one unit past the test's span of 2: phase 1
+        ref = CycleSeries(t=[0.0, 1.0, 2.0, 3.0], P=[100.0, 200.0, 150.0, 200.0],
+                          Q=[1.0, 2.0, 1.5, 2.0])
+        rep = error_metrics(test, ref)
+        assert rep.eps_p_rms == 0.0 and rep.eps_q_rms == 0.0
+
     def test_zero_pressure_rejected(self):
         t = np.array([0.0, 1.0, 2.0])
         ref = CycleSeries(t=t, P=[0.0, 1.0, 0.0], Q=[1.0, 2.0, 1.0])

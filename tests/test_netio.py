@@ -235,6 +235,21 @@ class TestWaveforms:
         assert q.shape == t.shape
         assert np.all(q >= 0.0)
 
+    @pytest.mark.parametrize("period, t_end", [(1.1, 1.1), (1.0, 0.7), (1.0, 1.0)])
+    def test_scalar_call_matches_numpy(self, period, t_end):
+        # a float takes the scalar path; it must give np.interp's bits
+        rng = np.random.default_rng(7)
+        w = WaveformSeries(t=np.concatenate(([0.0], np.sort(rng.uniform(0.0, t_end, 40)),
+                                             [t_end])),
+                           q=rng.uniform(-5.0, 80.0, 42), period=period)
+        times = np.concatenate((rng.uniform(-3.0, 30.0, 5000), w.t, w.t + period,
+                                np.arange(0.0, 3.0, 5e-4), [-0.0, period, 2 * period]))
+        expected = np.interp(np.mod(times, period), w._tp, w._qp)
+        got = [w(float(x)) for x in times]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, expected)
+        assert math.isnan(w(float("nan")))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="start at t = 0"):
             WaveformSeries(t=np.array([0.1, 0.2]), q=np.array([1.0, 2.0]),

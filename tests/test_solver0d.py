@@ -690,6 +690,24 @@ class TestRK4:
         with pytest.raises(ValueError):
             rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
+    def test_list_states_match_array_states(self, bifurcation, mode):
+        # a list y0 combines the stages on Python floats, operation for
+        # operation as numpy does on arrays
+        for net in (bifurcation, three_level_network()):
+            model = assemble_network(net, mode, synthetic_inflow())
+            y0 = model.initial_state()
+            a = rk4_integrate(model.rhs, y0, 1e-3, 0.3, sample_interval=2e-3)
+            b = rk4_integrate(model.rhs, y0.tolist(), 1e-3, 0.3,
+                              sample_interval=2e-3)
+            np.testing.assert_array_equal(a.t, b.t)
+            np.testing.assert_array_equal(a.y, b.y)
+            assert isinstance(model.rhs(0.1, y0.tolist()), list)
+
+    def test_list_states_nonfinite_abort(self):
+        with pytest.raises(ModelError, match="non-finite"):
+            rk4_integrate(lambda t, y: [v * v for v in y], [1.0], 0.05, 3.0)
+
     def test_sampling_stride(self):
         integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.01, 1.0,
                               sample_interval=0.1)

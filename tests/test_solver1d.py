@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hemoflow.errors import ConfigurationError, SupercriticalError
+from hemoflow.errors import CollapseError, ConfigurationError, SupercriticalError
 from hemoflow.netio import (
     SingleResistance,
     WaveformSeries,
     Windkessel,
+    aortic_bifurcation,
     parse_network,
     synthetic_inflow,
 )
@@ -27,7 +28,7 @@ from hemoflow.solver1d import (
     run_1d,
     terminal_bc,
 )
-from hemoflow.vessel import FluidProps, VesselSpec, WallModel
+from hemoflow.vessel import FluidProps, VesselSpec, WallModel, tube_law_area
 
 BLOOD = FluidProps(rho=1.06, mu=0.04, zeta=9.0)
 
@@ -511,3 +512,592 @@ p_out = 0.0
         A_before = ves.A.copy()
         muscl_hancock_step(ves, dt, lf, rf)
         assert not np.array_equal(ves.A, A_before)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-vessel step composition the stacked cells replaced. Each
+# vessel held its own arrays and ran its own numpy pipeline; the junction
+# Newton solved its system with np.linalg.solve.
+# ---------------------------------------------------------------------------
+
+def _oracle_eno_slope(U, dx):
+    d = np.diff(U)
+    s = np.empty_like(U)
+    left, right = d[:-1], d[1:]
+    s[1:-1] = np.where(np.abs(left) <= np.abs(right), left, right)
+    s[0] = d[0]
+    s[-1] = d[-1]
+    return s / dx
+
+
+class _OracleVessel:
+    def __init__(self, spec, dx_max, initial_area=None):
+        self.spec = spec
+        self.mesh = build_mesh(spec.length, dx_max)
+        w, f = spec.wall, spec.fluid
+        self.A0, self.K, self.m, self.n = w.A0, w.K, w.m, w.n
+        self.rho, self.alpha, self.k_R = f.rho, f.alpha, f.k_R
+        A_init = w.A0 if initial_area is None else initial_area
+        self.A = np.full(self.mesh.M, A_init, dtype=float)
+        self.q = np.zeros(self.mesh.M)
+
+    def pressure(self, A):
+        x = A / self.A0
+        return self.K * (x ** self.m - x ** self.n) + self.spec.wall.P0 \
+            + self.spec.wall.p_ext
+
+    def celerity(self, A):
+        x = A / self.A0
+        return np.sqrt((self.K / self.rho)
+                       * (self.m * x ** self.m - self.n * x ** self.n))
+
+    def flux(self, A, q):
+        x = A / self.A0
+        elastic = (self.K * A / self.rho) * (
+            self.m / (self.m + 1.0) * x ** self.m
+            - self.n / (self.n + 1.0) * x ** self.n)
+        return q, self.alpha * q * q / A + elastic
+
+    def source_q(self, A, q):
+        return -self.k_R * q / A
+
+    def max_signal_speed(self):
+        u = np.abs(self.q) / self.A
+        c = self.celerity(self.A)
+        assert not np.any(u >= c)
+        return float(np.max(u + c))
+
+    def prepare(self, dt):
+        A, q, dx = self.A, self.q, self.mesh.dx
+        sA = _oracle_eno_slope(A, dx)
+        sq = _oracle_eno_slope(q, dx)
+        h = 0.5 * dx
+        AL, AR = A - h * sA, A + h * sA
+        qL, qR = q - h * sq, q + h * sq
+        FL_A, FL_q = self.flux(AL, qL)
+        FR_A, FR_q = self.flux(AR, qR)
+        r = 0.5 * dt / dx
+        dF_A, dF_q = FL_A - FR_A, FL_q - FR_q
+        hdt = 0.5 * dt
+        prep = {"AbL": AL + r * dF_A, "AbR": AR + r * dF_A,
+                "qbL": qL + r * dF_q + hdt * self.source_q(AL, qL),
+                "qbR": qR + r * dF_q + hdt * self.source_q(AR, qR)}
+        u = q / A
+        c2 = self.celerity(A) ** 2
+        adv_q = (c2 - self.alpha * u * u) * sA + 2.0 * self.alpha * u * sq
+        A_pred = A + hdt * (-sq)
+        q_pred = q + hdt * (-adv_q + self.source_q(A, q))
+        A_pred = np.maximum(A_pred, 1e-12 * self.A0)
+        prep["S_q"] = self.source_q(A_pred, q_pred)
+        return prep
+
+    def interface_flux(self, AL, qL, AR, qR):
+        uL, uR = qL / AL, qR / AR
+        cL, cR = self.celerity(AL), self.celerity(AR)
+        SL = np.minimum(uL - cL, uR - cR)
+        SR = np.maximum(uL + cL, uR + cR)
+        FL_A, FL_q = self.flux(AL, qL)
+        FR_A, FR_q = self.flux(AR, qR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            span = SR - SL
+            Fh_A = (SR * FL_A - SL * FR_A + SL * SR * (AR - AL)) / span
+            Fh_q = (SR * FL_q - SL * FR_q + SL * SR * (qR - qL)) / span
+        F_A = np.where(SL >= 0.0, FL_A, np.where(SR <= 0.0, FR_A, Fh_A))
+        F_q = np.where(SL >= 0.0, FL_q, np.where(SR <= 0.0, FR_q, Fh_q))
+        return F_A, F_q
+
+    def commit(self, dt, prep, left_flux, right_flux):
+        M, dx = self.mesh.M, self.mesh.dx
+        Fi_A, Fi_q = self.interface_flux(prep["AbR"][:-1], prep["qbR"][:-1],
+                                         prep["AbL"][1:], prep["qbL"][1:])
+        F_A = np.empty(M + 1)
+        F_q = np.empty(M + 1)
+        F_A[0], F_q[0] = left_flux
+        F_A[-1], F_q[-1] = right_flux
+        F_A[1:-1], F_q[1:-1] = Fi_A, Fi_q
+        lam = dt / dx
+        A_new = self.A - lam * (F_A[1:] - F_A[:-1])
+        q_new = self.q - lam * (F_q[1:] - F_q[:-1]) + dt * prep["S_q"]
+        assert np.all(A_new > 0)
+        self.A, self.q = A_new, q_new
+
+
+def _oracle_cfl_dt(vessels, CFL):
+    return CFL * min(v.mesh.dx / v.max_signal_speed() for v in vessels)
+
+
+def _oracle_junction_solve(node, vessels, states, tol=1e-10, max_iter=50):
+    N = len(node.members)
+    ves = [vessels[vid] for vid, _ in node.members]
+    sgn = np.array(node.signs)
+    A = np.array([s[0] for s in states])
+    q = np.array([s[1] for s in states])
+    W = q / A + sgn * 4.0 * np.array([v.celerity(a) for v, a in zip(ves, A)])
+    rho = ves[0].rho
+    p_ref = max(abs(v.spec.wall.P0 + v.spec.wall.p_ext) for v in ves)
+    x = np.concatenate([A, q])
+
+    def residual(x):
+        A, q = x[:N], x[N:]
+        if np.any(A <= 0):
+            return None, None
+        u = q / A
+        c = np.array([v.celerity(a) for v, a in zip(ves, A)])
+        p = np.array([v.pressure(a) for v, a in zip(ves, A)])
+        pt = p + 0.5 * rho * u * u
+        r = np.empty(2 * N)
+        r[0] = np.dot(sgn, q)
+        r[1:N] = pt[1:] - pt[0]
+        r[N:] = u + sgn * 4.0 * c - W
+        scale = np.empty(2 * N)
+        scale[0] = max(1.0, np.max(np.abs(q)))
+        scale[1:N] = max(1.0, abs(pt[0]), p_ref)
+        scale[N:] = np.maximum(1.0, np.abs(W))
+        return r, scale
+
+    def jacobian(x):
+        A, q = x[:N], x[N:]
+        u = q / A
+        c = np.array([v.celerity(a) for v, a in zip(ves, A)])
+        dpdA = rho * c * c / A
+        J = np.zeros((2 * N, 2 * N))
+        J[0, N:] = sgn
+        dpt_dA = dpdA - rho * u * u / A
+        dpt_dq = rho * u / A
+        for k in range(1, N):
+            J[k, k] = dpt_dA[k]
+            J[k, N + k] = dpt_dq[k]
+            J[k, 0] = -dpt_dA[0]
+            J[k, N] = -dpt_dq[0]
+        for k in range(N):
+            J[N + k, k] = -u[k] / A[k] + sgn[k] * c[k] / A[k]
+            J[N + k, N + k] = 1.0 / A[k]
+        return J
+
+    r, scale = residual(x)
+    norm = np.max(np.abs(r / scale))
+    for _ in range(max_iter):
+        if norm < tol:
+            break
+        step = np.linalg.solve(jacobian(x), r)
+        lam = 1.0
+        for _ in range(10):
+            x_new = x - lam * step
+            r_new, scale_new = residual(x_new)
+            if r_new is not None:
+                norm_new = np.max(np.abs(r_new / scale_new))
+                if norm_new < norm:
+                    break
+            lam *= 0.5
+        else:
+            raise AssertionError("oracle junction Newton stalled")
+        x, r, scale, norm = x_new, r_new, scale_new, norm_new
+    return list(zip(x[:N], x[N:]))
+
+
+def _oracle_inflow_bc(ves, boundary_state, q_in, tol=1e-10):
+    A_i, q_i = boundary_state
+    W = q_i / A_i - 4.0 * ves.celerity(A_i)
+    A = A_i
+    tol_abs = tol * max(1.0, abs(W))
+    for _ in range(50):
+        f = q_in / A - 4.0 * ves.celerity(A) - W
+        if abs(f) < tol_abs:
+            return A, q_in
+        df = -q_in / (A * A) - ves.celerity(A) / A
+        A_new = A - f / df
+        A = A_new if A_new > 0 else 0.5 * A
+    raise AssertionError("oracle inflow solve did not converge")
+
+
+def _oracle_terminal_bc(ves, boundary_state, terminal, P_wk, dt, tol=1e-10):
+    A_i, q_i = boundary_state
+    W = q_i / A_i + 4.0 * ves.celerity(A_i)
+    if isinstance(terminal, Windkessel):
+        beta = 1.0 / (1.0 + dt / (terminal.R2 * terminal.C))
+        R_eff = terminal.R1 + beta * dt / terminal.C
+        P_c = beta * (P_wk + dt * terminal.P_v / (terminal.R2 * terminal.C))
+    else:
+        R_eff, P_c = terminal.R, terminal.P_v
+    A = A_i
+    tol_abs = tol * max(1.0, abs(W))
+    for _ in range(100):
+        p = ves.pressure(A)
+        c = ves.celerity(A)
+        qs = (p - P_c) / R_eff
+        g = qs / A + 4.0 * c - W
+        if abs(g) < tol_abs:
+            break
+        dg = (ves.rho * c * c / A / R_eff) / A - qs / (A * A) + c / A
+        A_new = A - g / dg
+        A = A_new if A_new > 0 else 0.5 * A
+    q_star = (ves.pressure(A) - P_c) / R_eff
+    if isinstance(terminal, Windkessel):
+        P_wk = beta * (P_wk + dt * q_star / terminal.C
+                       + dt * terminal.P_v / (terminal.R2 * terminal.C))
+    return (A, q_star), P_wk
+
+
+class _OracleSimulation:
+    """One Vessel per vessel, each prepared and committed on its own."""
+
+    def __init__(self, network, inflow, dx_max=0.2, CFL=0.9):
+        self.network, self.inflow, self.CFL = network, inflow, CFL
+        self.vessels = {vid: _OracleVessel(spec, dx_max, network.initial_area(vid))
+                        for vid, spec in network.vessels.items()}
+        self.junctions = [
+            JunctionNode(members=((j.parent, "right"),
+                                  *((d, "left") for d in j.daughters)))
+            for j in network.junctions]
+        self.P_wk = {vid: network.initial_pressure
+                     for vid, term in network.terminals.items()
+                     if isinstance(term, Windkessel)}
+        self.t = 0.0
+
+    def step(self, dt):
+        preps = {vid: v.prepare(dt) for vid, v in self.vessels.items()}
+        left, right = {}, {}
+        root = self.network.root
+        ves, p = self.vessels[root], preps[root]
+        A_s, q_s = _oracle_inflow_bc(ves, (float(p["AbL"][0]), float(p["qbL"][0])),
+                                     float(self.inflow(self.t + 0.5 * dt)))
+        left[root] = tuple(float(f) for f in ves.flux(A_s, q_s))
+        for node in self.junctions:
+            states = []
+            for vid, end in node.members:
+                p = preps[vid]
+                states.append((float(p["AbR"][-1]), float(p["qbR"][-1]))
+                              if end == "right"
+                              else (float(p["AbL"][0]), float(p["qbL"][0])))
+            stars = _oracle_junction_solve(node, self.vessels, states)
+            for (vid, end), (A_s, q_s) in zip(node.members, stars):
+                F = tuple(float(f) for f in self.vessels[vid].flux(A_s, q_s))
+                (right if end == "right" else left)[vid] = F
+        for vid, term in self.network.terminals.items():
+            ves, p = self.vessels[vid], preps[vid]
+            (A_s, q_s), P_new = _oracle_terminal_bc(
+                ves, (float(p["AbR"][-1]), float(p["qbR"][-1])), term,
+                self.P_wk.get(vid, 0.0), dt)
+            right[vid] = tuple(float(f) for f in ves.flux(A_s, q_s))
+            if vid in self.P_wk:
+                self.P_wk[vid] = P_new
+        for vid, v in self.vessels.items():
+            v.commit(dt, preps[vid], left[vid], right[vid])
+        self.t += dt
+
+
+def _oracle_run_1d(network, inflow, t_end, sample_interval=1e-3):
+    sim = _OracleSimulation(network, inflow)
+
+    def sample():
+        out = {}
+        for vid, v in sim.vessels.items():
+            A = float(v.A[v.mesh.M // 2])
+            out[vid] = (float(v.pressure(A)), float(v.q[v.mesh.M // 2]), A)
+        return out
+
+    times, records = [0.0], [sample()]
+    next_sample = sample_interval
+    while sim.t < t_end - 1e-12:
+        dt = min(_oracle_cfl_dt(sim.vessels.values(), sim.CFL), t_end - sim.t)
+        sim.step(dt)
+        if sim.t >= next_sample - 1e-12:
+            times.append(sim.t)
+            records.append(sample())
+            while next_sample <= sim.t + 1e-12:
+                next_sample += sample_interval
+    return np.array(times), {
+        vid: {ch: np.array([rec[vid][i] for rec in records])
+              for i, ch in enumerate("PQA")}
+        for vid in network.vessels}
+
+
+#: an asymmetric tree: a trifurcation, a bifurcation below one of its
+#: daughters, vessels of different lengths (and so cell counts), walls and
+#: reference pressures, and both terminal kinds
+ASYMMETRIC_TREE = """
+[fluid]
+rho = 1.06
+mu = 0.04
+zeta = 9
+pressure_ref = 9.0e4
+initial_pressure = 1.0e5
+
+[vessel a]
+length = 6.3
+area = 2.1
+wall_thickness = 0.1
+youngs_modulus = 5.0e6
+
+[vessel b]
+length = 4.1
+area = 0.9
+wall_thickness = 0.07
+youngs_modulus = 6.0e6
+
+[vessel c]
+length = 7.7
+area = 0.6
+wall_thickness = 0.06
+youngs_modulus = 8.0e6
+pressure_ref = 9.5e4
+
+[vessel d]
+length = 2.9
+area = 0.45
+wall_thickness = 0.05
+youngs_modulus = 7.0e6
+
+[vessel e]
+length = 3.3
+area = 0.5
+wall_thickness = 0.05
+youngs_modulus = 6.5e6
+
+[vessel f]
+length = 5.2
+area = 0.35
+wall_thickness = 0.045
+youngs_modulus = 9.0e6
+
+[junction]
+parent = a
+daughters = b c d
+
+[junction]
+parent = b
+daughters = e f
+
+[inflow]
+vessel = a
+
+[terminal c]
+type = rcr
+r1 = 2.0e3
+c = 1.0e-5
+r2 = 4.0e4
+
+[terminal d]
+type = r
+r = 3.0e4
+p_out = 1.0e4
+
+[terminal e]
+type = rcr
+r1 = 3.0e3
+c = 8.0e-6
+r2 = 5.0e4
+
+[terminal f]
+type = rcr
+r1 = 4.0e3
+c = 6.0e-6
+r2 = 6.0e4
+"""
+
+
+def _disturbed_pair(network, seed):
+    """A Simulation1D and an oracle with equal, non-trivial cell states."""
+    rng = np.random.default_rng(seed)
+    sim = Simulation1D(network, synthetic_inflow())
+    oracle = _OracleSimulation(network, synthetic_inflow())
+    for vid, ves in sim.vessels.items():
+        M = ves.mesh.M
+        ves.A = ves.A * (1.0 + 0.05 * rng.standard_normal(M))
+        ves.q = 20.0 * rng.standard_normal(M)
+        oracle.vessels[vid].A = ves.A.copy()
+        oracle.vessels[vid].q = ves.q.copy()
+    return sim, oracle
+
+
+class TestStackedCells:
+    """The stacked prepare/commit against the per-vessel oracle."""
+
+    @pytest.mark.parametrize("network", ["bifurcation", "asymmetric"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prepare_commit_bit_identical(self, network, seed):
+        net = (parse_network(ASYMMETRIC_TREE) if network == "asymmetric"
+               else aortic_bifurcation())
+        sim, oracle = _disturbed_pair(net, seed)
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        assert dt == _oracle_cfl_dt(oracle.vessels.values(), 0.9)
+        prep = cells.prepare(dt)
+        left, right = [], []
+        for k, (vid, ves) in enumerate(oracle.vessels.items()):
+            ref = ves.prepare(dt)
+            s, e = cells.bounds[k], cells.bounds[k + 1]
+            for key in ("AbL", "AbR", "qbL", "qbR", "S_q"):
+                np.testing.assert_array_equal(getattr(prep, key)[s:e], ref[key])
+            # transmissive ends: the physical flux of the evolved face states
+            lf = tuple(float(f) for f in ves.flux(ref["AbL"][0], ref["qbL"][0]))
+            rf = tuple(float(f) for f in ves.flux(ref["AbR"][-1], ref["qbR"][-1]))
+            ves.commit(dt, ref, lf, rf)
+            left.append(lf)
+            right.append(rf)
+        cells.commit(dt, prep, left, right)
+        for vid, ves in sim.vessels.items():
+            np.testing.assert_array_equal(ves.A, oracle.vessels[vid].A)
+            np.testing.assert_array_equal(ves.q, oracle.vessels[vid].q)
+
+    def test_end_states_are_segment_ends(self):
+        sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 2)
+        prep = sim.cells.prepare(cfl_dt([sim.cells], 0.9))
+        ends = sim.cells.end_states(prep)
+        n = len(sim.vessels)
+        for k, ves in enumerate(sim.vessels.values()):
+            s, e = sim.cells.bounds[k], sim.cells.bounds[k + 1]
+            assert ends[k] == prep.AbL[s] and ends[n + k] == prep.qbL[s]
+            assert ends[2 * n + k] == prep.AbR[e - 1]
+            assert ends[3 * n + k] == prep.qbR[e - 1]
+            assert e - s == ves.mesh.M
+
+    def test_vessel_arrays_are_views_updated_in_place(self):
+        sim = Simulation1D(parse_network(ASYMMETRIC_TREE), synthetic_inflow())
+        views = {vid: (ves.A, ves.q) for vid, ves in sim.vessels.items()}
+        for _ in range(3):
+            sim.step()
+        for k, (vid, ves) in enumerate(sim.vessels.items()):
+            A, q = views[vid]
+            assert np.shares_memory(A, sim.cells.U)
+            s, e = sim.cells.bounds[k], sim.cells.bounds[k + 1]
+            np.testing.assert_array_equal(A, sim.cells.A[s:e])
+            np.testing.assert_array_equal(q, sim.cells.q[s:e])
+        assert np.any(sim.vessels["a"].q != 0.0)
+
+    def test_single_vessel_is_one_segment_stack(self):
+        ves = Vessel1D(aorta_spec(), 0.2)
+        assert ves.segments == [ves]
+        assert list(ves.bounds) == [0, ves.mesh.M]
+        stacked = Vessel1D.stack([aorta_spec(), iliac_spec()], 0.2)
+        assert stacked.ids == ("aorta", "iliac")
+        assert [seg.mesh.M for seg in stacked.segments] == [43, 43]
+        assert stacked.segments[1].law == Vessel1D(iliac_spec(), 0.2).law
+
+    def test_run_matches_oracle_over_two_cycles(self):
+        net = aortic_bifurcation()
+        inflow = synthetic_inflow()
+        res = run_1d(net, inflow, t_end=2.2, T0=1.1)
+        t_ref, ref = _oracle_run_1d(net, inflow, 2.2)
+        assert res.t.shape == t_ref.shape
+        np.testing.assert_allclose(res.t, t_ref, rtol=0.0, atol=1e-12)
+        for vid, series in ref.items():
+            for ch, values in series.items():
+                peak = np.max(np.abs(values))
+                assert np.max(np.abs(res.vessels[vid][ch] - values)) <= 1e-9 * peak
+        for ch in "PQA":
+            np.testing.assert_array_equal(res.vessels["left_iliac"][ch],
+                                          res.vessels["right_iliac"][ch])
+
+
+class TestStackErrors:
+    """Errors raised from the stack name the vessel and its local cell."""
+
+    @staticmethod
+    def _sim():
+        sim = Simulation1D(parse_network(ASYMMETRIC_TREE), synthetic_inflow())
+        ids = list(sim.vessels)
+        return sim, ids[1], ids[-1]
+
+    def test_supercritical_second_and_last(self):
+        sim, second, last = self._sim()
+        for vid, cell in ((second, 5), (last, 2)):
+            ves = sim.vessels[vid]
+            ves.q[cell] = 2.0 * float(ves.celerity(ves.A[cell])) * ves.A[cell]
+        with pytest.raises(SupercriticalError, match=f"'{second}' at cell 5"):
+            cfl_dt([sim.cells], 0.9)
+        sim.vessels[second].q[:] = 0.0
+        with pytest.raises(SupercriticalError, match=f"'{last}' at cell 2"):
+            sim.step()
+
+    def test_reconstructed_collapse_second_and_last(self):
+        sim, second, last = self._sim()
+        sim.vessels[second].A[7] = -0.5
+        sim.vessels[last].A[3] = -0.5
+        with pytest.raises(CollapseError, match=f"'{second}' at cell 7"):
+            sim.cells.prepare(1e-5)
+        sim.vessels[second].A[7] = sim.vessels[second].A[6]
+        with pytest.raises(CollapseError, match=f"'{last}' at cell 3"):
+            sim.cells.prepare(1e-5)
+
+    def test_negative_area_second_and_last(self):
+        sim, second, last = self._sim()
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        before = cells.U.copy()
+        for drained in ([second, last], [last]):
+            prep = cells.prepare(dt)
+            # no flux in, and a huge outflow at the right end of the drained
+            left = [(0.0, 0.0)] * len(sim.vessels)
+            right = [(1e7 if vid in drained else 0.0, 0.0) for vid in sim.vessels]
+            M = sim.vessels[drained[0]].mesh.M
+            with pytest.raises(CollapseError,
+                               match=f"'{drained[0]}' at cell {M - 1}"):
+                cells.commit(dt, prep, left, right)
+            # a failed commit leaves the state as it was
+            np.testing.assert_array_equal(cells.U, before)
+
+
+def _random_junction(n_members, seed, mirrored=False):
+    """Members of different walls at states near a common pressure."""
+    rng = np.random.default_rng(seed)
+    P0 = rng.choice([0.0, 94666.66666666667])
+    p = P0 + rng.uniform(0.0, 2.0e4)
+    specs, states = [], []
+    for k in range(n_members):
+        if mirrored and k > 1:
+            specs.append(VesselSpec(vessel_id=f"v{k}", length=specs[1].length,
+                                    wall=specs[1].wall, fluid=BLOOD))
+            states.append(states[1])
+            continue
+        wall = WallModel.arterial(A0=rng.uniform(0.3, 3.0),
+                                  h0=rng.uniform(0.04, 0.12),
+                                  E=rng.uniform(2e6, 9e6), P0=P0)
+        specs.append(VesselSpec(vessel_id=f"v{k}", length=5.0, wall=wall,
+                                fluid=BLOOD))
+        states.append((tube_law_area(p, wall) * rng.uniform(0.98, 1.02),
+                       rng.uniform(-20.0, 40.0)))
+    node = JunctionNode(members=(("v0", "right"),
+                                 *((f"v{k}", "left") for k in range(1, n_members))))
+    return node, specs, states
+
+
+class TestFloatJunction:
+    @pytest.mark.parametrize("n_members", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_numpy_newton(self, n_members, seed):
+        node, specs, states = _random_junction(n_members, seed)
+        vessels = {s.vessel_id: Vessel1D(s, 0.2) for s in specs}
+        oracle = {s.vessel_id: _OracleVessel(s, 0.2) for s in specs}
+        stars = junction_solve(node, vessels, states)
+        ref = _oracle_junction_solve(node, oracle, states)
+        q_scale = max(1.0, max(abs(q) for _, q in ref))
+        for (A, q), (A_ref, q_ref) in zip(stars, ref):
+            assert abs(A - A_ref) <= 1e-12 * A_ref
+            assert abs(q - q_ref) <= 1e-12 * q_scale
+
+    @pytest.mark.parametrize("n_members", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mirrored_daughters_bit_identical(self, n_members, seed):
+        node, specs, states = _random_junction(n_members, seed, mirrored=True)
+        vessels = {s.vessel_id: Vessel1D(s, 0.2) for s in specs}
+        stars = junction_solve(node, vessels, states)
+        for star in stars[2:]:
+            assert star == stars[1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_boundaries_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        ves, ref = Vessel1D(aorta_spec(), 0.2), _OracleVessel(aorta_spec(), 0.2)
+        state = (ves.A0 * rng.uniform(0.9, 1.1), rng.uniform(-20.0, 40.0))
+        q_in = rng.uniform(0.0, 300.0)
+        A, q = inflow_bc(ves, state, q_in)
+        A_ref, _ = _oracle_inflow_bc(ref, state, q_in)
+        assert q == q_in and abs(A - A_ref) <= 1e-12 * A_ref
+        p_wk = float(ref.pressure(ves.A0)) * rng.uniform(0.9, 1.1)
+        term = Windkessel(R1=6.8123e2, C=3.6664e-5, R2=3.1013e4, P_v=0.0)
+        (A, q), P = terminal_bc(ves, state, term, p_wk, 1e-4)
+        (A_ref, q_ref), P_ref = _oracle_terminal_bc(ref, state, term, p_wk, 1e-4)
+        assert abs(A - A_ref) <= 1e-12 * A_ref
+        assert abs(q - q_ref) <= 1e-12 * max(1.0, abs(q_ref))
+        assert abs(P - P_ref) <= 1e-12 * abs(P_ref)
