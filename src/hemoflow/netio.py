@@ -484,15 +484,21 @@ def write_series(path, t, P, Q, A) -> None:
 
 
 def read_series(path) -> dict[str, np.ndarray]:
+    """Read a CSV series: one array per column named in the header line."""
     path = Path(path)
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        with path.open() as fh:
+            names = [name.strip() for name in fh.readline().split(",")]
+            rows = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read series from {path}: {exc}") from exc
-    if data.size == 0:
+    if not rows:
         return {name: np.array([]) for name in SERIES_COLUMNS}
-    data = np.atleast_1d(data)
-    return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: {data.shape[1]} columns under a header of "
+                         f"{len(names)} names")
+    return dict(zip(names, data.T))
 
 
 ERROR_COLUMNS = ("vessel", "model", "eps_p_rms", "eps_q_rms",

@@ -13,10 +13,15 @@ interior vessels as chains of two PinQout compartments, terminal vessels
 PinPout, plus one capacitor pressure per RCR terminal) and advanced with
 classical RK4. Assembly flattens the tree into an evaluation plan of
 constant tuples, state offsets and junction/terminal coupling in tree
-order; the network right-hand side is one pass over that plan on Python
-floats. The compartment laws (``_Compartment.pressure_law`` and
-``_Compartment.flow_law``) are shared by that pass and the per-vessel
-classes, which remain the single-vessel API.
+order. From that plan the model writes the network pass as straight-line
+Python source, each state a local and each constant a literal, and
+compiles it on first use (never at assembly): ``rhs`` runs one pass, and
+``run_0d`` advances with one compiled function per RK4 step that inlines
+the four passes and their combination. The generated statements are those
+of the compartment laws (``_Compartment.pressure_law`` and
+``_Compartment.flow_law``), operation for operation; the per-vessel
+classes call the laws themselves and remain the single-vessel API and the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,14 +84,23 @@ class ModelMode:
                 f"unknown 0D mode {name!r}; choose from {sorted(table)}") from None
 
 
+def _volume_collapse(V: float) -> CollapseError:
+    return CollapseError(f"compartment volume became non-positive: {V}")
+
+
+def _area_collapse(A_hat: float) -> CollapseError:
+    return CollapseError(f"mean area became non-positive: {A_hat}")
+
+
 class _Compartment:
     """A lumped piece of a vessel: ``fraction`` of its length, with the
     reference volume and constants scaled accordingly.
 
     ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l).
-    The two static laws below are the only place where a compartment's
-    pressure, resistance and inductance are evaluated; the per-vessel
-    classes and the assembled network pass both call them.
+    The per-vessel classes evaluate a compartment's pressure, resistance
+    and inductance with the two static laws below; the network pass
+    (``_PassSource``) writes out their statements, and a change to a law
+    must be made in both.
     """
 
     __slots__ = ("length", "consts")
@@ -105,7 +120,7 @@ class _Compartment:
         """Pressure at volume V: the elastic tube law at the mean area V/l,
         or its linearisation with the reference compliance C0."""
         if V <= 0.0:
-            raise CollapseError(f"compartment volume became non-positive: {V}")
+            raise _volume_collapse(V)
         V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
         if nonlinear:
             x = V / V0  # = A_hat / A0
@@ -117,7 +132,7 @@ class _Compartment:
                  nonlinear_l: bool) -> tuple[float, float]:
         """(R, L) at mean area A_hat, or the reference values R0, L0."""
         if (nonlinear_r or nonlinear_l) and A_hat <= 0.0:
-            raise CollapseError(f"mean area became non-positive: {A_hat}")
+            raise _area_collapse(A_hat)
         V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
         return (rho_kR_l / (A_hat * A_hat) if nonlinear_r else R0,
                 rho_l / A_hat if nonlinear_l else L0)
@@ -357,6 +372,199 @@ def terminal_pressure_coupling(Q: float, terminal, P_wk: float):
 # Network assembly
 # ---------------------------------------------------------------------------
 
+def _lit(v) -> str:
+    """Source text of a value: a local name, or a float as a literal."""
+    if isinstance(v, str):
+        return v
+    v = float(v)
+    if math.isfinite(v):
+        text = repr(v)
+    else:
+        text = "_nan" if v != v else ("-_inf" if v < 0.0 else "_inf")
+    return f"({text})" if text.startswith("-") else text
+
+
+class _PassSource:
+    """Python source of the network pass, written from the evaluation plan
+    of a ``NetworkModel0D``: each state a local, each compartment constant a
+    literal, and the mode's flags resolved while writing. The statements
+    are those of the compartment laws and the terminal couplings, operation
+    for operation and in plan order, so the compiled pass gives the same
+    bits as the laws and raises the same errors in the same order.
+
+    While writing, a value is a local name (str) or a constant (float); a
+    product of two constants is folded, as Python would fold it.
+    """
+
+    def __init__(self, model: "NetworkModel0D"):
+        self.model = model
+        self.dim = model.dim
+        self.nl_p, self.nl_r, self.nl_l = model.mode.flags
+        self.p_if = [f"pif_{j}" for j in range(len(model._junctions))]
+        self.q_if = [f"qif_{j}" for j in range(len(model._junctions))]
+        self.t_out = [f"tout_{k}" for k in range(len(model._terminals))]
+
+    def names(self, prefix: str) -> list[str]:
+        return [f"{prefix}{i}" for i in range(self.dim)]
+
+    def evaluator(self) -> str:
+        """``evaluate(t, s)``: one pass, returning the derivative list, the
+        root inflow and the junction and terminal values."""
+        s, d = self.names("s"), self.names("d")
+        return "\n".join([
+            "def evaluate(t, s):",
+            f"    {', '.join(s)}, = s",
+            "    q_in = float(inflow(t))",
+            *(f"    {line}" for line in self.stage(s, d)),
+            f"    return [{', '.join(d)}], q_in, [{', '.join(self.p_if)}], "
+            f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
+
+    def step_factory(self) -> str:
+        """``make_step(dt)``, which returns ``step(t, y) -> y_next``: the
+        four passes of a classical RK4 step and their combination, inlined.
+        The inflow is evaluated once for both passes at t + dt/2."""
+        y, u = self.names("y"), self.names("u")
+        k = [self.names(prefix) for prefix in "abce"]
+        body = [f"{', '.join(y)}, = y", "q_in = float(inflow(t))",
+                *self.stage(y, k[0])]
+        for i, (h, t_stage) in enumerate((("half", "t + half"), ("half", None),
+                                          ("dt", "t + dt"))):
+            body += [f"{a} = {b} + {h} * {c}" for a, b, c in zip(u, y, k[i])]
+            if t_stage:
+                body.append(f"q_in = float(inflow({t_stage}))")
+            body += self.stage(u, k[i + 1])
+        new = (f"{b} + sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
+               for b, k1, k2, k3, k4 in zip(y, *k))
+        body.append(f"return [{', '.join(new)}]")
+        return "\n".join([
+            "def make_step(dt):",
+            "    half = 0.5 * dt",
+            "    sixth = dt / 6.0",
+            "    def step(t, y):",
+            *(f"        {line}" for line in body),
+            "    return step", ""])
+
+    # -- one pass --------------------------------------------------------
+
+    def pressure(self, out: list, name: str, V: str, c: tuple) -> str:
+        """``_Compartment.pressure_law``."""
+        V0, K, m, n, P_ref, C0 = c[:6]
+        out.append(f"if {V} <= 0.0: raise _volume_collapse({V})")
+        if self.nl_p:
+            x = f"({V} / {_lit(V0)})"
+            if m != 0.0 and n != 0.0:
+                out.append(f"x = {x}")
+                x = "x"
+            # x ** 0.0 is 1.0 for every x, NaN included
+            xm, xn = ("1.0" if e == 0.0 else f"{x} ** {_lit(e)}" for e in (m, n))
+            out.append(f"{name} = {_lit(K)} * ({xm} - {xn}) + {_lit(P_ref)}")
+        else:
+            out.append(f"{name} = {_lit(P_ref)} + ({V} - {_lit(V0)}) / {_lit(C0)}")
+        return name
+
+    @staticmethod
+    def flow(out: list, tag: str, A_hat: str, c: tuple, nl_r: bool, nl_l: bool):
+        """``_Compartment.flow_law``: (R, L) at the mean area ``A_hat``."""
+        R0, L0, rho_kR_l, rho_l = c[6:]
+        R, L = float(R0), float(L0)
+        if nl_r or nl_l:
+            A = f"A_{tag}"
+            out.append(f"{A} = {A_hat}")
+            out.append(f"if {A} <= 0.0: raise _area_collapse({A})")
+            if nl_r:
+                R = f"R_{tag}"
+                out.append(f"{R} = {_lit(rho_kR_l)} / ({A} * {A})")
+            if nl_l:
+                L = f"L_{tag}"
+                out.append(f"{L} = {_lit(rho_l)} / {A}")
+        return R, L
+
+    @staticmethod
+    def mul(out: list, a, b, name: str):
+        if not isinstance(a, str) and not isinstance(b, str):
+            return float(a) * float(b)
+        out.append(f"{name} = {_lit(a)} * {_lit(b)}")
+        return name
+
+    def stage(self, s: list[str], d: list[str]) -> list[str]:
+        """Statements of one pass over the states named ``s``, with the
+        root inflow in ``q_in``, in plan order (root, interior vessels,
+        leaves): they assign the derivative of state i to ``d[i]``, the
+        junction values to ``p_if``/``q_if`` and the terminal values to
+        ``t_out``."""
+        model, out = self.model, []
+        nl_r, nl_l = self.nl_r, self.nl_l
+        p_if, q_if, t_out = self.p_if, self.q_if, self.t_out
+        pressure, flow, mul = self.pressure, self.flow, self.mul
+
+        def inflows(name, flows):
+            out.append(f"{name} = 0.0" + "".join(f" + {s[i]}" for i in flows))
+
+        o, hc, hl, fc, fl, r_frac, rd_frac, j, flows, term, wk = model._root
+        V, Q, Vd = s[o:o + 3]
+        P = pressure(out, f"P_{o}", V, hc)
+        Pd = pressure(out, f"P_{o + 2}", Vd, hc)
+        R, L = flow(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", fc, nl_r, nl_l)
+        R = mul(out, r_frac, R, f"Rr_{o}")
+        # the distal end resistance sits at the distal half's mean area
+        R_d = flow(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", fc, nl_r, False)[0]
+        R_d = mul(out, rd_frac, R_d, f"Rd_{o}")
+        if term is None:
+            q_out = q_if[j]
+            inflows(q_out, flows)
+            out.append(f"{p_if[j]} = {Pd} - {_lit(R_d)} * {q_out}")
+        else:  # single-vessel network: ``terminal_flow_coupling``
+            q_out = t_out[j]
+            rcr = isinstance(term, Windkessel)
+            out.append(f"Rt_{o} = {_lit(R_d)} + {_lit(term.R1 if rcr else term.R)}")
+            out.append(f"if Rt_{o} <= 0.0: raise ConfigurationError("
+                       f"'terminal coupling has zero total resistance')")
+            if rcr:
+                out += [f"{q_out} = ({Pd} - {s[wk]}) / Rt_{o}",
+                        f"{d[wk]} = ({q_out} - ({s[wk]} - {_lit(term.P_v)}) / "
+                        f"{_lit(term.R2)}) / {_lit(term.C)}"]
+            else:
+                out.append(f"{q_out} = ({Pd} - {_lit(term.P_v)}) / Rt_{o}")
+        out += [f"{d[o]} = q_in - {Q}",
+                f"{d[o + 1]} = ({P} - {_lit(R)} * {Q} - {Pd}) / {_lit(L)}",
+                f"{d[o + 2]} = {Q} - {q_out}"]
+
+        for o, c, l, j_in, j, flows in model._interior:
+            V1, Q1, V2, Q2 = s[o:o + 4]
+            P1 = pressure(out, f"P_{o}", V1, c)
+            R1, L1 = flow(out, f"{o}", f"{V1} / {_lit(l)}", c, nl_r, nl_l)
+            P2 = pressure(out, f"P_{o + 2}", V2, c)
+            R2, L2 = flow(out, f"{o + 2}", f"{V2} / {_lit(l)}", c, nl_r, nl_l)
+            inflows(q_if[j], flows)
+            hR2 = mul(out, 0.5, R2, f"hR_{o + 2}")
+            out.append(f"{p_if[j]} = {P2} - {_lit(hR2)} * {q_if[j]}")
+            # the halves meet at the first half's distal-split pressure
+            hR1 = mul(out, 0.5, R1, f"hR_{o}")
+            out += [f"pm_{o} = {P1} - {_lit(hR1)} * {Q2}",
+                    f"{d[o]} = {Q1} - {Q2}",
+                    f"{d[o + 1]} = ({p_if[j_in]} - {_lit(R1)} * {Q1} - {P1}) / {_lit(L1)}",
+                    f"{d[o + 2]} = {Q2} - {q_if[j]}",
+                    f"{d[o + 3]} = (pm_{o} - {_lit(R2)} * {Q2} - {P2}) / {_lit(L2)}"]
+
+        for o, c, l, j_in, k, term, wk in model._leaves:
+            V, Q, Qd = s[o:o + 3]
+            P = pressure(out, f"P_{o}", V, c)
+            R, L = flow(out, f"{o}", f"{V} / {_lit(l)}", c, nl_r, nl_l)
+            Rh = mul(out, 0.5, R, f"hR_{o}")
+            Lh = mul(out, 0.5, L, f"hL_{o}")
+            # ``terminal_pressure_coupling``
+            if isinstance(term, Windkessel):
+                out += [f"{t_out[k]} = {s[wk]} + {_lit(term.R1)} * {Qd}",
+                        f"{d[wk]} = ({Qd} - ({s[wk]} - {_lit(term.P_v)}) / "
+                        f"{_lit(term.R2)}) / {_lit(term.C)}"]
+            else:
+                out.append(f"{t_out[k]} = {_lit(term.P_v)} + {_lit(term.R)} * {Qd}")
+            out += [f"{d[o]} = {Q} - {Qd}",
+                    f"{d[o + 1]} = ({p_if[j_in]} - {_lit(Rh)} * {Q} - {P}) / {_lit(Lh)}",
+                    f"{d[o + 2]} = ({P} - {_lit(Rh)} * {Qd} - {t_out[k]}) / {_lit(Lh)}"]
+        return out
+
+
 class NetworkModel0D:
     """Global ODE system for a vessel tree.
 
@@ -368,8 +576,10 @@ class NetworkModel0D:
     Assembly also flattens the network into an evaluation plan: per vessel
     its state offset and compartment constants, junctions numbered in tree
     order (parents before daughters) with the state indices of the flows
-    they collect, and per terminal its element and capacitor index.
-    ``rhs`` walks that plan once over Python floats.
+    they collect, and per terminal its element and capacitor index. The
+    network pass over that plan (``rhs``) and the fused RK4 step
+    (``rk4_step``) are generated from it as Python source and compiled the
+    first time each is used.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -412,7 +622,6 @@ class NetworkModel0D:
     def _build_plan(self) -> None:
         net, layout, models = self.network, self.layout, self.models
         by_parent = {j.parent: j for j in net.junctions}
-        self._flags = self.mode.flags
         #: junctions and terminal vessels in plan order
         self._junctions = junctions = []
         self._terminals = terminals = []
@@ -451,73 +660,34 @@ class NetworkModel0D:
                 k, _, term, wk = outlet
                 leaves.append((off, c.consts, c.length, j_in[vid], k, term, wk))
 
-    def _evaluate(self, t: float, s: list[float]):
-        """One pass of the plan at time t over the state list s.
+    def _compile(self, source: str, name: str):
+        namespace = {"inflow": self.inflow, "_inf": math.inf, "_nan": math.nan,
+                     "_volume_collapse": _volume_collapse,
+                     "_area_collapse": _area_collapse,
+                     "ConfigurationError": ConfigurationError}
+        exec(compile(source, f"<0D network {name}>", "exec"), namespace)
+        return namespace[name]
 
-        Returns the derivative list, the root inflow, per junction its
-        interface pressure and the flow its daughters draw, and per
-        terminal the value handed back to its vessel: the outlet pressure of
-        a PinPout leaf, or the outlet flow of a single-vessel network.
-        """
-        pressure, flow = _Compartment.pressure_law, _Compartment.flow_law
-        nl_p, nl_r, nl_l = self._flags
-        d = [0.0] * self.dim
-        p_if = [0.0] * len(self._junctions)
-        q_if = [0.0] * len(self._junctions)
-        t_out = [0.0] * len(self._terminals)
+    @cached_property
+    def _evaluate(self):
+        """The network pass, compiled on first use: ``_evaluate(t, s)``
+        takes the state as a list and returns the derivative list, the root
+        inflow, per junction its interface pressure and the flow its
+        daughters draw, and per terminal the value handed back to its
+        vessel: the outlet pressure of a PinPout leaf, or the outlet flow
+        of a single-vessel network."""
+        return self._compile(_PassSource(self).evaluator(), "evaluate")
 
-        q_in = float(self.inflow(t))
-        o, hc, hl, fc, fl, r_frac, rd_frac, j, flows, term, wk = self._root
-        V, Q, Vd = s[o:o + 3]
-        P = pressure(hc, V, nl_p)
-        Pd = pressure(hc, Vd, nl_p)
-        R, L = flow(fc, (V + Vd) / fl, nl_r, nl_l)
-        R = r_frac * R
-        # the distal end resistance sits at the distal half's mean area
-        R_d = rd_frac * flow(fc, Vd / hl, nl_r, False)[0]
-        if term is None:
-            q_out = 0.0
-            for i in flows:
-                q_out += s[i]
-            p_if[j] = Pd - R_d * q_out
-            q_if[j] = q_out
-        else:  # single-vessel network: flow-typed terminal coupling
-            q_out, dP_wk = terminal_flow_coupling(
-                Pd, R_d, term, s[wk] if wk >= 0 else 0.0)
-            t_out[j] = q_out
-            if wk >= 0:
-                d[wk] = dP_wk
-        d[o:o + 3] = (q_in - Q, (P - R * Q - Pd) / L, Q - q_out)
+    @cached_property
+    def _make_step(self):
+        return self._compile(_PassSource(self).step_factory(), "make_step")
 
-        for o, c, l, j_in, j, flows in self._interior:
-            V1, Q1, V2, Q2 = s[o:o + 4]
-            P1 = pressure(c, V1, nl_p)
-            R1, L1 = flow(c, V1 / l, nl_r, nl_l)
-            P2 = pressure(c, V2, nl_p)
-            R2, L2 = flow(c, V2 / l, nl_r, nl_l)
-            q_out = 0.0
-            for i in flows:
-                q_out += s[i]
-            p_if[j] = P2 - 0.5 * R2 * q_out
-            q_if[j] = q_out
-            # the halves meet at the first half's distal-split pressure
-            p_mid = P1 - 0.5 * R1 * Q2
-            d[o:o + 4] = (Q1 - Q2, (p_if[j_in] - R1 * Q1 - P1) / L1,
-                          Q2 - q_out, (p_mid - R2 * Q2 - P2) / L2)
-
-        for o, c, l, j_in, k, term, wk in self._leaves:
-            V, Q, Qd = s[o:o + 3]
-            P = pressure(c, V, nl_p)
-            R, L = flow(c, V / l, nl_r, nl_l)
-            Rh, Lh = 0.5 * R, 0.5 * L
-            p_out, dP_wk = terminal_pressure_coupling(
-                Qd, term, s[wk] if wk >= 0 else 0.0)
-            t_out[k] = p_out
-            if wk >= 0:
-                d[wk] = dP_wk
-            d[o:o + 3] = (Q - Qd, (p_if[j_in] - Rh * Q - P) / Lh,
-                          (P - Rh * Qd - p_out) / Lh)
-        return d, q_in, p_if, q_if, t_out
+    def rk4_step(self, dt: float):
+        """``step(t, y) -> y_next``: one classical RK4 step of the network
+        on lists of floats, the four passes and their combination compiled
+        into one function (on first use). Its floating-point operations are
+        those of ``rk4_integrate`` on ``self.rhs`` and a list state."""
+        return self._make_step(dt)
 
     @property
     def volume_indices(self) -> list[int]:
@@ -648,11 +818,51 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
 
     ``y0`` is an array, or a list of floats: then ``rhs`` maps (t, list) to
     a list and the stages are combined on Python floats, by the same
-    operations element by element. For the few dozen states of a vessel
-    network that is faster than a numpy call per stage. Samples the state
-    every ``sample_interval`` (rounded to a whole number of steps; every
-    step if None). The reported CPU time covers only the stepping loop.
+    operations element by element. Samples the state every
+    ``sample_interval`` (rounded to a whole number of steps; every step if
+    None). The reported CPU time, of this thread, covers only the stepping
+    loop. ``run_0d`` runs the same loop with the network's compiled step
+    (``NetworkModel0D.rk4_step``), which gives the same bits as this
+    function on ``model.rhs`` and a list state.
     """
+    if isinstance(y0, list):
+        y, step = [float(v) for v in y0], _rk4_list_step(rhs, dt)
+    else:
+        y, step = np.asarray(y0, dtype=float).copy(), _rk4_array_step(rhs, dt)
+    return _sample_steps(step, y, dt, t_end, sample_interval)
+
+
+def _rk4_array_step(rhs, dt):
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    def step(t, y):
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        return y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return step
+
+
+def _rk4_list_step(rhs, dt):
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    def step(t, y):
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+        return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return step
+
+
+def _sample_steps(step, y, dt: float, t_end: float,
+                  sample_interval: float | None) -> Integration:
+    """Advance ``y`` with ``step(t, y) -> y_next`` to ``t_end``, sampling
+    every ``sample_interval`` and checking the samples are finite."""
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     n_steps = int(round(t_end / dt))
@@ -660,60 +870,24 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
         stride = 1
     else:
         stride = max(1, int(round(sample_interval / dt)))
-    if isinstance(y0, list):
-        steps, y = _rk4_list_steps, [float(v) for v in y0]
-    else:
-        steps, y = _rk4_array_steps, np.asarray(y0, dtype=float).copy()
-    start = time.perf_counter()
-    times, samples = steps(rhs, y, dt, n_steps, stride)
-    cpu = time.perf_counter() - start
-    return Integration(t=np.array(times), y=samples.reshape(len(times), -1),
-                       cpu_seconds=cpu, n_steps=n_steps)
-
-
-def _rk4_array_steps(rhs, y, dt, n_steps, stride):
-    times, samples = [0.0], [y]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, y + half * k1)
-        k3 = rhs(t + half, y + half * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        # a new array each step, never written in place, so samples keep it
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t = step * dt
-        if step % stride == 0 or step == n_steps:
-            if not np.isfinite(y).all():
-                raise ModelError(f"non-finite state at t = {t:.6g} s")
-            times.append(t)
-            samples.append(y)
-    return times, np.array(samples)
-
-
-def _rk4_list_steps(rhs, y, dt, n_steps, stride):
     # the samples go into one flat buffer of doubles: a list per sample
     # would hold every value as a float object, three times the memory
     times, samples = [0.0], array("d", y)
-    half = 0.5 * dt
-    sixth = dt / 6.0
     isfinite = math.isfinite
     t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        t = step * dt
-        if step % stride == 0 or step == n_steps:
+    start = time.thread_time()
+    for n in range(1, n_steps + 1):
+        y = step(t, y)
+        t = n * dt
+        if n % stride == 0 or n == n_steps:
             if not all(map(isfinite, y)):
                 raise ModelError(f"non-finite state at t = {t:.6g} s")
             times.append(t)
             samples.extend(y)
-    return times, np.frombuffer(samples)
+    cpu = time.thread_time() - start
+    return Integration(t=np.array(times),
+                       y=np.frombuffer(samples).reshape(len(times), -1),
+                       cpu_seconds=cpu, n_steps=n_steps)
 
 
 @dataclass
@@ -731,8 +905,8 @@ def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
            sample_interval: float = 1e-3) -> RunResult:
     """Advance the assembled 0D network and return per-vessel series."""
     model = assemble_network(network, mode, inflow)
-    integ = rk4_integrate(model.rhs, model.initial_state().tolist(), dt, t_end,
-                          sample_interval)
+    integ = _sample_steps(model.rk4_step(dt), model.initial_state().tolist(),
+                          dt, t_end, sample_interval)
     vessels = model.observe(integ.y)
     cycles = t_end / T0
     return RunResult(t=integ.t, vessels=vessels, cpu_seconds=integ.cpu_seconds,

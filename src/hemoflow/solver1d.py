@@ -788,7 +788,7 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
     records = [sim.midpoint_samples()]
     next_sample = sample_interval
 
-    start = time.perf_counter()
+    start = time.thread_time()
     while sim.t < t_end - 1e-12:
         dt = cfl_dt((sim.cells,), sim.CFL)
         dt = min(dt, t_end - sim.t)
@@ -798,7 +798,7 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
             records.append(sim.midpoint_samples())
             while next_sample <= sim.t + 1e-12:
                 next_sample += sample_interval
-    cpu = time.perf_counter() - start
+    cpu = time.thread_time() - start
 
     t = np.array(times)
     # (vessel, channel, sample), each series contiguous

@@ -312,6 +312,34 @@ class TestSeriesPersistence:
         write_series(path, [], [], [], [])
         assert path.read_text() == "t,P,Q,A\n"
 
+    def test_read_matches_genfromtxt(self, tmp_path):
+        # the reference is the structured-array reader read_series replaced
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 500):
+            columns = rng.normal(scale=1e5, size=(4, n))
+            path = tmp_path / f"r{n}.csv"
+            write_series(path, *columns)
+            ref = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+            data = read_series(path)
+            assert list(data) == list(ref.dtype.names) == ["t", "P", "Q", "A"]
+            for name in data:
+                assert np.array_equal(data[name], ref[name])
+
+    def test_read_header_only(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_series(path, [], [], [], [])
+        data = read_series(path)
+        assert list(data) == ["t", "P", "Q", "A"]
+        assert all(v.size == 0 for v in data.values())
+
+    def test_read_errors(self, tmp_path):
+        with pytest.raises(OSError, match="cannot read series from"):
+            read_series(tmp_path / "missing.csv")
+        path = tmp_path / "bad.csv"
+        path.write_text("t,P,Q,A\n0.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="3 columns under a header of 4"):
+            read_series(path)
+
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="mismatched"):
             write_series(tmp_path / "x.csv", [0.0, 1.0], [1.0], [1.0, 2.0],

@@ -1,6 +1,7 @@
 """Lumped-parameter vessel models, network assembly and RK4 integration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -652,6 +653,116 @@ class TestAssembledPlan:
                     model.rhs(0.1, y)
 
 
+class TestCompiledStep:
+    """``run_0d`` advances with the network's compiled RK4 step; the
+    generic integrator on ``model.rhs`` with a list state is its
+    reference."""
+
+    @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
+    def test_run_matches_generic_integration(self, bifurcation, mode_name):
+        mode = EQUIVALENCE_MODES[mode_name]
+        inflow = synthetic_inflow()
+        # 300 steps; the small test vessels need a step below 2e-4 s
+        dt = 1e-4
+        for name, net in TestAssembledPlan().networks(bifurcation):
+            res = run_0d(net, inflow, mode, dt=dt, t_end=300 * dt, sample_interval=dt)
+            model = assemble_network(net, mode, inflow)
+            integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+                                  dt, 300 * dt, sample_interval=dt)
+            assert integ.n_steps == 300
+            assert np.array_equal(res.t, integ.t), name
+            ref = model.observe(integ.y)
+            for vid, series in ref.items():
+                for ch in ("P", "Q", "A"):
+                    assert np.array_equal(res.vessels[vid][ch], series[ch]), (name, vid, ch)
+
+    @pytest.mark.parametrize("network", sorted(TestAssembledPlan.NETWORKS))
+    @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
+    def test_non_positive_volume_collapses(self, network, mode):
+        model = assemble_network(TestAssembledPlan.NETWORKS[network](), mode,
+                                 synthetic_inflow())
+        step = model.rk4_step(1e-3)
+        for i in model.volume_indices:
+            for bad in (0.0, -1.0e-3):
+                y = model.initial_state().tolist()
+                y[i] = bad
+                with pytest.raises(CollapseError) as compiled:
+                    step(0.1, y)
+                with pytest.raises(CollapseError) as generic:
+                    model.rhs(0.1, y)
+                assert str(compiled.value) == str(generic.value)
+
+    def test_stages_raise_as_the_generic_step(self, bifurcation):
+        # large steps drive volumes negative in later stages; the compiled
+        # step must fail, or not, exactly where the generic one does
+        from hemoflow.solver0d import _rk4_list_step
+
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for mode in (NL, LIN):
+            model = assemble_network(bifurcation, mode, synthetic_inflow())
+            for dt in (1e-3, 2e-3, 5e-3, 1e-2, 3e-2):
+                compiled = model.rk4_step(dt)
+                generic = _rk4_list_step(model.rhs, dt)
+                for _ in range(20):
+                    y = random_state(model, rng).tolist()
+                    results = []
+                    for step in (compiled, generic):
+                        try:
+                            results.append(np.array(step(0.2, y)).tobytes())
+                        except CollapseError as exc:
+                            results.append(str(exc))
+                    assert results[0] == results[1]
+                    outcomes.add(type(results[0]))
+        assert outcomes == {bytes, str}
+
+    def test_state_dependent_zero_total_resistance(self):
+        # R1 = -R_d / 2 at the initial state: a distal half 1.6 times as
+        # full divides R_d by 2.56, so that R_d + R1 <= 0
+        probe = assemble_network(single_vessel_network(RCR_TERMINAL), NL,
+                                 synthetic_inflow())
+        y = probe.initial_state()
+        R_d = probe.models["v"].distal_resistance(y, NL)
+        terminal = RCR_TERMINAL.replace("r1 = 6.8e2", f"r1 = {-0.5 * float(R_d)!r}")
+        model = assemble_network(single_vessel_network(terminal), NL,
+                                 synthetic_inflow())
+        step = model.rk4_step(1e-3)
+        step(0.0, y.tolist())
+        y[2] *= 1.6
+        for evaluate in (lambda: step(0.0, y.tolist()), lambda: model.rhs(0.0, y)):
+            with pytest.raises(ConfigurationError, match="zero total resistance"):
+                evaluate()
+
+    def test_nonfinite_state_aborts_run(self, bifurcation):
+        def inflow(t):
+            return math.nan if t > 0.05 else 0.0
+
+        with pytest.raises(ModelError, match=r"non-finite state at t = 0\.06 s"):
+            run_0d(bifurcation, inflow, NL, dt=1e-3, t_end=0.2,
+                   sample_interval=0.01)
+
+    def test_assembly_compiles_nothing(self, bifurcation, monkeypatch):
+        # compiling the step costs far more than assembling the network,
+        # so it waits for the first integration or evaluation
+        import hemoflow.solver0d as solver0d
+
+        names = []
+
+        def counting_compile(source, filename, *args, **kwargs):
+            names.append(filename)
+            return compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(solver0d, "compile", counting_compile, raising=False)
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        y0 = model.initial_state()
+        assert names == []
+        model.rk4_step(1e-3)
+        model.rk4_step(2e-3)
+        model.rhs(0.0, y0)
+        model.boundary_flows(0.0, y0)
+        assert len(names) == 2
+
+
 class TestRK4:
     def test_exponential_decay(self):
         integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.05, 1.0)
@@ -707,6 +818,16 @@ class TestRK4:
     def test_list_states_nonfinite_abort(self):
         with pytest.raises(ModelError, match="non-finite"):
             rk4_integrate(lambda t, y: [v * v for v in y], [1.0], 0.05, 3.0)
+
+    def test_cpu_seconds_exclude_waiting(self):
+        # CPU time of this thread: time spent asleep does not count
+        def rhs(t, y):
+            time.sleep(0.01)
+            return -y
+
+        integ = rk4_integrate(rhs, np.array([1.0]), 0.1, 0.5)
+        assert integ.n_steps == 5
+        assert integ.cpu_seconds < 0.1
 
     def test_sampling_stride(self):
         integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.01, 1.0,
