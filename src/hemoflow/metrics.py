@@ -161,9 +161,8 @@ def first_periodic_cycle(t, channels: dict, T0: float,
     t = np.asarray(t, dtype=float)
     n_cycles = int(np.floor((t[-1] - t[0]) / T0 + 1e-9))
     prev = None
-    for k in range(n_cycles):
-        end = t[0] + (k + 1) * T0
-        cyc = sample_cycle(t, channels, T0, end_time=end)
+    for k in range(1, n_cycles + 1):
+        cyc = sample_cycle(t, channels, T0, end_time=t[0] + k * T0)
         if prev is not None and periodicity_reached(cyc, prev, threshold):
             return k
         prev = cyc

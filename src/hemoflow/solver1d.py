@@ -15,8 +15,18 @@ Network coupling enforces, at every junction and boundary, conservation of
 mass, continuity of total pressure and preservation of the outgoing
 generalized Riemann invariants u -/+ 4c (arterial tube law, m = 1/2, n = 0).
 Terminals are RCR windkessels advanced implicitly alongside the boundary
-solve. These closures work on Python floats, a few unknowns at a time. All
-vessels advance with one global CFL-limited time step.
+solve. These closures work on Python floats, a few unknowns at a time, and
+return the boundary flux at their solution. All vessels advance with one
+global CFL-limited time step.
+
+``Simulation1D`` plans the closures once, at its first step: each vessel
+end holds its constants and the positions of its end state and flux, so a
+step reads no per-vessel view. The junction Newton solve is generated source, one
+function per member count with the members' unknowns as locals, compiled
+once per process. Its code depends on the member count alone, so it is not
+compiled again per network: with the constants as literals, every junction
+of every network built would compile its own function (about 1.4 ms for
+three members).
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +46,7 @@ from .errors import (
     SupercriticalError,
 )
 from .netio import Network, WaveformSeries, Windkessel
-from .solver0d import RunResult
+from .solver0d import RunResult, _compiled
 from .vessel import VesselSpec
 
 #: m / (m + 1) of the arterial tube law, in the momentum flux
@@ -113,6 +123,12 @@ def _eno_slope(U: np.ndarray, dx, breaks=None) -> np.ndarray:
     return s.reshape(U.shape) / dx
 
 
+def _law(row) -> tuple:
+    """(A0, K, rho, K/rho, P0 + p_ext, alpha) of a vessel's parameter row,
+    as Python floats: the constants the closures read."""
+    return row[_A0], row[_K], row[_RHO], row[_K_RHO], row[_P_REF], row[_ALPHA]
+
+
 class _Segments(NamedTuple):
     """Index arrays of a stack's segment ends (N cells in all)."""
 
@@ -135,9 +151,9 @@ class Vessel1D:
     ``segments`` holds one single-vessel ``Vessel1D`` per segment whose
     ``U`` (and so ``A`` and ``q``) are views into the stack's arrays, which
     every step updates in place. The vessel-level attributes (``spec``,
-    ``mesh``, ``A0``, ``K``, ``rho``, ``alpha``, ``k_R``, ``law``) and the
-    pointwise kernels belong to single vessels. The closures read ``law``
-    = (A0, K, rho, K/rho, P0 + p_ext, alpha) as Python floats.
+    ``mesh``, ``A0``, ``K``, ``rho``, ``alpha``, ``k_R``, ``law`` = (A0, K,
+    rho, K/rho, P0 + p_ext, alpha)) and the pointwise kernels belong to
+    single vessels.
     """
 
     def __init__(self, spec: VesselSpec, dx_max: float,
@@ -196,11 +212,11 @@ class Vessel1D:
         return view
 
     def _set_vessel(self, spec, mesh, row) -> None:
-        A0, K, rho, K_rho, alpha, _, neg_kR, _, _, _, P_ref, _ = row
         self.spec = spec
         self.mesh = mesh
-        self.A0, self.K, self.rho, self.alpha, self.k_R = A0, K, rho, alpha, -neg_kR
-        self.law = (A0, K, rho, K_rho, P_ref, alpha)
+        self.law = _law(row)
+        A0, K, rho, _, _, alpha = self.law
+        self.A0, self.K, self.rho, self.alpha, self.k_R = A0, K, rho, alpha, -row[_NEG_KR]
 
     @property
     def segments(self) -> list["Vessel1D"]:
@@ -283,10 +299,6 @@ class Vessel1D:
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self.ids[0]!r}")
         return F_A, F_q
-
-    @property
-    def mid_cell(self) -> int:
-        return self.mesh.M // 2
 
     # -- stacked MUSCL-Hancock pieces ---------------------------------------
 
@@ -457,12 +469,6 @@ def reflective_flux(ves: Vessel1D, prep: _Prep, end: str) -> tuple[float, float]
 # Junction and boundary solves, on Python floats
 # ---------------------------------------------------------------------------
 
-def _boundary_flux(law, A: float, q: float) -> tuple[float, float]:
-    """Physical flux (q, alpha q^2/A + (K A/rho) x^m/(m+1)) at a float state."""
-    A0, K, rho, _, _, alpha = law
-    return q, alpha * q * q / A + (K * A / rho) * (_THIRD * math.sqrt(A / A0))
-
-
 @dataclass(frozen=True)
 class JunctionNode:
     """Vessels meeting at a junction: (vessel id, end) with end in
@@ -479,145 +485,209 @@ class JunctionNode:
             1.0 if end == "right" else -1.0 for _, end in self.members))
 
 
-def junction_solve(node: JunctionNode, vessels, states: list[tuple[float, float]],
-                   tol: float = 1e-10, max_iter: int = 50):
-    """Newton solve of the 2N junction system.
+class _End(NamedTuple):
+    """Constants of the closure at one vessel end, built once per
+    simulation: the vessel, its ``law`` (A0, K, rho, K/rho, P0 + p_ext,
+    alpha), the indices of the end's evolved A and q in ``end_states``, and
+    the index of its F_A in the flat flux list (F_q follows). A terminal
+    end also holds R1 of an RCR or R of a single resistance, R2 C (None
+    for a single resistance), C and P_v."""
 
-    Unknowns (A_k*, q_k*) per member; equations: (i) sum of oriented flows
-    is zero, (ii) total pressure equal across members, (iii) the outgoing
-    Riemann invariant u + 4c (right end) or u - 4c (left end) of each
-    member keeps its value at the supplied evolved boundary state.
+    vid: str
+    law: tuple
+    A: int
+    q: int
+    slot: int
+    R: float = 0.0
+    RC: float | None = None
+    C: float = 0.0
+    P_v: float = 0.0
 
-    ``vessels`` maps the member ids to single-vessel ``Vessel1D``. The
-    Newton system has an arrow structure: each invariant row involves one
-    member, each total-pressure row one member and member 0. Eliminating
-    the members one at a time leaves one scalar equation, for the change X
-    of member 0's total pressure, so a step takes O(N) float operations,
-    needs no pivoting and treats mirrored members identically, bit for bit.
-    """
-    members = node.members
-    N = len(members)
-    sqrt = math.sqrt
-    # per member: A0, K, K/rho, P0 + p_ext, orientation sign s, 4 s
-    consts = []
-    for (vid, _), s in zip(members, node.signs):
-        A0, K, _, K_rho, P_ref, _ = vessels[vid].law
-        consts.append((A0, K, K_rho, P_ref, s, 4.0 * s))
-    rho = vessels[members[0][0]].law[2]
-    W = [q / A + fs * sqrt(K_rho * (0.5 * sqrt(A / A0)))
-         for (A, q), (A0, _, K_rho, _, _, fs) in zip(states, consts)]
-    W_scale = [max(1.0, abs(w)) for w in W]
+
+def _terminal(term, vid: str, law: tuple, A: int, q: int, slot: int) -> _End:
+    """The planned end of vessel ``vid`` at the terminal ``term`` (a single
+    resistance is checked to be positive by ``Simulation1D``)."""
+    if isinstance(term, Windkessel):
+        return _End(vid, law, A, q, slot, term.R1, term.R2 * term.C, term.C, term.P_v)
+    return _End(vid, law, A, q, slot, term.R, None, 0.0, term.P_v)
+
+
+class _Junction(NamedTuple):
+    """A junction's Newton solve for its member count, the constants it
+    reads (see ``_junction_source``) and the flux slot of each member."""
+
+    solve: Callable
+    consts: tuple
+    slots: tuple
+
+
+def _junction(node: JunctionNode, ends) -> _Junction:
+    """The planned junction of ``node``, given per member its end as
+    (vessel, law, A index, q index, flux slot)."""
+    consts, slots, p_refs = [], [], []
+    for (_, law, iA, iq, slot), s in zip(ends, node.signs):
+        A0, K, rho, K_rho, P_ref, alpha = law
+        consts += (A0, K, K_rho, P_ref, s, 4.0 * s, alpha, rho, iA, iq)
+        slots.append(slot)
+        p_refs.append(abs(P_ref))
     # the total pressures carry round-off of order eps * |P0 + p_ext|, so
     # their rows are scaled by at least that magnitude
-    p_ref = max(abs(k[3]) for k in consts)
-
-    def evaluate(A, q):
-        """(residual rows, max of |row| / row scale, u, c) at (A, q), or
-        None outside the domain. Rows: oriented mass flux, total pressure
-        of member k less member 0's, invariant of member k less W_k."""
-        u, c, pt, r_inv = [], [], [], []
-        mass, q_scale, norm = 0.0, 1.0, 0.0
-        for Ak, qk, (A0, K, K_rho, P_ref, s, fs), w, w_scale in zip(
-                A, q, consts, W, W_scale):
-            if Ak <= 0.0:
-                return None
-            sx = sqrt(Ak / A0)
-            uk = qk / Ak
-            ck = sqrt(K_rho * (0.5 * sx))
-            u.append(uk)
-            c.append(ck)
-            pt.append(K * (sx - 1.0) + P_ref + 0.5 * rho * uk * uk)
-            mass += s * qk
-            q_scale = max(q_scale, abs(qk))
-            rk = uk + fs * ck - w
-            r_inv.append(rk)
-            norm = max(norm, abs(rk) / w_scale)
-        p_scale = max(1.0, abs(pt[0]), p_ref)
-        r_pt = [p - pt[0] for p in pt[1:]]
-        for rk in r_pt:
-            norm = max(norm, abs(rk) / p_scale)
-        return [mass, *r_pt, *r_inv], max(norm, abs(mass) / q_scale), u, c
-
-    A = [s[0] for s in states]
-    q = [s[1] for s in states]
-    res = evaluate(A, q)
-    if res is None:
-        raise CollapseError(f"non-positive junction state for members {members}")
-    r, norm, u, c = res
-    for _ in range(max_iter):
-        if norm < tol:
-            break
-        # Newton step J (dA, dq) = r. Invariant row k gives
-        # dq_k = g_k - h_k dA_k with g_k = A_k r_k, h_k = s_k c_k - u_k; the
-        # total pressure of member k then moves by m_k dA_k + n_k with
-        # m_k = rho c_k (c_k - s_k u_k) / A_k, n_k = rho u_k r_k. Member 0
-        # moves by X and member k by X + (its total-pressure row), and the
-        # mass row, with s_k h_k / m_k = A_k / (rho c_k), fixes X.
-        g, h, m, n, d = [], [], [], [], [0.0, *r[1:N]]
-        sum_sg = sum_w = sum_wdn = 0.0
-        for k, (Ak, uk, ck, rk, cst) in enumerate(zip(A, u, c, r[N:], consts)):
-            s = cst[4]
-            gk, hk = Ak * rk, s * ck - uk
-            mk, nk = rho * ck * (ck - s * uk) / Ak, rho * uk * rk
-            wk = Ak / (rho * ck)
-            g.append(gk)
-            h.append(hk)
-            m.append(mk)
-            n.append(nk)
-            sum_sg += s * gk
-            sum_w += wk
-            sum_wdn += wk * (d[k] - nk)
-        X = (sum_sg - r[0] - sum_wdn) / sum_w
-        try:
-            dA = [(X + dk - nk) / mk for dk, nk, mk in zip(d, n, m)]
-        except ZeroDivisionError:
-            raise ConvergenceError(
-                f"critical flow makes the junction Jacobian singular for "
-                f"members {members}") from None
-        dq = [gk - hk * dAk for gk, hk, dAk in zip(g, h, dA)]
-        lam = 1.0
-        for _ in range(10):
-            A_new = [Ak - lam * dAk for Ak, dAk in zip(A, dA)]
-            q_new = [qk - lam * dqk for qk, dqk in zip(q, dq)]
-            res = evaluate(A_new, q_new)
-            if res is not None and res[1] < norm:
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError(
-                f"junction Newton stalled at residual {norm:.3e} "
-                f"for members {members}")
-        A, q = A_new, q_new
-        r, norm, u, c = res
-    else:
-        raise ConvergenceError(
-            f"junction Newton did not converge: residual {norm:.3e} "
-            f"for members {members}")
-
-    for k in range(N):
-        if abs(u[k]) >= c[k]:
-            raise SupercriticalError(
-                f"supercritical junction state at {members[k]}")
-    return list(zip(A, q))
+    consts += (ends[0][1][2], max(p_refs), node.members)
+    return _Junction(_junction_solver(len(ends)), tuple(consts), tuple(slots))
 
 
-def inflow_bc(ves: Vessel1D, boundary_state: tuple[float, float],
-              q_in: float, tol: float = 1e-10, max_iter: int = 50):
-    """Left-end state with prescribed inflow rate.
+def _junction_source(n: int) -> str:
+    """Source of ``solve(e, c)``, the Newton solve of a junction of ``n``
+    members, written out member by member.
+
+    ``e`` is the list of evolved end states and ``c`` holds, per member,
+    A0, K, K/rho, P0 + p_ext, orientation sign s, 4 s, alpha, rho and the
+    indices of its A and q in ``e``; then the junction's rho (member 0's),
+    max |P0 + p_ext| and the members. Unknowns (A_k*, q_k*) per member;
+    equations: (i) sum of oriented flows is zero, (ii) total pressure equal
+    across members, (iii) the outgoing Riemann invariant u + 4c (right end)
+    or u - 4c (left end) of each member keeps its value at the evolved
+    state. Each row is scaled: the mass row by max(1, |q|), the pressure
+    rows by max(1, |pt_0|, max |P0 + p_ext|), the invariant rows by
+    max(1, |W_k|); Newton stops below 1e-10 and halves its step up to ten
+    times until the scaled residual falls.
+
+    The Newton system has an arrow structure: each invariant row involves
+    one member, each total-pressure row one member and member 0.
+    Eliminating the members one at a time leaves one scalar equation, for
+    the change X of member 0's total pressure, so a step takes O(n) float
+    operations, needs no pivoting and treats mirrored members identically,
+    bit for bit. Returns per member (A*, q*, F_q*), with F_q* = alpha q*^2
+    / A* + (K A*/rho) x^m/(m+1) the momentum flux (the mass flux is q*).
+
+    The code depends on n alone, never on a network's values, so it is
+    compiled once per process for each member count."""
+    K = range(n)
+    fields = ("A0", "K", "Kr", "Pr", "s", "fs", "al", "rh", "iA", "iq")
+    out = [", ".join(f"{f}_{k}" for k in K for f in fields)
+           + ", rho, p_ref, members = c"]
+    out += [f"A_{k} = e[iA_{k}]; q_{k} = e[iq_{k}]" for k in K]
+    out += [f"W_{k} = q_{k} / A_{k} + fs_{k} * sqrt(Kr_{k} * (0.5 * sqrt(A_{k} / A0_{k})))"
+            for k in K]
+    for k in K:
+        out += [f"Ws_{k} = abs(W_{k})", f"if not Ws_{k} > 1.0: Ws_{k} = 1.0"]
+
+    def evaluate(A, q, norm, fail):
+        """Statements of the residual at the state in the locals
+        ``{A}_k``, ``{q}_k``: sx_k, u_k, c_k, the rows mass, rp_k (total
+        pressure of member k less member 0's) and r_k (invariant of member
+        k less W_k), and in ``norm`` the max of |row| / row scale. ``fail``
+        runs where an area is not positive. A NaN never replaces a maximum,
+        as with ``max``."""
+        lines = []
+        for k in K:
+            lines += [f"if {A}_{k} <= 0.0: {fail}",
+                      f"sx_{k} = sqrt({A}_{k} / A0_{k})",
+                      f"u_{k} = {q}_{k} / {A}_{k}",
+                      f"c_{k} = sqrt(Kr_{k} * (0.5 * sx_{k}))",
+                      f"pt_{k} = K_{k} * (sx_{k} - 1.0) + Pr_{k} + 0.5 * rho * u_{k} * u_{k}"]
+        lines.append("mass = 0.0" + "".join(f" + s_{k} * {q}_{k}" for k in K))
+        lines.append("qs = 1.0")
+        for k in K:
+            lines += [f"x = abs({q}_{k})", "if x > qs: qs = x"]
+        lines.append(f"{norm} = 0.0")
+        for k in K:
+            lines += [f"r_{k} = u_{k} + fs_{k} * c_{k} - W_{k}",
+                      f"x = abs(r_{k}) / Ws_{k}", f"if x > {norm}: {norm} = x"]
+        lines += ["ps = abs(pt_0)", "if not ps > 1.0: ps = 1.0",
+                  "if p_ref > ps: ps = p_ref"]
+        for k in K[1:]:
+            lines += [f"rp_{k} = pt_{k} - pt_0",
+                      f"x = abs(rp_{k}) / ps", f"if x > {norm}: {norm} = x"]
+        lines += ["x = abs(mass) / qs", f"if x > {norm}: {norm} = x"]
+        return lines
+
+    out += evaluate("A", "q", "norm", "raise CollapseError("
+                    "f'non-positive junction state for members {members}')")
+    # Newton step J (dA, dq) = r. Invariant row k gives dq_k = g_k - h_k dA_k
+    # with g_k = A_k r_k, h_k = s_k c_k - u_k; the total pressure of member
+    # k then moves by m_k dA_k + n_k with m_k = rho c_k (c_k - s_k u_k) / A_k,
+    # n_k = rho u_k r_k. Member 0 moves by X and member k by X + rp_k, and
+    # the mass row, with s_k h_k / m_k = A_k / (rho c_k), fixes X.
+    step = []
+    for k in K:
+        step += [f"g_{k} = A_{k} * r_{k}; h_{k} = s_{k} * c_{k} - u_{k}",
+                 f"m_{k} = rho * c_{k} * (c_{k} - s_{k} * u_{k}) / A_{k}; "
+                 f"n_{k} = rho * u_{k} * r_{k}",
+                 f"w_{k} = A_{k} / (rho * c_{k})"]
+    d = ["0.0", *(f"rp_{k}" for k in K[1:])]
+    step += ["sg = 0.0" + "".join(f" + s_{k} * g_{k}" for k in K),
+             "sw = 0.0" + "".join(f" + w_{k}" for k in K),
+             "swd = 0.0" + "".join(f" + w_{k} * ({d[k]} - n_{k})" for k in K),
+             "X = (sg - mass - swd) / sw",
+             "try:",
+             *(f"    dA_{k} = (X + {d[k]} - n_{k}) / m_{k}" for k in K),
+             "except ZeroDivisionError:",
+             "    raise ConvergenceError("
+             "f'critical flow makes the junction Jacobian singular for "
+             "members {members}') from None",
+             *(f"dq_{k} = g_{k} - h_{k} * dA_{k}" for k in K),
+             "lam = 1.0",
+             "for _ in range(10):",
+             *(f"    An_{k} = A_{k} - lam * dA_{k}" for k in K),
+             *(f"    qn_{k} = q_{k} - lam * dq_{k}" for k in K),
+             *(f"    {line}" for line in evaluate("An", "qn", "trial",
+                                                  "lam *= 0.5; continue")),
+             "    if trial < norm: break",
+             "    lam *= 0.5",
+             "else:",
+             "    raise ConvergenceError(f'junction Newton stalled at residual "
+             "{norm:.3e} for members {members}')",
+             *(f"A_{k} = An_{k}; q_{k} = qn_{k}" for k in K),
+             "norm = trial"]
+    out += ["for _ in range(50):",
+            "    if norm < 1e-10: break",
+            *(f"    {line}" for line in step),
+            "else:",
+            "    raise ConvergenceError(f'junction Newton did not converge: "
+            "residual {norm:.3e} for members {members}')"]
+    out += [f"if abs(u_{k}) >= c_{k}: raise SupercriticalError("
+            f"f'supercritical junction state at {{members[{k}]}}')" for k in K]
+    fluxes = (f"(A_{k}, q_{k}, al_{k} * q_{k} * q_{k} / A_{k}"
+              f" + (K_{k} * A_{k} / rh_{k}) * ({_THIRD!r} * sx_{k}))" for k in K)
+    out.append(f"return ({', '.join(fluxes)},)")
+    return "\n".join(["def solve(e, c):", *(f"    {line}" for line in out), ""])
+
+
+@cache
+def _junction_solver(n: int):
+    """The compiled ``solve`` of ``_junction_source(n)``."""
+    namespace = {"sqrt": math.sqrt, "CollapseError": CollapseError,
+                 "ConvergenceError": ConvergenceError,
+                 "SupercriticalError": SupercriticalError}
+    exec(_compiled(_junction_source(n), f"<1D junction of {n} members>"), namespace)
+    return namespace["solve"]
+
+
+def junction_solve(junction: _Junction, ends: list[float]):
+    """Newton solve of a planned junction at the evolved end states
+    ``ends`` (see ``_junction_source``): per member (A*, q*, F_q*)."""
+    return junction.solve(ends, junction.consts)
+
+
+def inflow_bc(end: _End, ends: list[float], q_in: float,
+              tol: float = 1e-10, max_iter: int = 50):
+    """Left-end state with prescribed inflow rate, as (A*, q*, F_q*).
 
     q* = q_in and A* preserves the outgoing (left-running) invariant
-    u - 4c of the interior state.
+    u - 4c of the evolved state.
     """
-    A0, _, _, K_rho, _, _ = ves.law
-    A_i, q_i = boundary_state
+    A0, K, rho, K_rho, _, alpha = end.law
+    A_i, q_i = ends[end.A], ends[end.q]
     W = q_i / A_i - 4.0 * math.sqrt(K_rho * (0.5 * math.sqrt(A_i / A0)))
     A = A_i
     tol_abs = tol * max(1.0, abs(W))
     for _ in range(max_iter):
-        c = math.sqrt(K_rho * (0.5 * math.sqrt(A / A0)))
+        sx = math.sqrt(A / A0)
+        c = math.sqrt(K_rho * (0.5 * sx))
         f = q_in / A - 4.0 * c - W
         if abs(f) < tol_abs:
-            return A, q_in
+            return A, q_in, alpha * q_in * q_in / A + (K * A / rho) * (_THIRD * sx)
         df = -q_in / (A * A) - c / A
         A_new = A - f / df
         if A_new <= 0:
@@ -625,43 +695,40 @@ def inflow_bc(ves: Vessel1D, boundary_state: tuple[float, float],
         A = A_new
     raise ConvergenceError(
         f"inflow boundary solve did not converge in vessel "
-        f"{ves.ids[0]!r} (q_in = {q_in:.6g})")
+        f"{end.vid!r} (q_in = {q_in:.6g})")
 
 
-def terminal_bc(ves: Vessel1D, boundary_state: tuple[float, float],
-                terminal, P_wk: float, dt: float,
+def terminal_bc(end: _End, ends: list[float], P_wk: float, dt: float,
                 tol: float = 1e-10, max_iter: int = 100):
     """Right-end state coupled to a terminal element.
 
     The outgoing invariant u + 4c is preserved while the boundary flow
     satisfies q* = (p(A*) - P_wk)/R1, with the windkessel capacitor
     advanced by backward Euler using q* (solved simultaneously). Returns
-    ((A*, q*), updated P_wk).
+    ((A*, q*, F_q*), updated P_wk); a single resistance keeps ``P_wk``.
     """
-    A0, K, rho, K_rho, P_ref, _ = ves.law
-    A_i, q_i = boundary_state
+    A0, K, rho, K_rho, P_ref, alpha = end.law
+    A_i, q_i = ends[end.A], ends[end.q]
     W = q_i / A_i + 4.0 * math.sqrt(K_rho * (0.5 * math.sqrt(A_i / A0)))
-    if isinstance(terminal, Windkessel):
-        beta = 1.0 / (1.0 + dt / (terminal.R2 * terminal.C))
-        R_eff = terminal.R1 + beta * dt / terminal.C
-        P_c = beta * (P_wk + dt * terminal.P_v / (terminal.R2 * terminal.C))
+    RC = end.RC
+    if RC is not None:
+        beta = 1.0 / (1.0 + dt / RC)
+        R_eff = end.R + beta * dt / end.C
+        P_c = beta * (P_wk + dt * end.P_v / RC)
     else:
-        R_eff = terminal.R
-        P_c = terminal.P_v
-        if R_eff <= 0:
-            raise ConfigurationError("terminal resistance must be positive")
+        R_eff, P_c = end.R, end.P_v
 
     A = A_i
     tol_abs = tol * max(1.0, abs(W))
     for _ in range(max_iter):
         sx = math.sqrt(A / A0)
         c = math.sqrt(K_rho * (0.5 * sx))
-        qs = (K * (sx - 1.0) + P_ref - P_c) / R_eff
-        g = qs / A + 4.0 * c - W
+        q = (K * (sx - 1.0) + P_ref - P_c) / R_eff
+        g = q / A + 4.0 * c - W
         if abs(g) < tol_abs:
             break
         dpdA = rho * c * c / A
-        dg = (dpdA / R_eff) / A - qs / (A * A) + c / A
+        dg = (dpdA / R_eff) / A - q / (A * A) + c / A
         A_new = A - g / dg
         if A_new <= 0:
             A_new = 0.5 * A
@@ -669,13 +736,11 @@ def terminal_bc(ves: Vessel1D, boundary_state: tuple[float, float],
     else:
         raise ConvergenceError(
             f"terminal boundary solve did not converge in vessel "
-            f"{ves.ids[0]!r}")
+            f"{end.vid!r}")
 
-    q_star = (K * (math.sqrt(A / A0) - 1.0) + P_ref - P_c) / R_eff
-    if isinstance(terminal, Windkessel):
-        P_wk = beta * (P_wk + dt * q_star / terminal.C
-                       + dt * terminal.P_v / (terminal.R2 * terminal.C))
-    return (A, q_star), P_wk
+    if RC is not None:
+        P_wk = beta * (P_wk + dt * q / end.C + dt * end.P_v / RC)
+    return (A, q, alpha * q * q / A + (K * A / rho) * (_THIRD * sx)), P_wk
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +751,10 @@ class Simulation1D:
     """All vessels of a network advanced with one global CFL time step.
 
     ``cells`` stacks every vessel's cells in network order; ``vessels``
-    maps each vessel id to its single-vessel view, made on first use."""
+    maps each vessel id to its single-vessel view, made on first use. The
+    inflow, junction and terminal closures are planned once, at the first
+    step: each holds its constants as floats and the positions of its end
+    states and fluxes, so a step reads no view."""
 
     def __init__(self, network: Network, inflow: WaveformSeries,
                  dx_max: float = 0.2, CFL: float = 0.9):
@@ -697,22 +765,44 @@ class Simulation1D:
         self.cells = Vessel1D.stack(
             network.vessels.values(), dx_max,
             [network.initial_area(vid) for vid in vids])
-        seg = {vid: k for k, vid in enumerate(vids)}
         self.junctions = [
             JunctionNode(members=((j.parent, "right"),
                                   *((d, "left") for d in j.daughters)))
             for j in network.junctions]
-        self.P_wk = {vid: network.initial_pressure
-                     for vid, term in network.terminals.items()
-                     if isinstance(term, Windkessel)}
+        self.P_wk = {}
+        for vid, term in network.terminals.items():
+            if isinstance(term, Windkessel):
+                self.P_wk[vid] = network.initial_pressure
+            elif term.R <= 0:
+                raise ConfigurationError("terminal resistance must be positive")
         self.t = 0.0
-        # (segment, right end?) of each junction member, for the step
-        self._junction_ends = [
-            [(seg[vid], end == "right") for vid, end in node.members]
-            for node in self.junctions]
-        self._root = seg[network.root]
-        self._terminals = [(vid, seg[vid], term)
-                           for vid, term in network.terminals.items()]
+
+    @cached_property
+    def _plan(self) -> tuple[_End, list[_Junction], list[_End]]:
+        """The planned inflow end, junctions and terminal ends. Built at
+        the first step rather than here: a simulation that is only set up
+        pays nothing for it, and the junction code compiles when needed."""
+        network = self.network
+        vids = list(network.vessels)
+        n = len(vids)
+        seg = {vid: k for k, vid in enumerate(vids)}
+        laws = [_law(row) for row in self.cells._rows]
+
+        def end(vid, side):
+            """(vessel, law, A index, q index, flux slot) of a vessel end:
+            ``end_states`` holds left areas, left flows, right areas and
+            right flows, the flux list (F_A, F_q) of left ends then of
+            right ends, each in segment order."""
+            k = seg[vid]
+            if side == "right":
+                return vid, laws[k], 2 * n + k, 3 * n + k, 2 * n + 2 * k
+            return vid, laws[k], k, n + k, 2 * k
+
+        return (_End(*end(network.root, "left")),
+                [_junction(node, [end(*member) for member in node.members])
+                 for node in self.junctions],
+                [_terminal(term, *end(vid, "right"))
+                 for vid, term in network.terminals.items()])
 
     @cached_property
     def vessels(self) -> dict[str, Vessel1D]:
@@ -724,41 +814,29 @@ class Simulation1D:
             dt = cfl_dt((cells,), self.CFL)
         prep = cells.prepare(dt)
         ends = cells.end_states(prep)
-        segments = cells.segments
-        n = len(segments)
-        left_flux: list = [None] * n
-        right_flux: list = [None] * n
+        flux = [0.0] * len(ends)
 
+        root, junctions, terminals = self._plan
         # inflow at the network root (half-step time for second order)
-        k = self._root
-        ves = segments[k]
-        A_s, q_s = inflow_bc(ves, (ends[k], ends[n + k]),
-                             float(self.inflow(self.t + 0.5 * dt)))
-        left_flux[k] = _boundary_flux(ves.law, A_s, q_s)
+        _, q, F = inflow_bc(root, ends, float(self.inflow(self.t + 0.5 * dt)))
+        flux[root.slot] = q
+        flux[root.slot + 1] = F
 
-        # junctions
-        for node, members in zip(self.junctions, self._junction_ends):
-            states = [(ends[2 * n + k], ends[3 * n + k]) if right
-                      else (ends[k], ends[n + k]) for k, right in members]
-            stars = junction_solve(node, self.vessels, states)
-            for (k, right), (A_s, q_s) in zip(members, stars):
-                F = _boundary_flux(segments[k].law, A_s, q_s)
-                if right:
-                    right_flux[k] = F
-                else:
-                    left_flux[k] = F
+        for junction in junctions:
+            for i, (_, q, F) in zip(junction.slots, junction_solve(junction, ends)):
+                flux[i] = q
+                flux[i + 1] = F
 
-        # terminals
         P_wk = self.P_wk
-        for vid, k, term in self._terminals:
-            ves = segments[k]
-            (A_s, q_s), P_new = terminal_bc(ves, (ends[2 * n + k], ends[3 * n + k]),
-                                            term, P_wk.get(vid, 0.0), dt)
-            right_flux[k] = _boundary_flux(ves.law, A_s, q_s)
-            if vid in P_wk:
-                P_wk[vid] = P_new
+        for term in terminals:
+            (_, q, F), P_new = terminal_bc(term, ends, P_wk.get(term.vid, 0.0), dt)
+            flux[term.slot] = q
+            flux[term.slot + 1] = F
+            if term.RC is not None:
+                P_wk[term.vid] = P_new
 
-        cells.commit(dt, prep, left_flux, right_flux)
+        half = len(flux) // 2
+        cells.commit(dt, prep, flux[:half], flux[half:])
         self.t += dt
         return dt
 
@@ -766,8 +844,8 @@ class Simulation1D:
     def _midpoints(self):
         """Stack index of each vessel's midpoint cell and the tube-law
         parameters there."""
-        mids = np.array([int(b) + ves.mid_cell for b, ves
-                         in zip(self.cells.bounds, self.cells.segments)])
+        mids = np.array([int(b) + mesh.M // 2 for b, mesh
+                         in zip(self.cells.bounds, self.cells._meshes)])
         T = self.cells._table[:, 0]
         return mids, T[_A0, mids], T[_K, mids], T[_P_REF, mids]
 

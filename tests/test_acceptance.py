@@ -182,7 +182,7 @@ class TestBenchmarkAccuracy:
                        benchmark_0d_linear):
             for vid, k in self._periodic_cycles(result).items():
                 assert k is not None, f"{vid} never became periodic"
-                assert k < N_CYCLES
+                assert k <= N_CYCLES
 
     @pytest.mark.parametrize("model", ["nonlinear", "linear"])
     def test_waveform_errors(self, model, benchmark_1d,

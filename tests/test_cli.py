@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hemoflow.cli import main
+from hemoflow.metrics import periodicity_reached, sample_cycle
 from hemoflow.netio import read_series
 
 NETWORK_TEXT = """
@@ -104,6 +105,23 @@ class TestRun:
                      "--t-end", "0.1", "--out", "rel"])
         assert code == 0
         assert (tmp_path / "rel" / "aorta.csv").exists()
+
+    def test_timing_reports_later_cycle_of_matching_pair(self, periodic_run):
+        # cycle k of every vessel matches cycle k - 1, and cycle k - 1 of the
+        # last vessel to settle does not match cycle k - 2
+        timing = (periodic_run / "timing.txt").read_text()
+        k = int(timing.split("periodic_cycle = ")[1])
+
+        def cycle(run, j):
+            return sample_cycle(run["t"], run, 1.1, end_time=run["t"][0] + j * 1.1)
+
+        pairs = []
+        for f in periodic_run.glob("*.csv"):
+            run = read_series(f)
+            pairs.append([periodicity_reached(cycle(run, j), cycle(run, j - 1), 1e-3)
+                          for j in (k - 1, k)])
+        assert all(now for _, now in pairs)
+        assert not all(before for before, _ in pairs)
 
 
 class TestCompare:

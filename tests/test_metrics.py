@@ -201,13 +201,14 @@ class TestFirstPeriodicCycle:
         return t, {"P": P, "Q": Q}
 
     def test_analytic_cycle_count(self):
-        # normalized gap between cycles k and k+1 is a * (1-r) * r**(k-1);
-        # the first 1-based cycle index matching its predecessor is
-        # 1 + ceil(log(threshold / (a (1-r))) / log r)
+        # 1-based cycle k carries a * r**(k-1), so the normalized gap
+        # between cycles k-1 and k is a * (1-r) * r**(k-2); the first cycle
+        # k matching its predecessor is 2 + ceil(log(threshold / (a (1-r)))
+        # / log r)
         a, r, thr = 0.1, 0.5, 1e-3
-        expected = 1 + math.ceil(math.log(thr / (a * (1.0 - r)))
+        expected = 2 + math.ceil(math.log(thr / (a * (1.0 - r)))
                                  / math.log(r))
-        assert expected == 7
+        assert expected == 8
         t, channels = self._transient(a, r)
         assert first_periodic_cycle(t, channels, self.T0, thr) == expected
 
@@ -222,8 +223,9 @@ class TestFirstPeriodicCycle:
         assert first_periodic_cycle(t, channels, self.T0, 1e-3) is None
 
     def test_steady_signal_immediate(self):
+        # the second cycle is the first with a predecessor to match
         t, channels = self._transient(0.0, 0.5)
-        assert first_periodic_cycle(t, channels, self.T0) == 1
+        assert first_periodic_cycle(t, channels, self.T0) == 2
 
 
 class TestSpeedup:

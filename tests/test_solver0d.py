@@ -741,9 +741,10 @@ class TestCompiledStep:
             run_0d(bifurcation, inflow, NL, dt=1e-3, t_end=0.2,
                    sample_interval=0.01)
 
-    def test_assembly_compiles_nothing(self, bifurcation, monkeypatch):
-        # compiling the step costs far more than assembling the network,
-        # so it waits for the first integration or evaluation
+    @pytest.fixture
+    def compiled_names(self, monkeypatch):
+        """The file names ``solver0d`` compiles from here on, its code
+        cache emptied of the code earlier tests compiled."""
         import hemoflow.solver0d as solver0d
 
         names = []
@@ -753,6 +754,13 @@ class TestCompiledStep:
             return compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(solver0d, "compile", counting_compile, raising=False)
+        solver0d._compiled.cache_clear()
+        return names
+
+    def test_assembly_compiles_nothing(self, bifurcation, compiled_names):
+        # compiling the step costs far more than assembling the network,
+        # so it waits for the first integration or evaluation
+        names = compiled_names
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         y0 = model.initial_state()
         assert names == []
@@ -761,6 +769,34 @@ class TestCompiledStep:
         model.rhs(0.0, y0)
         model.boundary_flows(0.0, y0)
         assert len(names) == 2
+
+    def test_models_of_one_network_share_compiled_code(self, bifurcation,
+                                                       compiled_names):
+        # a model built again compiles nothing, and each binds its own inflow
+        from hemoflow.solver0d import _rk4_list_step
+
+        names = compiled_names
+        first = assemble_network(bifurcation, NL, synthetic_inflow())
+        y = first.initial_state()
+        y[1] = 3.0
+        expected = first.rhs(0.1, y)
+        first.rk4_step(1e-3)
+        assert len(names) == 2
+        second = assemble_network(bifurcation, NL, synthetic_inflow())
+        assert np.array_equal(second.rhs(0.1, y), expected)
+        second.rk4_step(1e-3)
+        assert len(names) == 2
+        # the inflow enters the root's first volume derivative only
+        other = assemble_network(bifurcation, NL, synthetic_inflow(period=0.9))
+        d = other.rhs(0.1, y)
+        assert len(names) == 2
+        q_in = float(synthetic_inflow(period=0.9)(0.1))
+        assert q_in != float(synthetic_inflow()(0.1))
+        assert d[0] == q_in - y[1] and expected[0] != d[0]
+        assert np.array_equal(d[1:], expected[1:])
+        step = other.rk4_step(1e-3)(0.1, y.tolist())
+        generic = _rk4_list_step(other.rhs, 1e-3)(0.1, y.tolist())
+        assert step == generic
 
 
 class TestRK4:
