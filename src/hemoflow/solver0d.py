@@ -86,12 +86,18 @@ class ModelMode:
                 f"unknown 0D mode {name!r}; choose from {sorted(table)}") from None
 
 
-def _volume_collapse(V: float) -> CollapseError:
-    return CollapseError(f"compartment volume became non-positive: {V}")
+def _at(vid: str | None, part: str | None, t: float | None) -> str:
+    """Where and when a network pass failed: the vessel, the compartment
+    and the time of the pass; nothing for a lone compartment."""
+    return "" if vid is None else f" in vessel {vid!r} ({part}) at t = {t:.6g} s"
 
 
-def _area_collapse(A_hat: float) -> CollapseError:
-    return CollapseError(f"mean area became non-positive: {A_hat}")
+def _volume_collapse(V: float, vid=None, part=None, t=None) -> CollapseError:
+    return CollapseError(f"compartment volume became non-positive{_at(vid, part, t)}: {V}")
+
+
+def _area_collapse(A_hat: float, vid=None, part=None, t=None) -> CollapseError:
+    return CollapseError(f"mean area became non-positive{_at(vid, part, t)}: {A_hat}")
 
 
 class _Compartment:
@@ -396,6 +402,11 @@ def _lit(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+#: the compartments a collapse error names: a half of a two-compartment
+#: vessel, or a whole vessel (a leaf, or the root's mean area)
+_PROXIMAL, _DISTAL, _WHOLE = "proximal half", "distal half", "whole vessel"
+
+
 class _PassSource:
     """Python source of the network pass, written from the evaluation plan
     of a ``NetworkModel0D``: each state a local, each compartment constant a
@@ -405,11 +416,15 @@ class _PassSource:
     bits as the laws and raises the same errors in the same order.
 
     While writing, a value is a local name (str) or a constant (float); a
-    product of two constants is folded, as Python would fold it.
+    product of two constants is folded, as Python would fold it. A collapse
+    error names the vessel and the compartment as literals and the time of
+    the pass as the stage's time expression; that text runs only when the
+    pass fails.
     """
 
     def __init__(self, model: "NetworkModel0D"):
         self.model = model
+        self.vid_at = {off: vid for vid, off in model.layout.items()}
         self.dim = model.dim
         self.nl_p, self.nl_r, self.nl_l = model.mode.flags
         self.p_if = [f"pif_{j}" for j in range(len(model._junctions))]
@@ -427,7 +442,7 @@ class _PassSource:
             "def evaluate(t, s):",
             f"    {', '.join(s)}, = s",
             "    q_in = float(inflow(t))",
-            *(f"    {line}" for line in self.stage(s, d)),
+            *(f"    {line}" for line in self.stage(s, d, "t")),
             f"    return [{', '.join(d)}], q_in, [{', '.join(self.p_if)}], "
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
@@ -438,13 +453,13 @@ class _PassSource:
         y, u = self.names("y"), self.names("u")
         k = [self.names(prefix) for prefix in "abce"]
         body = [f"{', '.join(y)}, = y", "q_in = float(inflow(t))",
-                *self.stage(y, k[0])]
-        for i, (h, t_stage) in enumerate((("half", "t + half"), ("half", None),
+                *self.stage(y, k[0], "t")]
+        for i, (h, t_stage) in enumerate((("half", "t + half"), ("half", "t + half"),
                                           ("dt", "t + dt"))):
             body += [f"{a} = {b} + {h} * {c}" for a, b, c in zip(u, y, k[i])]
-            if t_stage:
+            if i != 1:
                 body.append(f"q_in = float(inflow({t_stage}))")
-            body += self.stage(u, k[i + 1])
+            body += self.stage(u, k[i + 1], t_stage)
         new = (f"{b} + sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
                for b, k1, k2, k3, k4 in zip(y, *k))
         body.append(f"return [{', '.join(new)}]")
@@ -458,10 +473,11 @@ class _PassSource:
 
     # -- one pass --------------------------------------------------------
 
-    def pressure(self, out: list, name: str, V: str, c: tuple) -> str:
-        """``_Compartment.pressure_law``."""
+    def pressure(self, out: list, name: str, V: str, c: tuple, where: str) -> str:
+        """``_Compartment.pressure_law``; ``where`` is the source of the
+        location arguments of its collapse error."""
         V0, K, m, n, P_ref, C0 = c[:6]
-        out.append(f"if {V} <= 0.0: raise _volume_collapse({V})")
+        out.append(f"if {V} <= 0.0: raise _volume_collapse({V}, {where})")
         if self.nl_p:
             x = f"({V} / {_lit(V0)})"
             if m != 0.0 and n != 0.0:
@@ -475,14 +491,15 @@ class _PassSource:
         return name
 
     @staticmethod
-    def flow(out: list, tag: str, A_hat: str, c: tuple, nl_r: bool, nl_l: bool):
+    def flow(out: list, tag: str, A_hat: str, c: tuple, nl_r: bool, nl_l: bool,
+             where: str):
         """``_Compartment.flow_law``: (R, L) at the mean area ``A_hat``."""
         R0, L0, rho_kR_l, rho_l = c[6:]
         R, L = float(R0), float(L0)
         if nl_r or nl_l:
             A = f"A_{tag}"
             out.append(f"{A} = {A_hat}")
-            out.append(f"if {A} <= 0.0: raise _area_collapse({A})")
+            out.append(f"if {A} <= 0.0: raise _area_collapse({A}, {where})")
             if nl_r:
                 R = f"R_{tag}"
                 out.append(f"{R} = {_lit(rho_kR_l)} / ({A} * {A})")
@@ -498,28 +515,34 @@ class _PassSource:
         out.append(f"{name} = {_lit(a)} * {_lit(b)}")
         return name
 
-    def stage(self, s: list[str], d: list[str]) -> list[str]:
-        """Statements of one pass over the states named ``s``, with the
-        root inflow in ``q_in``, in plan order (root, interior vessels,
-        leaves): they assign the derivative of state i to ``d[i]``, the
-        junction values to ``p_if``/``q_if`` and the terminal values to
-        ``t_out``."""
+    def stage(self, s: list[str], d: list[str], t: str) -> list[str]:
+        """Statements of one pass over the states named ``s`` at the time
+        expression ``t``, with the root inflow in ``q_in``, in plan order
+        (root, interior vessels, leaves): they assign the derivative of
+        state i to ``d[i]``, the junction values to ``p_if``/``q_if`` and
+        the terminal values to ``t_out``."""
         model, out = self.model, []
         nl_r, nl_l = self.nl_r, self.nl_l
         p_if, q_if, t_out = self.p_if, self.q_if, self.t_out
         pressure, flow, mul = self.pressure, self.flow, self.mul
+
+        def at(o, part):
+            """Location arguments of a collapse in vessel at offset ``o``."""
+            return f"{self.vid_at[o]!r}, {part!r}, {t}"
 
         def inflows(name, flows):
             out.append(f"{name} = 0.0" + "".join(f" + {s[i]}" for i in flows))
 
         o, hc, hl, fc, fl, r_frac, rd_frac, j, flows, term, wk = model._root
         V, Q, Vd = s[o:o + 3]
-        P = pressure(out, f"P_{o}", V, hc)
-        Pd = pressure(out, f"P_{o + 2}", Vd, hc)
-        R, L = flow(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", fc, nl_r, nl_l)
+        P = pressure(out, f"P_{o}", V, hc, at(o, _PROXIMAL))
+        Pd = pressure(out, f"P_{o + 2}", Vd, hc, at(o, _DISTAL))
+        R, L = flow(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", fc, nl_r, nl_l,
+                    at(o, _WHOLE))
         R = mul(out, r_frac, R, f"Rr_{o}")
         # the distal end resistance sits at the distal half's mean area
-        R_d = flow(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", fc, nl_r, False)[0]
+        R_d = flow(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", fc, nl_r, False,
+                   at(o, _DISTAL))[0]
         R_d = mul(out, rd_frac, R_d, f"Rd_{o}")
         if term is None:
             q_out = q_if[j]
@@ -543,10 +566,12 @@ class _PassSource:
 
         for o, c, l, j_in, j, flows in model._interior:
             V1, Q1, V2, Q2 = s[o:o + 4]
-            P1 = pressure(out, f"P_{o}", V1, c)
-            R1, L1 = flow(out, f"{o}", f"{V1} / {_lit(l)}", c, nl_r, nl_l)
-            P2 = pressure(out, f"P_{o + 2}", V2, c)
-            R2, L2 = flow(out, f"{o + 2}", f"{V2} / {_lit(l)}", c, nl_r, nl_l)
+            P1 = pressure(out, f"P_{o}", V1, c, at(o, _PROXIMAL))
+            R1, L1 = flow(out, f"{o}", f"{V1} / {_lit(l)}", c, nl_r, nl_l,
+                          at(o, _PROXIMAL))
+            P2 = pressure(out, f"P_{o + 2}", V2, c, at(o, _DISTAL))
+            R2, L2 = flow(out, f"{o + 2}", f"{V2} / {_lit(l)}", c, nl_r, nl_l,
+                          at(o, _DISTAL))
             inflows(q_if[j], flows)
             hR2 = mul(out, 0.5, R2, f"hR_{o + 2}")
             out.append(f"{p_if[j]} = {P2} - {_lit(hR2)} * {q_if[j]}")
@@ -560,8 +585,8 @@ class _PassSource:
 
         for o, c, l, j_in, k, term, wk in model._leaves:
             V, Q, Qd = s[o:o + 3]
-            P = pressure(out, f"P_{o}", V, c)
-            R, L = flow(out, f"{o}", f"{V} / {_lit(l)}", c, nl_r, nl_l)
+            P = pressure(out, f"P_{o}", V, c, at(o, _WHOLE))
+            R, L = flow(out, f"{o}", f"{V} / {_lit(l)}", c, nl_r, nl_l, at(o, _WHOLE))
             Rh = mul(out, 0.5, R, f"hR_{o}")
             Lh = mul(out, 0.5, L, f"hL_{o}")
             # ``terminal_pressure_coupling``

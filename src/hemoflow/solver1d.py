@@ -11,6 +11,17 @@ with a per-cell copy of each vessel's parameters and the segment bounds
 marking the vessel ends, so each stage of a step is one numpy pass over the
 whole network. A single vessel is the one-segment case of the same stack.
 
+At the 100 to 800 cells of the networks simulated here, a step costs the
+number of numpy calls and the temporary array each one allocates, not the
+arithmetic. So each stack has one workspace, made at its first kernel
+call: preallocated buffers for every intermediate of the CFL limit,
+``prepare`` and ``commit``, which write through ``out=``, and the table
+rows bound once as views. The HLL flux is computed for the mass and the
+momentum at once. Every element sees the floating-point operations it saw
+without the buffers, in the same order. What a kernel returns is fresh:
+the evolved face states and source of a ``_Prep`` stay valid after a later
+``prepare``.
+
 Network coupling enforces, at every junction and boundary, conservation of
 mass, continuity of total pressure and preservation of the outgoing
 generalized Riemann invariants u -/+ 4c (arterial tube law, m = 1/2, n = 0).
@@ -52,6 +63,10 @@ from .vessel import VesselSpec
 #: m / (m + 1) of the arterial tube law, in the momentum flux
 _THIRD = 0.5 / 1.5
 
+#: the right face of cells 0 .. N-2 and the left face of cells 1 .. N-1 in
+#: an array [face, cell]: the states left and right of the interior interfaces
+_RIGHT_FACES, _LEFT_FACES = (1, slice(None, -1)), (0, slice(1, None))
+
 # rows of the per-cell parameter table
 (_A0, _K, _RHO, _K_RHO, _ALPHA, _TWO_ALPHA, _NEG_KR, _DX, _HALF_DX,
  _A_FLOOR, _P_REF, _A_INIT) = range(12)
@@ -79,34 +94,90 @@ def build_mesh(length: float, dx_max: float) -> Mesh1D:
 
 # -- kernels shared by the stacked cells and the single-vessel API -----------
 
-def _momentum_flux(A, q, sx, alpha, K, rho, out=None):
-    """alpha q^2/A + (K A/rho) (m/(m+1)) x^m, with sx = sqrt(A/A0)."""
-    return np.add(alpha * q * q / A, (K * A / rho) * (_THIRD * sx), out=out)
+# The kernels write their intermediates into the buffers they are given: a
+# stack's workspace, or for the single-vessel API fresh scratch or None (numpy
+# allocates). Every element sees the same floating-point operations either way.
+
+def _momentum_flux(A, q, sx, alpha, K, rho, out=None, tmp=None):
+    """alpha q^2/A + (K A/rho) (m/(m+1)) x^m, with sx = sqrt(A/A0); ``tmp``
+    is scratch of the shape of ``out``."""
+    p = np.multiply(K, A, out=out)
+    p = np.divide(p, rho, out=out)
+    p = np.multiply(p, np.multiply(_THIRD, sx, out=tmp), out=out)
+    a = np.multiply(alpha, q, out=tmp)
+    a = np.multiply(a, q, out=tmp)
+    a = np.divide(a, A, out=tmp)
+    return np.add(a, p, out=out)
 
 
-def _celerity(sx, K_rho):
+def _celerity(sx, K_rho, out=None):
     """sqrt((K/rho) m x^m), with sx = sqrt(A/A0)."""
-    return np.sqrt(K_rho * (0.5 * sx))
+    c = np.multiply(0.5, sx, out=out)
+    c = np.multiply(K_rho, c, out=out)
+    return np.sqrt(c, out=out)
 
 
-def _hll(AL, qL, uL, cL, FL_q, AR, qR, uR, cR, FR_q):
-    """HLL flux with Davis wave-speed estimates; the mass flux is q."""
-    SL = np.minimum(uL - cL, uR - cR)
-    SR = np.maximum(uL + cL, uR + cR)
+class _HLLScratch:
+    """Scratch of the HLL flux at interfaces of shape ``shape`` between
+    face states of shape ``faces``: u -/+ c, the wave speeds and their
+    span and product, one (2, *shape) operand and the upwind masks."""
+
+    __slots__ = ("a", "b", "SL", "SR", "span", "SLSR", "t", "left", "right")
+
+    def __init__(self, faces, shape):
+        self.a, self.b = np.empty((2, *faces))
+        self.SL, self.SR, self.span, self.SLSR = np.empty((4, *shape))
+        self.t = np.empty((2, *shape))
+        self.left, self.right = np.empty((2, *shape), dtype=bool)
+
+
+def _hll(UL, UR, FL, FR, u, c, L, R, out, buf: _HLLScratch):
+    """HLL flux with Davis wave-speed estimates, for the mass and the
+    momentum at once, written to ``out`` (2, *interfaces).
+
+    ``UL``, ``UR`` are the conserved (A, q) and ``FL``, ``FR`` the physical
+    fluxes (q, F_q) left and right of each interface, stacked as (mass,
+    momentum); ``u`` and ``c`` hold the velocity and celerity of every face
+    state, and the indices ``L``, ``R`` pick the left and right states of
+    the interfaces from them."""
+    a = np.subtract(u, c, out=buf.a)
+    b = np.add(u, c, out=buf.b)
+    SL = np.minimum(a[L], a[R], out=buf.SL)
+    SR = np.maximum(b[L], b[R], out=buf.SR)
+    t = buf.t
     with np.errstate(divide="ignore", invalid="ignore"):
-        span = SR - SL
-        SLSR = SL * SR
-        Fh_A = (SR * qL - SL * qR + SLSR * (AR - AL)) / span
-        Fh_q = (SR * FL_q - SL * FR_q + SLSR * (qR - qL)) / span
-    left, right = SL >= 0.0, SR <= 0.0
-    F_A = np.where(left, qL, np.where(right, qR, Fh_A))
-    F_q = np.where(left, FL_q, np.where(right, FR_q, Fh_q))
-    return F_A, F_q
+        span = np.subtract(SR, SL, out=buf.span)
+        SLSR = np.multiply(SL, SR, out=buf.SLSR)
+        np.multiply(SR, FL, out=out)
+        np.subtract(out, np.multiply(SL, FR, out=t), out=out)
+        np.add(out, np.multiply(SLSR, np.subtract(UR, UL, out=t), out=t), out=out)
+        np.divide(out, span, out=out)
+    # upwind where all waves go one way: the left state wins over the right
+    np.copyto(out, FR, where=np.less_equal(SR, 0.0, out=buf.right))
+    np.copyto(out, FL, where=np.greater_equal(SL, 0.0, out=buf.left))
+    return out
 
 
-def _eno_slope(U: np.ndarray, dx, breaks=None) -> np.ndarray:
+class _EnoScratch:
+    """Scratch of ``_eno_slope`` for a ``U`` of shape ``shape``: the
+    one-sided differences ``d`` and their magnitudes, as views on the
+    left and right side of each cell, which side to take, and the slope."""
+
+    __slots__ = ("d_mid", "d", "ad", "adL", "adR", "dL", "dR", "pick", "slope")
+
+    def __init__(self, shape):
+        n = math.prod(shape)
+        self.d, self.ad = np.empty((2, n + 1))
+        self.d_mid = self.d[1:-1]
+        self.dL, self.dR = self.d[:-1].reshape(shape), self.d[1:].reshape(shape)
+        self.adL, self.adR = self.ad[:-1].reshape(shape), self.ad[1:].reshape(shape)
+        self.pick = np.empty(shape, dtype=bool)
+        self.slope = np.empty(shape)
+
+
+def _eno_slope(U: np.ndarray, dx, breaks=None, buf: _EnoScratch | None = None):
     """First-degree ENO slope: the smaller-magnitude one-sided difference,
-    one-sided at the ends of each segment.
+    one-sided at the ends of each segment, in ``buf.slope``.
 
     The segments are runs of the flattened ``U``; ``breaks``
     lists where each one starts, and the end of the last one. By default
@@ -115,12 +186,15 @@ def _eno_slope(U: np.ndarray, dx, breaks=None) -> np.ndarray:
     u = U.reshape(-1)
     if breaks is None:
         breaks = np.arange(0, u.size + 1, U.shape[-1])
-    d = np.empty(u.size + 1)
-    np.subtract(u[1:], u[:-1], out=d[1:-1])
+    if buf is None:
+        buf = _EnoScratch(U.shape)
+    np.subtract(u[1:], u[:-1], out=buf.d_mid)
+    d = buf.d
     d[breaks] = np.inf
-    ad = np.abs(d)
-    s = np.where(ad[:-1] <= ad[1:], d[:-1], d[1:])
-    return s.reshape(U.shape) / dx
+    np.abs(d, out=buf.ad)
+    pick = np.less_equal(buf.adL, buf.adR, out=buf.pick)
+    np.divide(buf.dR, dx, out=buf.slope)
+    return np.divide(buf.dL, dx, out=buf.slope, where=pick)
 
 
 def _law(row) -> tuple:
@@ -135,6 +209,56 @@ class _Segments(NamedTuple):
     breaks: np.ndarray  # segment starts in the flattened (A, q), and 2N
     ends: np.ndarray  # flat indices of the end face states in _Prep.Ub
     fluxes: np.ndarray  # flat indices of the boundary fluxes in commit
+
+
+class _Workspace:
+    """Buffers for every intermediate of one stack's kernels
+    (``max_stable_dt``, ``prepare``, ``commit``) over its N cells, and the
+    parameter rows they read, bound once as views of the table: (2, N) rows
+    for arrays of both faces or both variables, (N) rows named ``*_c`` for
+    cell-centre arrays.
+
+    At 100 to 800 cells a step costs the number of numpy calls and the
+    temporaries they allocate, not the arithmetic, so each kernel writes
+    through ``out=`` into these buffers. Nothing in them outlives a kernel
+    call: a kernel hands out only fresh arrays (``_Prep``) or the state. So
+    stacks never share buffers, but one stack is stepped by one thread at
+    a time."""
+
+    def __init__(self, table: np.ndarray):
+        N = table.shape[-1]
+        T, T1 = table, table[:, 0]
+        self.A0, self.K, self.rho, self.K_rho, self.alpha, self.neg_kR = (
+            T[_A0], T[_K], T[_RHO], T[_K_RHO], T[_ALPHA], T[_NEG_KR])
+        self.dx, self.half_dx = T[_DX], T[_HALF_DX]
+        (self.A0_c, self.K_rho_c, self.alpha_c, self.two_alpha_c,
+         self.neg_kR_c, self.A_floor_c, self.dx_c) = (
+            T1[_A0], T1[_K_RHO], T1[_ALPHA], T1[_TWO_ALPHA], T1[_NEG_KR],
+            T1[_A_FLOOR], T1[_DX])
+        # cell-centre scratch and mask
+        self.u_c, self.c_c, self.t_c, self.s_c = np.empty((4, N))
+        self.mask_c = np.empty(N, dtype=bool)
+        # (2, N) scratch
+        self.sx, self.tmp, self.dv = np.empty((3, 2, N))
+        # prepare: slopes; face values W[var, face] then the face momentum
+        # flux in one array, so that the fluxes F[var, face] = (q, F_q) of
+        # the face states are a view of it
+        self.eno = _EnoScratch((2, N))
+        X = np.empty((3, 2, N))
+        self.W, self.WL, self.WR = X[:2], X[:2, 0], X[:2, 1]
+        self.Af, self.qf, self.Fqf = X[0], X[1], X[2]
+        self.FfL, self.FfR = X[1:, 0], X[1:, 1]
+        self.dv_b = self.dv[:, None]
+        # commit: face velocity and celerity, fluxes (q, F_q) of the evolved
+        # face states, and the interface fluxes F[face, var, cell]
+        self.u_f, self.c_f = np.empty((2, 2, N))
+        self.Fb = np.empty((2, 2, N))
+        self.FbL, self.FbR = self.Fb[:, 1, :-1], self.Fb[:, 0, 1:]
+        self.F = np.empty((2, 2, N))
+        self.F_hll, self.F_in = self.F[1, :, :-1], self.F[0, :, 1:]
+        self.finite = np.empty((2, N - 1), dtype=bool)
+        self.hll = _HLLScratch((2, N), (N - 1,))
+        self.U_new = np.empty((2, N))
 
 
 class Vessel1D:
@@ -265,6 +389,12 @@ class Vessel1D:
             ends=np.concatenate((firsts, 2 * N + firsts, N + lasts, 3 * N + lasts)),
             fluxes=np.concatenate((left, right)))
 
+    @cached_property
+    def _ws(self) -> _Workspace:
+        """The kernels' buffers, made at the first kernel call: a stack
+        that is only built allocates none."""
+        return _Workspace(self._table)
+
     def _locate(self, bad: np.ndarray) -> tuple[str, int, int, int]:
         """(vessel id, local index of the cell, first cell, end) of the
         first segment where the per-cell mask ``bad`` holds, at its first
@@ -288,13 +418,15 @@ class Vessel1D:
 
     def interface_flux(self, AL, qL, AR, qR):
         """HLL flux with Davis wave-speed estimates (vectorized)."""
-        sL, sR = np.sqrt(AL / self.A0), np.sqrt(AR / self.A0)
-        K_rho = self.law[3]
-        F_A, F_q = _hll(
-            AL, qL, qL / AL, _celerity(sL, K_rho),
-            _momentum_flux(AL, qL, sL, self.alpha, self.K, self.rho),
-            AR, qR, qR / AR, _celerity(sR, K_rho),
-            _momentum_flux(AR, qR, sR, self.alpha, self.K, self.rho))
+        # rows A, q, F_q of the states [side, ...], side 0 left of the
+        # interfaces: rows 0-1 are the conserved variables, rows 1-2 the fluxes
+        A, q = np.array(((AL, AR), (qL, qR)), dtype=float)
+        sx = np.sqrt(A / self.A0)
+        X = np.stack((A, q, _momentum_flux(A, q, sx, self.alpha, self.K, self.rho)))
+        shape = A.shape[1:]
+        F_A, F_q = _hll(X[:2, 0], X[:2, 1], X[1:, 0], X[1:, 1], q / A,
+                        _celerity(sx, self.law[3]), 0, 1,
+                        np.empty((2, *shape)), _HLLScratch(A.shape, shape))
         if not (np.all(np.isfinite(F_A)) and np.all(np.isfinite(F_q))):
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self.ids[0]!r}")
@@ -304,63 +436,72 @@ class Vessel1D:
 
     def max_stable_dt(self) -> float:
         """min over cells of dx/(|u| + c); raises on supercritical flow."""
-        T = self._table[:, 0]
-        A, q = self.U
-        u = np.abs(q) / A
-        c = _celerity(np.sqrt(A / T[_A0]), T[_K_RHO])
-        if (u >= c).any():
+        ws = self._ws
+        U = self.U
+        A, q = U[0], U[1]
+        u = np.divide(np.abs(q, out=ws.u_c), A, out=ws.u_c)
+        c = _celerity(np.sqrt(np.divide(A, ws.A0_c, out=ws.c_c), out=ws.c_c),
+                      ws.K_rho_c, out=ws.c_c)
+        if np.greater_equal(u, c, out=ws.mask_c).any():
             vid, _, s, e = self._locate(u >= c)
             cell = int(np.argmax(u[s:e] - c[s:e]))
             raise SupercriticalError(
                 f"supercritical flow in vessel {vid!r} at cell {cell}: "
                 f"|u| = {u[s + cell]:.6g} >= c = {c[s + cell]:.6g}")
-        return float((T[_DX] / (u + c)).min())
+        return float(np.divide(ws.dx_c, np.add(u, c, out=ws.t_c), out=ws.t_c).min())
 
     def prepare(self, dt: float) -> "_Prep":
         """Slope reconstruction, half-step evolution of the face values and
-        the ADER-style source predictor, for every cell at once."""
-        T = self._table
+        the ADER-style source predictor, for every cell at once. ``Ub`` and
+        ``S_q`` of the result are fresh arrays; the rest stays in the
+        workspace."""
+        ws = self._ws
         U = self.U
-        A, q = U
-        N = U.shape[1]
-        slope = _eno_slope(U, T[_DX], self._segs.breaks)
+        A, q = U[0], U[1]
+        slope = _eno_slope(U, ws.dx, self._segs.breaks, ws.eno)
         # face values W[var, face, cell], face 0 = left, 1 = right
-        h_slope = T[_HALF_DX] * slope
-        W = np.empty((2, 2, N))
-        np.subtract(U, h_slope, out=W[:, 0])
-        np.add(U, h_slope, out=W[:, 1])
-        Af, qf = W
+        h_slope = np.multiply(ws.half_dx, slope, out=ws.tmp)
+        np.subtract(U, h_slope, out=ws.WL)
+        np.add(U, h_slope, out=ws.WR)
+        Af, qf = ws.Af, ws.qf
         if not Af.min() > 0.0:
             vid, cell, _, _ = self._locate(~(Af > 0.0).all(axis=0))
             raise CollapseError(
                 f"non-positive reconstructed area in vessel {vid!r} at cell {cell}")
 
-        # fluxes F[var, face, cell]; the half step adds r (F_left - F_right)
-        # to both faces, and the friction source of each face to its flow
-        F = np.empty((2, 2, N))
-        F[0] = qf
-        _momentum_flux(Af, qf, np.sqrt(Af / T[_A0]), T[_ALPHA], T[_K], T[_RHO],
-                       out=F[1])
+        # fluxes F[var, face, cell] = (qf, F_q); the half step adds
+        # r (F_left - F_right) to both faces, and the friction source of
+        # each face to its flow
+        sx = np.sqrt(np.divide(Af, ws.A0, out=ws.sx), out=ws.sx)
+        _momentum_flux(Af, qf, sx, ws.alpha, ws.K, ws.rho, out=ws.Fqf, tmp=ws.tmp)
         hdt = 0.5 * dt
-        r_dF = (hdt / T[_DX]) * (F[:, 0] - F[:, 1])
-        Ub = np.empty((2, 2, N))
-        np.add(W[:, 0], r_dF, out=Ub[:, 0])
-        np.add(W[:, 1], r_dF, out=Ub[:, 1])
-        Ub[1] += hdt * (T[_NEG_KR] * qf / Af)
+        r_dF = np.subtract(ws.FfL, ws.FfR, out=ws.dv)
+        np.multiply(np.divide(hdt, ws.dx, out=ws.tmp), r_dF, out=r_dF)
+        Ub = np.add(ws.W, ws.dv_b)
+        src = np.divide(np.multiply(ws.neg_kR, qf, out=ws.tmp), Af, out=ws.tmp)
+        np.add(Ub[1], np.multiply(hdt, src, out=src), out=Ub[1])
         if not Ub[0].min() > 0.0:
             vid, cell, _, _ = self._locate(~(Ub[0] > 0.0).all(axis=0))
             raise CollapseError(
                 f"non-positive evolved face area in vessel {vid!r} at cell {cell}")
 
         # source predictor: S evaluated at Q + dt/2 (-J(Q) dQ/dx + S(Q))
-        T1 = T[:, 0]
-        sA, sq = slope
-        u = q / A
-        c = _celerity(np.sqrt(A / T1[_A0]), T1[_K_RHO])
-        adv_q = (c * c - T1[_ALPHA] * u * u) * sA + T1[_TWO_ALPHA] * u * sq
-        A_pred = np.maximum(A - hdt * sq, T1[_A_FLOOR])
-        q_pred = q + hdt * (T1[_NEG_KR] * q / A - adv_q)
-        return _Prep(Ub=Ub, S_q=T1[_NEG_KR] * q_pred / A_pred)
+        sA, sq = slope[0], slope[1]
+        u = np.divide(q, A, out=ws.u_c)
+        c = _celerity(np.sqrt(np.divide(A, ws.A0_c, out=ws.c_c), out=ws.c_c),
+                      ws.K_rho_c, out=ws.c_c)
+        adv_q = np.multiply(c, c, out=ws.t_c)
+        x = np.multiply(np.multiply(ws.alpha_c, u, out=ws.s_c), u, out=ws.s_c)
+        np.multiply(np.subtract(adv_q, x, out=adv_q), sA, out=adv_q)
+        x = np.multiply(np.multiply(ws.two_alpha_c, u, out=ws.s_c), sq, out=ws.s_c)
+        np.add(adv_q, x, out=adv_q)
+        A_pred = np.multiply(hdt, sq, out=ws.s_c)
+        np.maximum(np.subtract(A, A_pred, out=A_pred), ws.A_floor_c, out=A_pred)
+        q_pred = np.divide(np.multiply(ws.neg_kR_c, q, out=ws.c_c), A, out=ws.c_c)
+        np.subtract(q_pred, adv_q, out=q_pred)
+        np.add(q, np.multiply(hdt, q_pred, out=q_pred), out=q_pred)
+        S_q = np.multiply(ws.neg_kR_c, q_pred)
+        return _Prep(Ub=Ub, S_q=np.divide(S_q, A_pred, out=S_q))
 
     def end_states(self, prep: "_Prep") -> list[float]:
         """Evolved face states at the segment ends as floats: left-end
@@ -373,32 +514,37 @@ class Vessel1D:
 
         ``left_flux`` and ``right_flux`` are the (F_A, F_q) at the left and
         right end of each segment: one pair for a single segment, or a
-        sequence of pairs in segment order."""
-        T = self._table
+        sequence of pairs in segment order. ``U`` is written only once
+        every check has passed."""
+        ws = self._ws
         U = self.U
         N = U.shape[1]
-        Ab, qb = prep.Ub
-        sx = np.sqrt(Ab / T[_A0])
-        u = qb / Ab
-        c = _celerity(sx, T[_K_RHO])
-        Fq = _momentum_flux(Ab, qb, sx, T[_ALPHA], T[_K], T[_RHO])
+        Ub = prep.Ub
+        Ab, qb = Ub[0], Ub[1]
+        sx = np.sqrt(np.divide(Ab, ws.A0, out=ws.sx), out=ws.sx)
+        u = np.divide(qb, Ab, out=ws.u_f)
+        c = _celerity(sx, ws.K_rho, out=ws.c_f)
+        Fb = ws.Fb
+        np.copyto(Fb[0], qb)
+        _momentum_flux(Ab, qb, sx, ws.alpha, ws.K, ws.rho, out=Fb[1], tmp=ws.tmp)
         # face fluxes F[face, var, cell]. Interface i + 1/2 is the right
         # face of cell i against the left face of cell i + 1; the pairs that
         # straddle two segments are then replaced by the boundary fluxes
-        F = np.empty((2, 2, N))
-        F[1, 0, :-1], F[1, 1, :-1] = _hll(
-            Ab[1, :-1], qb[1, :-1], u[1, :-1], c[1, :-1], Fq[1, :-1],
-            Ab[0, 1:], qb[0, 1:], u[0, 1:], c[0, 1:], Fq[0, 1:])
-        if not np.isfinite(F[1, :, :-1]).all():
+        F = ws.F
+        F_hll = _hll(Ub[:, 1, :-1], Ub[:, 0, 1:], ws.FbL, ws.FbR, u, c,
+                     _RIGHT_FACES, _LEFT_FACES, ws.F_hll, ws.hll)
+        if not np.isfinite(F_hll, out=ws.finite).all():
             bad = np.zeros(N, dtype=bool)
-            bad[:-1] = ~np.isfinite(F[1, :, :-1]).all(axis=0)
+            bad[:-1] = ~ws.finite.all(axis=0)
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self._locate(bad)[0]!r}")
-        F[0, :, 1:] = F[1, :, :-1]
+        np.copyto(ws.F_in, F_hll)
         F.ravel()[self._segs.fluxes] = np.ravel(
             np.array((left_flux, right_flux), dtype=float))
-        U_new = U - (dt / T[_DX]) * (F[1] - F[0])
-        U_new[1] += dt * prep.S_q
+        dU = np.subtract(F[1], F[0], out=ws.dv)
+        np.multiply(np.divide(dt, ws.dx, out=ws.tmp), dU, out=dU)
+        U_new = np.subtract(U, dU, out=ws.U_new)
+        np.add(U_new[1], np.multiply(dt, prep.S_q, out=ws.t_c), out=U_new[1])
         A_new = U_new[0]
         if not A_new.min() > 0.0:
             vid, _, s, e = self._locate(~(A_new > 0.0))
@@ -406,13 +552,14 @@ class Vessel1D:
             raise CollapseError(
                 f"negative area in vessel {vid!r} at cell {cell}: "
                 f"A = {A_new[s + cell]:.6g}")
-        U[...] = U_new
+        np.copyto(U, U_new)
 
 
 @dataclass
 class _Prep:
     """Evolved face states ``Ub[var, face, cell]`` (var 0 = A, 1 = q; face
-    0 = left, 1 = right) and the predicted friction source per cell."""
+    0 = left, 1 = right) and the predicted friction source per cell, in
+    arrays of their own, outside the stack's workspace."""
 
     Ub: np.ndarray
     S_q: np.ndarray

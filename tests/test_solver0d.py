@@ -692,6 +692,40 @@ class TestCompiledStep:
                     model.rhs(0.1, y)
                 assert str(compiled.value) == str(generic.value)
 
+    @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
+    def test_collapse_names_vessel_compartment_and_time(self, mode):
+        model = assemble_network(asymmetric_tree_network(), mode, synthetic_inflow())
+        step = model.rk4_step(1e-3)
+        offsets = sorted((off, vid) for vid, off in model.layout.items())
+        for i in model.volume_indices:
+            off, vid = max(o for o in offsets if o[0] <= i)
+            if isinstance(model.models[vid], PinPoutVessel):
+                part = "whole vessel"
+            else:
+                part = "proximal half" if i == off else "distal half"
+            y = model.initial_state().tolist()
+            y[i] = -1.0e-3
+            message = (f"compartment volume became non-positive in vessel "
+                       f"{vid!r} ({part}) at t = 0.25 s: -0.001")
+            for fail in (lambda: step(0.25, y), lambda: model.rhs(0.25, y)):
+                with pytest.raises(CollapseError) as exc:
+                    fail()
+                assert str(exc.value) == message
+
+    def test_collapse_in_a_later_stage_names_its_time(self, bifurcation):
+        # a nearly empty leaf drained by its distal flow is positive at the
+        # first pass and negative at the second, at t + dt/2
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        off = model.layout["left_iliac"]
+        y = model.initial_state().tolist()
+        y[off:off + 3] = [1.0e-9, 0.0, 100.0]
+        model.rhs(0.25, y)
+        with pytest.raises(CollapseError,
+                           match=r"^compartment volume became non-positive in "
+                                 r"vessel 'left_iliac' \(whole vessel\) at "
+                                 r"t = 0\.2505 s: "):
+            model.rk4_step(1e-3)(0.25, y)
+
     def test_stages_raise_as_the_generic_step(self, bifurcation):
         # large steps drive volumes negative in later stages; the compiled
         # step must fail, or not, exactly where the generic one does

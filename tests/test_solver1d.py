@@ -1070,10 +1070,133 @@ class TestStackErrors:
             np.testing.assert_array_equal(cells.U, before)
 
 
+class TestWorkspace:
+    """Each stack runs its kernels on buffers of its own, made at its first
+    kernel call; what a kernel hands out never lives in them."""
+
+    def test_construction_allocates_no_workspace(self):
+        sim = Simulation1D(aortic_bifurcation(), synthetic_inflow())
+        assert "_ws" not in sim.cells.__dict__
+        sim.step()
+        assert "_ws" in sim.cells.__dict__
+
+    def test_interleaved_simulations_match_separate_runs(self):
+        # a kernel that left state in a buffer for a later call, or buffers
+        # shared between stacks, would let one run change the other; the
+        # last two stacks have the same cells but different walls
+        networks = [aortic_bifurcation(),
+                    parse_network(_netgen().make_tree(0, 8).to_text()),
+                    parse_network(ASYMMETRIC_TREE),
+                    parse_network(ASYMMETRIC_TREE.replace("5.0e6", "1.0e7"))]
+
+        def record(sim, series):
+            series.append((sim.t, sim.cells.U.copy(), sim.midpoint_samples()))
+
+        separate = []
+        for network in networks:
+            sim, series = Simulation1D(network, synthetic_inflow()), []
+            for _ in range(60):
+                sim.step()
+                record(sim, series)
+            separate.append(series)
+        sims = [Simulation1D(network, synthetic_inflow()) for network in networks]
+        interleaved = [[] for _ in sims]
+        for _ in range(60):
+            for sim, series in zip(sims, interleaved):
+                sim.step()
+                record(sim, series)
+        for ref, got in zip(separate, interleaved):
+            for (t_ref, U_ref, mid_ref), (t, U, mid) in zip(ref, got):
+                assert t == t_ref
+                assert np.array_equal(U, U_ref) and np.array_equal(mid, mid_ref)
+
+    def test_interleaved_stacks_match_oracle(self):
+        # equal cell counts, different walls: each stack must read its own
+        # parameter rows, whichever stack ran its kernels first
+        pairs = [_disturbed_pair(parse_network(text), seed) for seed, text in
+                 enumerate((ASYMMETRIC_TREE, ASYMMETRIC_TREE.replace("5.0e6", "1.0e7")))]
+        for _ in range(3):
+            dts = [cfl_dt([sim.cells], 0.9) for sim, _ in pairs]
+            preps = [sim.cells.prepare(dt) for (sim, _), dt in zip(pairs, dts)]
+            for (sim, oracle), dt, prep in zip(pairs, dts, preps):
+                assert dt == _oracle_cfl_dt(oracle.vessels.values(), 0.9)
+                left, right = [], []
+                for k, ves in enumerate(oracle.vessels.values()):
+                    ref = ves.prepare(dt)
+                    s, e = sim.cells.bounds[k], sim.cells.bounds[k + 1]
+                    for key in ("AbL", "AbR", "qbL", "qbR", "S_q"):
+                        assert np.array_equal(getattr(prep, key)[s:e], ref[key])
+                    left.append(tuple(float(f) for f in ves.flux(ref["AbL"][0], ref["qbL"][0])))
+                    right.append(tuple(float(f) for f in ves.flux(ref["AbR"][-1], ref["qbR"][-1])))
+                    ves.commit(dt, ref, left[-1], right[-1])
+                sim.cells.commit(dt, prep, left, right)
+                for vid, ves in sim.vessels.items():
+                    assert np.array_equal(ves.A, oracle.vessels[vid].A)
+                    assert np.array_equal(ves.q, oracle.vessels[vid].q)
+
+    def test_prep_outlives_a_later_prepare(self):
+        sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 3)
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        first = cells.prepare(dt)
+        Ub, S_q = first.Ub.copy(), first.S_q.copy()
+        cells.q[:] *= 0.5
+        second = cells.prepare(0.5 * dt)
+        assert not np.shares_memory(first.Ub, second.Ub)
+        assert not np.shares_memory(first.S_q, second.S_q)
+        assert not np.array_equal(second.Ub, Ub)
+        assert np.array_equal(first.Ub, Ub) and np.array_equal(first.S_q, S_q)
+
+    def test_failed_commit_leaves_state_and_next_commit_intact(self):
+        network = parse_network(ASYMMETRIC_TREE)
+        sim, twin = (_disturbed_pair(network, 4)[0] for _ in range(2))
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        prep, twin_prep = cells.prepare(dt), twin.cells.prepare(dt)
+        n = len(sim.vessels)
+        left, right = [(0.0, 0.0)] * n, [(0.0, 0.0)] * n
+        drained = list(sim.vessels).index("d")
+        before = cells.U.copy()
+        with pytest.raises(CollapseError, match="'d' at cell"):
+            cells.commit(dt, prep, left,
+                         [(1e7, 0.0) if k == drained else (0.0, 0.0) for k in range(n)])
+        assert np.array_equal(cells.U, before)
+        # the failed commit leaves nothing behind that the next one reads
+        cells.commit(dt, prep, left, right)
+        twin.cells.commit(dt, twin_prep, left, right)
+        assert np.array_equal(cells.U, twin.cells.U)
+
+    def test_boundary_flux_count_is_checked(self):
+        # one pair per segment end: a pair for the whole stack is refused
+        sim = Simulation1D(parse_network(ASYMMETRIC_TREE), synthetic_inflow())
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        prep = cells.prepare(dt)
+        before = cells.U.copy()
+        with pytest.raises(ValueError):
+            cells.commit(dt, prep, (0.0, 0.0), (0.0, 0.0))
+        assert np.array_equal(cells.U, before)
+
+    def test_non_finite_face_state_names_vessel(self):
+        sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 5)
+        cells = sim.cells
+        dt = cfl_dt([cells], 0.9)
+        prep = cells.prepare(dt)
+        k = list(sim.vessels).index("e")
+        prep.Ub[1, 1, cells.bounds[k] + 3] = math.inf
+        n = len(sim.vessels)
+        before = cells.U.copy()
+        with pytest.raises(ConvergenceError,
+                           match="^wave-speed estimate failure in vessel 'e'$"):
+            cells.commit(dt, prep, [(0.0, 0.0)] * n, [(0.0, 0.0)] * n)
+        assert np.array_equal(cells.U, before)
+
+
 def _random_junction(n_members, seed, mirrored=False):
-    """Members of different walls at states near a common pressure."""
+    """Members of different walls at states near a common pressure, in
+    Python floats as in a simulation."""
     rng = np.random.default_rng(seed)
-    P0 = rng.choice([0.0, 94666.66666666667])
+    P0 = float(rng.choice([0.0, 94666.66666666667]))
     p = P0 + rng.uniform(0.0, 2.0e4)
     specs, states = [], []
     for k in range(n_members):
@@ -1418,6 +1541,22 @@ class TestPlannedClosures:
             A = math.nextafter(A, math.inf)
         sonic = [(A, c * A), states[1], states[2]]
         kind, message = self.assert_junction_agrees(node, vessels, sonic)
+        assert kind is ConvergenceError and message.startswith("critical flow")
+
+    @pytest.mark.parametrize("n_members", [2, 3, 4])
+    def test_random_junction_with_sonic_member_is_critical(self, n_members):
+        # member 0 exactly sonic (u = c) at its drawn area or just above
+        node, specs, states = _random_junction(n_members, n_members)
+        vessels = {s.vessel_id: Vessel1D(s, 0.2) for s in specs}
+        A0, _, _, K_rho, _, _ = vessels["v0"].law
+        A = states[0][0]
+        while True:
+            c = math.sqrt(K_rho * (0.5 * math.sqrt(A / A0)))
+            if (c * A) / A == c:
+                break
+            A = math.nextafter(A, math.inf)
+        states[0] = (A, c * A)
+        kind, message = self.assert_junction_agrees(node, vessels, states)
         assert kind is ConvergenceError and message.startswith("critical flow")
 
     @pytest.mark.parametrize("seed", range(5))
