@@ -16,14 +16,18 @@ constant tuples, state offsets and junction/terminal coupling in tree
 order. From that plan the model writes the network pass as straight-line
 Python source, each state a local and each constant a literal, and
 compiles it on first use (never at assembly): ``rhs`` runs one pass, and
-``run_0d`` advances with one compiled function per RK4 step that inlines
-the four passes and their combination. Compiled code is cached by its
-source text (``_compiled``), so models of one network and mode share one
-code object and each binds its own inflow. The generated statements are
-those of the compartment laws (``_Compartment.pressure_law`` and
-``_Compartment.flow_law``), operation for operation; the per-vessel
-classes call the laws themselves and remain the single-vessel API and the
-tests' reference.
+``run_0d`` runs one compiled function for the whole run, whose loop keeps
+the states in locals from step to step and inlines the four passes of an
+RK4 step, their combination and the sampling. The inflow at every stage
+time of the run (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the
+loop, in three calls of the waveform on arrays. Compiled code is cached
+by the plan it was written from (``_compiled``, ``_plan_key``), so models
+of one network and mode neither write nor compile their source again,
+share one code object and each bind their own inflow. The generated
+statements are those of the compartment laws
+(``_Compartment.pressure_law`` and ``_Compartment.flow_law``), operation
+for operation; the per-vessel classes call the laws themselves and remain
+the single-vessel API and the tests' reference.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -380,14 +384,26 @@ def terminal_pressure_coupling(Q: float, terminal, P_wk: float):
 # Network assembly
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _compiled(source: str, filename: str):
-    """Code object of the generated module ``source``, compiled once per
-    process. The parser's memory stays in the C heap after ``compile``
-    returns, so a model built again (every round of a sweep, a second run
-    of one network) must not compile its source again; the code holds no
-    per-model value, which its namespace binds at ``exec``."""
-    return compile(source, filename, "exec")
+#: compiled generated modules by (file name, plan key), oldest first
+_code: dict = {}
+_CODE_ENTRIES = 16
+
+
+def _compiled(filename: str, key, write):
+    """Code object of the generated module ``filename`` for ``key``,
+    compiled once per process; ``write()`` returns its source and runs only
+    when the key is not cached. The parser's memory stays in the C heap
+    after ``compile`` returns, so a model built again (every round of a
+    sweep, a second run of one network) must neither compile nor write its
+    source again; the code holds no per-model value, which its namespace
+    binds at ``exec``. The cache keeps the latest ``_CODE_ENTRIES``."""
+    code = _code.pop((filename, key), None)
+    if code is None:
+        code = compile(write(), filename, "exec")
+        if len(_code) >= _CODE_ENTRIES:
+            del _code[next(iter(_code))]
+    _code[filename, key] = code
+    return code
 
 
 def _lit(v) -> str:
@@ -442,34 +458,48 @@ class _PassSource:
             "def evaluate(t, s):",
             f"    {', '.join(s)}, = s",
             "    q_in = float(inflow(t))",
-            *(f"    {line}" for line in self.stage(s, d, "t")),
+            *(f"    {line}" for line in self.stage(s, d, "t", "q_in")),
             f"    return [{', '.join(d)}], q_in, [{', '.join(self.p_if)}], "
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
-    def step_factory(self) -> str:
-        """``make_step(dt)``, which returns ``step(t, y) -> y_next``: the
-        four passes of a classical RK4 step and their combination, inlined.
-        The inflow is evaluated once for both passes at t + dt/2."""
+    def runner(self) -> str:
+        """``run(y, t0, dt, q_t, q_half, q_dt, stride, last, times,
+        samples) -> y_end``: classical RK4 steps from the state list ``y``
+        at ``t0``, one per entry of the inflow tables, which hold the
+        inflow at each step's t, t + dt/2 and t + dt. The states stay locals
+        from step to step; each step inlines the four passes and their
+        combination. After every ``stride``-th step and after step ``last``
+        the state is checked to be finite and appended to ``samples``, its
+        time to ``times``."""
         y, u = self.names("y"), self.names("u")
         k = [self.names(prefix) for prefix in "abce"]
-        body = [f"{', '.join(y)}, = y", "q_in = float(inflow(t))",
-                *self.stage(y, k[0], "t")]
-        for i, (h, t_stage) in enumerate((("half", "t + half"), ("half", "t + half"),
-                                          ("dt", "t + dt"))):
+        state = ", ".join(y)
+        body = ["t = t0 + n * dt", "n += 1", *self.stage(y, k[0], "t", "qa")]
+        for i, (h, t_stage, q) in enumerate((("half", "t + half", "qh"),
+                                             ("half", "t + half", "qh"),
+                                             ("dt", "t + dt", "qe"))):
             body += [f"{a} = {b} + {h} * {c}" for a, b, c in zip(u, y, k[i])]
-            if i != 1:
-                body.append(f"q_in = float(inflow({t_stage}))")
-            body += self.stage(u, k[i + 1], t_stage)
-        new = (f"{b} + sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
-               for b, k1, k2, k3, k4 in zip(y, *k))
-        body.append(f"return [{', '.join(new)}]")
+            body += self.stage(u, k[i + 1], t_stage, q)
+        body += [f"{b} = {b} + sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
+                 for b, k1, k2, k3, k4 in zip(y, *k)]
+        # a sum is finite only if every term is: the exact test runs only
+        # on a sum that is not
+        body += ["if n % stride == 0 or n == last:",
+                 "    t = t0 + n * dt",
+                 f"    s = ({state},)",
+                 "    if not isfinite(sum(s)) and not all(map(isfinite, s)):",
+                 "        raise ModelError(f'non-finite state at t = {t:.6g} s')",
+                 "    times.append(t)",
+                 "    samples.extend(s)"]
         return "\n".join([
-            "def make_step(dt):",
+            "def run(y, t0, dt, q_t, q_half, q_dt, stride, last, times, samples):",
             "    half = 0.5 * dt",
             "    sixth = dt / 6.0",
-            "    def step(t, y):",
+            f"    {state}, = y",
+            "    n = 0",
+            "    for qa, qh, qe in zip(q_t, q_half, q_dt):",
             *(f"        {line}" for line in body),
-            "    return step", ""])
+            f"    return [{state}]", ""])
 
     # -- one pass --------------------------------------------------------
 
@@ -515,7 +545,7 @@ class _PassSource:
         out.append(f"{name} = {_lit(a)} * {_lit(b)}")
         return name
 
-    def stage(self, s: list[str], d: list[str], t: str) -> list[str]:
+    def stage(self, s: list[str], d: list[str], t: str, q_in: str) -> list[str]:
         """Statements of one pass over the states named ``s`` at the time
         expression ``t``, with the root inflow in ``q_in``, in plan order
         (root, interior vessels, leaves): they assign the derivative of
@@ -560,7 +590,7 @@ class _PassSource:
                         f"{_lit(term.R2)}) / {_lit(term.C)}"]
             else:
                 out.append(f"{q_out} = ({Pd} - {_lit(term.P_v)}) / Rt_{o}")
-        out += [f"{d[o]} = q_in - {Q}",
+        out += [f"{d[o]} = {q_in} - {Q}",
                 f"{d[o + 1]} = ({P} - {_lit(R)} * {Q} - {Pd}) / {_lit(L)}",
                 f"{d[o + 2]} = {Q} - {q_out}"]
 
@@ -602,6 +632,17 @@ class _PassSource:
         return out
 
 
+def _inflow_tables(inflow, n_steps: int, dt: float) -> list[array]:
+    """The inflow at the stage times t_n = n dt, t_n + dt/2 and t_n + dt of
+    steps n < ``n_steps``, one call on an array each. ``np.arange(n) * dt``
+    is ``n * dt`` as Python computes it, and ``WaveformSeries`` gives the
+    same bits on an array as on a float."""
+    t = np.arange(n_steps) * dt
+    return [array("d", np.broadcast_to(np.asarray(inflow(ts), dtype=float),
+                                       t.shape).tobytes())
+            for ts in (t, t + 0.5 * dt, t + dt)]
+
+
 class NetworkModel0D:
     """Global ODE system for a vessel tree.
 
@@ -614,9 +655,9 @@ class NetworkModel0D:
     its state offset and compartment constants, junctions numbered in tree
     order (parents before daughters) with the state indices of the flows
     they collect, and per terminal its element and capacitor index. The
-    network pass over that plan (``rhs``) and the fused RK4 step
-    (``rk4_step``) are generated from it as Python source and compiled the
-    first time each is used.
+    network pass over that plan (``rhs``) and the RK4 run loop
+    (``integrate``, ``rk4_step``) are generated from it as Python source
+    and compiled the first time each is used.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -697,12 +738,22 @@ class NetworkModel0D:
                 k, _, term, wk = outlet
                 leaves.append((off, c.consts, c.length, j_in[vid], k, term, wk))
 
-    def _compile(self, source: str, name: str):
+    @cached_property
+    def _plan_key(self) -> str:
+        """What the generated source is written from, as text: the mode's
+        flags, the layout and the plan tuples, each float as its ``repr``
+        (so that -0.0 and 0.0 differ, as they do in the source)."""
+        return repr((self.mode.flags, self.dim, tuple(self.layout.items()),
+                     self._root, tuple(self._interior), tuple(self._leaves)))
+
+    def _compile(self, name: str, write):
         namespace = {"inflow": self.inflow, "_inf": math.inf, "_nan": math.nan,
                      "_volume_collapse": _volume_collapse,
                      "_area_collapse": _area_collapse,
-                     "ConfigurationError": ConfigurationError}
-        exec(_compiled(source, f"<0D network {name}>"), namespace)
+                     "ConfigurationError": ConfigurationError,
+                     "ModelError": ModelError, "isfinite": math.isfinite}
+        exec(_compiled(f"<0D network {name}>", self._plan_key,
+                       lambda: write(_PassSource(self))), namespace)
         return namespace[name]
 
     @cached_property
@@ -713,18 +764,45 @@ class NetworkModel0D:
         daughters draw, and per terminal the value handed back to its
         vessel: the outlet pressure of a PinPout leaf, or the outlet flow
         of a single-vessel network."""
-        return self._compile(_PassSource(self).evaluator(), "evaluate")
+        return self._compile("evaluate", _PassSource.evaluator)
 
     @cached_property
-    def _make_step(self):
-        return self._compile(_PassSource(self).step_factory(), "make_step")
+    def _run(self):
+        """The RK4 sampling loop (``_PassSource.runner``), compiled on
+        first use."""
+        return self._compile("run", _PassSource.runner)
 
     def rk4_step(self, dt: float):
         """``step(t, y) -> y_next``: one classical RK4 step of the network
-        on lists of floats, the four passes and their combination compiled
-        into one function (on first use). Its floating-point operations are
-        those of ``rk4_integrate`` on ``self.rhs`` and a list state."""
-        return self._make_step(dt)
+        on lists of floats, a one-step call of the compiled run loop that
+        takes no sample. Its floating-point operations are those of
+        ``rk4_integrate`` on ``self.rhs`` and a list state."""
+        run, inflow, half = self._run, self.inflow, 0.5 * dt
+
+        def step(t, y):
+            # a stride of 2 and a last step of 0: the one step is no sample
+            return run(y, t, dt, (float(inflow(t)),), (float(inflow(t + half)),),
+                       (float(inflow(t + dt)),), 2, 0, None, None)
+        return step
+
+    def integrate(self, dt: float, t_end: float,
+                  sample_interval: float | None = None) -> Integration:
+        """RK4 from the initial state to ``t_end`` with the compiled run
+        loop, sampled as ``rk4_integrate`` samples and with its bits on
+        ``self.rhs`` and a list state. The inflow is tabulated at every
+        stage time of the run in three calls on arrays; the reported CPU
+        time covers the tables and the loop."""
+        n_steps, stride = _step_count(dt, t_end, sample_interval)
+        run = self._run  # compiled, if it must be, before the clock starts
+        y = self.initial_state().tolist()
+        times, samples = [0.0], array("d", y)
+        start = time.thread_time()
+        run(y, 0.0, dt, *_inflow_tables(self.inflow, n_steps, dt), stride, n_steps,
+            times, samples)
+        cpu = time.thread_time() - start
+        return Integration(t=np.array(times),
+                           y=np.frombuffer(samples).reshape(len(times), -1),
+                           cpu_seconds=cpu, n_steps=n_steps)
 
     @property
     def volume_indices(self) -> list[int]:
@@ -849,6 +927,17 @@ class Integration:
     n_steps: int
 
 
+def _step_count(dt: float, t_end: float,
+                sample_interval: float | None) -> tuple[int, int]:
+    """(steps to ``t_end``, steps between samples) of a fixed-step run."""
+    if dt <= 0.0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    n_steps = int(round(t_end / dt))
+    if sample_interval is None:
+        return n_steps, 1
+    return n_steps, max(1, int(round(sample_interval / dt)))
+
+
 def rk4_integrate(rhs, y0, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
     """Classical fourth-order Runge-Kutta with fixed step.
@@ -857,16 +946,36 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
     a list and the stages are combined on Python floats, by the same
     operations element by element. Samples the state every
     ``sample_interval`` (rounded to a whole number of steps; every step if
-    None). The reported CPU time, of this thread, covers only the stepping
-    loop. ``run_0d`` runs the same loop with the network's compiled step
-    (``NetworkModel0D.rk4_step``), which gives the same bits as this
-    function on ``model.rhs`` and a list state.
+    None) and after the last step, and checks the samples are finite. The
+    reported CPU time, of this thread, covers only the stepping loop. This
+    is the generic integrator and the reference of the 0D network's
+    generated run loop (``NetworkModel0D.integrate``, behind ``run_0d``),
+    which gives the same bits as this function on ``model.rhs`` and a list
+    state.
     """
+    n_steps, stride = _step_count(dt, t_end, sample_interval)
     if isinstance(y0, list):
         y, step = [float(v) for v in y0], _rk4_list_step(rhs, dt)
     else:
         y, step = np.asarray(y0, dtype=float).copy(), _rk4_array_step(rhs, dt)
-    return _sample_steps(step, y, dt, t_end, sample_interval)
+    # the samples go into one flat buffer of doubles: a list per sample
+    # would hold every value as a float object, three times the memory
+    times, samples = [0.0], array("d", y)
+    isfinite = math.isfinite
+    t = 0.0
+    start = time.thread_time()
+    for n in range(1, n_steps + 1):
+        y = step(t, y)
+        t = n * dt
+        if n % stride == 0 or n == n_steps:
+            if not all(map(isfinite, y)):
+                raise ModelError(f"non-finite state at t = {t:.6g} s")
+            times.append(t)
+            samples.extend(y)
+    cpu = time.thread_time() - start
+    return Integration(t=np.array(times),
+                       y=np.frombuffer(samples).reshape(len(times), -1),
+                       cpu_seconds=cpu, n_steps=n_steps)
 
 
 def _rk4_array_step(rhs, dt):
@@ -896,37 +1005,6 @@ def _rk4_list_step(rhs, dt):
     return step
 
 
-def _sample_steps(step, y, dt: float, t_end: float,
-                  sample_interval: float | None) -> Integration:
-    """Advance ``y`` with ``step(t, y) -> y_next`` to ``t_end``, sampling
-    every ``sample_interval`` and checking the samples are finite."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    n_steps = int(round(t_end / dt))
-    if sample_interval is None:
-        stride = 1
-    else:
-        stride = max(1, int(round(sample_interval / dt)))
-    # the samples go into one flat buffer of doubles: a list per sample
-    # would hold every value as a float object, three times the memory
-    times, samples = [0.0], array("d", y)
-    isfinite = math.isfinite
-    t = 0.0
-    start = time.thread_time()
-    for n in range(1, n_steps + 1):
-        y = step(t, y)
-        t = n * dt
-        if n % stride == 0 or n == n_steps:
-            if not all(map(isfinite, y)):
-                raise ModelError(f"non-finite state at t = {t:.6g} s")
-            times.append(t)
-            samples.extend(y)
-    cpu = time.thread_time() - start
-    return Integration(t=np.array(times),
-                       y=np.frombuffer(samples).reshape(len(times), -1),
-                       cpu_seconds=cpu, n_steps=n_steps)
-
-
 @dataclass
 class RunResult:
     """Sampled per-vessel midpoint series of a network run."""
@@ -940,10 +1018,12 @@ class RunResult:
 def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
            dt: float = 1e-3, t_end: float = 29.7, T0: float = 1.1,
            sample_interval: float = 1e-3) -> RunResult:
-    """Advance the assembled 0D network and return per-vessel series."""
+    """Advance the assembled 0D network with its generated run loop
+    (``NetworkModel0D.integrate``) and return per-vessel series. The inflow
+    is evaluated on arrays, once per stage time of the run; the series are
+    those of ``rk4_integrate`` on ``model.rhs`` and a list state."""
     model = assemble_network(network, mode, inflow)
-    integ = _sample_steps(model.rk4_step(dt), model.initial_state().tolist(),
-                          dt, t_end, sample_interval)
+    integ = model.integrate(dt, t_end, sample_interval)
     vessels = model.observe(integ.y)
     cycles = t_end / T0
     return RunResult(t=integ.t, vessels=vessels, cpu_seconds=integ.cpu_seconds,

@@ -807,7 +807,8 @@ def _junction_solver(n: int):
     namespace = {"sqrt": math.sqrt, "CollapseError": CollapseError,
                  "ConvergenceError": ConvergenceError,
                  "SupercriticalError": SupercriticalError}
-    exec(_compiled(_junction_source(n), f"<1D junction of {n} members>"), namespace)
+    exec(_compiled(f"<1D junction of {n} members>", n, lambda: _junction_source(n)),
+         namespace)
     return namespace["solve"]
 
 

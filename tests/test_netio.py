@@ -235,6 +235,19 @@ class TestWaveforms:
         assert q.shape == t.shape
         assert np.all(q >= 0.0)
 
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4])
+    def test_array_call_matches_scalar_at_stage_times(self, dt):
+        # ``run_0d`` tabulates the inflow at every stage time of a run, one
+        # call on an array per stage; the generic integrator evaluates
+        # t_n = n dt, t_n + dt/2 and t_n + dt one float at a time
+        w = synthetic_inflow()
+        n_steps = int(round(29.7 / dt))
+        t = np.arange(n_steps) * dt
+        times = [n * dt for n in range(n_steps)]
+        assert np.array_equal(t, times)
+        for offset in (0.0, 0.5 * dt, dt):
+            np.testing.assert_array_equal(w(t + offset), [w(s + offset) for s in times])
+
     @pytest.mark.parametrize("period, t_end", [(1.1, 1.1), (1.0, 0.7), (1.0, 1.0)])
     def test_scalar_call_matches_numpy(self, period, t_end):
         # a float takes the scalar path; it must give np.interp's bits

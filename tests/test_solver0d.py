@@ -654,9 +654,9 @@ class TestAssembledPlan:
 
 
 class TestCompiledStep:
-    """``run_0d`` advances with the network's compiled RK4 step; the
-    generic integrator on ``model.rhs`` with a list state is its
-    reference."""
+    """``run_0d`` advances with the network's compiled RK4 run loop, and
+    ``rk4_step`` is a one-step call of it; the generic integrator on
+    ``model.rhs`` with a list state is their reference."""
 
     @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
     def test_run_matches_generic_integration(self, bifurcation, mode_name):
@@ -675,6 +675,29 @@ class TestCompiledStep:
             for vid, series in ref.items():
                 for ch in ("P", "Q", "A"):
                     assert np.array_equal(res.vessels[vid][ch], series[ch]), (name, vid, ch)
+
+    @pytest.mark.parametrize("mode_name", ["linear", "nonlinear", "frozen_area"])
+    def test_run_across_a_period_with_a_stride(self, bifurcation, mode_name):
+        # 1250 steps cross the inflow's period of 1.1 s, and the last step
+        # falls between two samples of the stride of 7 steps
+        mode = EQUIVALENCE_MODES[mode_name]
+        inflow = synthetic_inflow()
+        dt, t_end, every = 1e-3, 1.25, 7e-3
+        res = run_0d(bifurcation, inflow, mode, dt=dt, t_end=t_end,
+                     sample_interval=every)
+        model = assemble_network(bifurcation, mode, inflow)
+        integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+                              dt, t_end, sample_interval=every)
+        assert integ.n_steps == 1250 and integ.n_steps % 7 != 0
+        assert integ.t[-1] == 1250 * dt and integ.t[-2] == 1246 * dt
+        assert np.array_equal(res.t, integ.t)
+        direct = model.integrate(dt, t_end, every)
+        assert direct.n_steps == integ.n_steps
+        assert np.array_equal(direct.t, integ.t)
+        assert np.array_equal(direct.y, integ.y)
+        for vid, series in model.observe(integ.y).items():
+            for ch in ("P", "Q", "A"):
+                assert np.array_equal(res.vessels[vid][ch], series[ch]), (vid, ch)
 
     @pytest.mark.parametrize("network", sorted(TestAssembledPlan.NETWORKS))
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
@@ -768,8 +791,9 @@ class TestCompiledStep:
                 evaluate()
 
     def test_nonfinite_state_aborts_run(self, bifurcation):
+        # ``run_0d`` evaluates the inflow on arrays of stage times
         def inflow(t):
-            return math.nan if t > 0.05 else 0.0
+            return np.where(t > 0.05, np.nan, 0.0)
 
         with pytest.raises(ModelError, match=r"non-finite state at t = 0\.06 s"):
             run_0d(bifurcation, inflow, NL, dt=1e-3, t_end=0.2,
@@ -788,8 +812,48 @@ class TestCompiledStep:
             return compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(solver0d, "compile", counting_compile, raising=False)
-        solver0d._compiled.cache_clear()
+        monkeypatch.setattr(solver0d, "_code", {})
         return names
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """The generated functions ``_PassSource`` writes from here on,
+        the code cache emptied of the code earlier tests compiled."""
+        import hemoflow.solver0d as solver0d
+
+        names = []
+        for name in ("evaluator", "runner"):
+            def counting(source, _write=getattr(solver0d._PassSource, name),
+                         _name=name):
+                names.append(_name)
+                return _write(source)
+
+            monkeypatch.setattr(solver0d._PassSource, name, counting)
+        monkeypatch.setattr(solver0d, "_code", {})
+        return names
+
+    def test_second_model_writes_no_source(self, bifurcation, written):
+        # the code is looked up by the plan, not by the text written from it
+        for net in (bifurcation, asymmetric_tree_network()):
+            del written[:]
+            # (mode, each function's writes so far)
+            for mode, writes in ((NL, 1), (NL, 1), (LIN, 2), (LIN, 2)):
+                model = assemble_network(net, mode, synthetic_inflow())
+                model.rk4_step(1e-4)
+                model.rhs(0.0, model.initial_state())
+                assert len(written) == 2 * writes
+                assert written.count("evaluator") == written.count("runner")
+
+    def test_negative_zero_constant_has_its_own_code(self, written):
+        # -0.0 == 0.0, but the source writes them apart: a venous pressure
+        # of -0.0 is subtracted as (-0.0)
+        models = [assemble_network(single_vessel_network(
+            R_TERMINAL.replace("p_out = 300.0", f"p_out = {p_v}")), NL,
+            synthetic_inflow()) for p_v in ("0.0", "-0.0")]
+        assert models[0]._plan_key != models[1]._plan_key
+        for model in models:
+            model.rk4_step(1e-3)
+        assert written == ["runner", "runner"]
 
     def test_assembly_compiles_nothing(self, bifurcation, compiled_names):
         # compiling the step costs far more than assembling the network,
