@@ -135,6 +135,12 @@ def periodicity_reached(cycle: CycleSeries, previous: CycleSeries,
     return max(gaps) < threshold
 
 
+def _cycle_samples(t: np.ndarray, T0: float) -> int:
+    """Samples of a uniform grid over one cycle at the median step of t."""
+    dt = float(np.median(np.diff(t)))
+    return max(2, int(round(T0 / dt)) + 1)
+
+
 def sample_cycle(t, channels: dict, T0: float, end_time: float | None = None,
                  n: int | None = None) -> CycleSeries:
     """Extract one cycle ending at ``end_time`` (default: last sample) on a
@@ -146,8 +152,7 @@ def sample_cycle(t, channels: dict, T0: float, end_time: float | None = None,
     if start < t[0] - 1e-9:
         raise ValueError(f"cycle [{start}, {end_time}] not covered by samples")
     if n is None:
-        dt = float(np.median(np.diff(t)))
-        n = max(2, int(round(T0 / dt)) + 1)
+        n = _cycle_samples(t, T0)
     grid = np.linspace(start, end_time, n)
     out = {key: np.interp(grid, t, np.asarray(val, dtype=float))
            for key, val in channels.items()}
@@ -160,9 +165,12 @@ def first_periodic_cycle(t, channels: dict, T0: float,
     k-1 by less than the threshold, or None if never reached."""
     t = np.asarray(t, dtype=float)
     n_cycles = int(np.floor((t[-1] - t[0]) / T0 + 1e-9))
+    if n_cycles < 1:
+        return None
+    n = _cycle_samples(t, T0)
     prev = None
     for k in range(1, n_cycles + 1):
-        cyc = sample_cycle(t, channels, T0, end_time=t[0] + k * T0)
+        cyc = sample_cycle(t, channels, T0, end_time=t[0] + k * T0, n=n)
         if prev is not None and periodicity_reached(cyc, prev, threshold):
             return k
         prev = cyc

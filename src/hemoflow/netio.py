@@ -3,6 +3,11 @@
 The network file format is line-oriented text with ``[section]`` headers and
 ``key = value`` pairs, documented in the repository README. All quantities
 are CGS.
+
+A sampled series is a CSV file: the header ``t,P,Q,A``, then one line per
+sample with every value formatted as ``"%.9e"``. ``write_series`` makes that
+text with numpy, a block of rows at a time, and its bytes are those of
+formatting each value on its own; ``read_series`` reads the file back.
 """
 
 from __future__ import annotations
@@ -465,20 +470,102 @@ _FMT = "{:.9e}"
 SERIES_COLUMNS = ("t", "P", "Q", "A")
 
 
+#: rows formatted per numpy pass: the scratch arrays of a pass stay under
+#: about 1 MiB whatever the length of the series
+_BLOCK_ROWS = 2048
+
+
+def _pairs(*texts: str) -> np.ndarray:
+    """Two-character ASCII strings as uint16 codes in machine byte order."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint16)
+
+
+_MINUS = _pairs("\0-")[0]
+_LEAD = _pairs(*(f"{d}." for d in range(10)))
+_DIGITS = _pairs(*(f"{d:02d}" for d in range(100)))
+_LAST = _pairs(*(f"{d}e" for d in range(10)))
+# tables indexed by e + 99 for the decimal exponents e of -99 to 98:
+# 10**(9 - e), correctly rounded, and the exponent's characters in pairs
+_EXPONENTS = [f"{e:+03d}" for e in range(-99, 99)]
+_SCALE = np.array([float(f"1e{9 - int(e)}") for e in _EXPONENTS])
+_EXP_HEAD = _pairs(*(e[:2] for e in _EXPONENTS))
+_EXP_TAIL_COMMA = _pairs(*(e[2] + "," for e in _EXPONENTS))
+_EXP_TAIL_NEWLINE = _pairs(*(e[2] + "\n" for e in _EXPONENTS))
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """CSV lines of an (n, 4) float block, each value as "%.9e" would
+    format it.
+
+    Each value fills an 18-byte slot of nine character pairs,
+    NUL-padded on the left: ``"\\0s" "d." "dd" "dd" "dd" "dd" "de" "sd"
+    "d,"``, where s is the sign or NUL and the last byte is the column
+    separator; the NULs are dropped at the end. The 10-digit mantissa is
+    rint(m) for m = |x| * 10**(9 - e), e = floor(log10|x|). The power and
+    the product round once each, so m is within 2.3e-6 of its exact value
+    below 1e10. Where 1e9 <= m < 1e10 - 1 and m is more than 1e-4 from a
+    half-integer, rint(m) is the correctly rounded mantissa that "%.9e"
+    prints with the exponent e (an exact value just below 1e9 rounds up to
+    1e9 either way). Zeros take this path with mantissa 0 and exponent 0.
+    Every other value (non-finite, subnormal, a 3-digit exponent, a
+    near-tie or a log10 off by one) takes its slot from "%.9e" itself.
+    """
+    x = rows.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    in_range = (a >= 1e-98) & (a < 1e98)
+    a = np.where(in_range, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp) + 99
+    m = a * _SCALE[k]
+    mantissa = np.rint(m)
+    exact = (in_range & (m >= 1e9) & (m < 1e10 - 1)
+             & (np.abs(m - mantissa) < 0.4999))
+    fallback = np.flatnonzero(~(exact | zero))
+    mantissa[fallback] = 1e9
+    mantissa[zero] = 0.0
+    digits = mantissa.astype(np.int64)
+
+    slots = np.empty((x.size, 9), dtype=np.uint16)
+    slots[:, 0] = np.signbit(x) * _MINUS
+    lead = digits // 10**9
+    slots[:, 1] = _LEAD[lead]
+    digits -= lead * 10**9
+    for col, div in ((2, 10**7), (3, 10**5), (4, 10**3), (5, 10)):
+        pair = digits // div
+        slots[:, col] = _DIGITS[pair]
+        digits -= pair * div
+    slots[:, 6] = _LAST[digits]
+    slots[:, 7] = _EXP_HEAD[k]
+    k = k.reshape(rows.shape)
+    by_column = slots.reshape(*rows.shape, 9)
+    by_column[:, :-1, 8] = _EXP_TAIL_COMMA[k[:, :-1]]
+    by_column[:, -1, 8] = _EXP_TAIL_NEWLINE[k[:, -1]]
+
+    chars = slots.view(np.uint8)
+    if fallback.size:
+        text = "".join(("%.9e" % v).rjust(17, "\0") for v in x[fallback].tolist())
+        chars[fallback, :17] = np.frombuffer(text.encode("ascii"),
+                                             dtype=np.uint8).reshape(-1, 17)
+    chars = chars.ravel()
+    return chars[chars != 0].tobytes().decode("ascii")
+
+
 def write_series(path, t, P, Q, A) -> None:
-    """Write a sampled (t, P, Q, A) series as CSV."""
+    """Write a sampled (t, P, Q, A) series as CSV: a header line, then one
+    line per sample with each value formatted as "%.9e"."""
     path = Path(path)
     arrays = [np.asarray(v, dtype=float) for v in (t, P, Q, A)]
+    if any(a.ndim > 1 for a in arrays):
+        raise ValueError("series columns must be one-dimensional")
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("series columns have mismatched lengths")
-    # one %-operation over all rows; "%.9e" formats exactly like _FMT
-    values = np.column_stack(arrays).ravel().tolist()
-    text = ("%.9e,%.9e,%.9e,%.9e\n" * n) % tuple(values)
+    rows = np.column_stack(arrays)
     try:
         with path.open("w") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
-            fh.write(text)
+            for start in range(0, n, _BLOCK_ROWS):
+                fh.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
     except OSError as exc:
         raise OSError(f"cannot write series to {path}: {exc}") from exc
 

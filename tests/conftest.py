@@ -3,8 +3,26 @@ reference takes a couple of minutes; they are only built when a test
 requests them."""
 
 import pytest
+from hypothesis import settings
 
 from hemoflow.netio import aortic_bifurcation, synthetic_inflow
+
+# a longer, reproducible search, selected with --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=2000, derandomize=True)
+
+
+def _per_value_csv(columns) -> bytes:
+    """The series file write_series must produce, with each value through
+    "{:.9e}" on its own, row by row."""
+    lines = ["t,P,Q,A\n"]
+    lines.extend(",".join("{:.9e}".format(c[i]) for c in columns) + "\n"
+                 for i in range(len(columns[0])))
+    return "".join(lines).encode()
+
+
+@pytest.fixture(scope="session")
+def per_value_csv():
+    return _per_value_csv
 
 
 @pytest.fixture(scope="session")

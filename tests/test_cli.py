@@ -7,7 +7,8 @@ import pytest
 
 from hemoflow.cli import main
 from hemoflow.metrics import periodicity_reached, sample_cycle
-from hemoflow.netio import read_series
+from hemoflow.netio import aortic_bifurcation, read_series, synthetic_inflow
+from hemoflow.solver0d import ModelMode, run_0d
 
 NETWORK_TEXT = """
 [fluid]
@@ -60,6 +61,19 @@ class TestRun:
         # half a second cannot contain a periodic cycle pair
         assert "periodic_cycle = None" in timing
         assert "wrote 3 series" in capsys.readouterr().out
+
+    def test_series_bytes_match_per_value_format(self, tmp_path,
+                                                  per_value_csv):
+        out = tmp_path / "bytes"
+        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--t-end", "2.2", "--out", str(out)])
+        assert code == 0
+        result = run_0d(aortic_bifurcation(), synthetic_inflow(period=1.1),
+                        ModelMode.nonlinear(), dt=1e-3, t_end=2.2, T0=1.1)
+        assert sorted(f.stem for f in out.glob("*.csv")) == sorted(result.vessels)
+        for vid, series in result.vessels.items():
+            columns = (result.t, series["P"], series["Q"], series["A"])
+            assert (out / f"{vid}.csv").read_bytes() == per_value_csv(columns)
 
     def test_short_1d_run(self, tmp_path):
         net_file = tmp_path / "net.txt"

@@ -222,6 +222,38 @@ class TestFirstPeriodicCycle:
         t, channels = self._transient(0.5, 0.95, n_cycles=6)
         assert first_periodic_cycle(t, channels, self.T0, 1e-3) is None
 
+    def _per_call_grid(self, t, channels, threshold=1e-3):
+        """The reference loop: sample_cycle works out the grid size from
+        the whole series again for every cycle."""
+        n_cycles = int(np.floor((t[-1] - t[0]) / self.T0 + 1e-9))
+        prev = None
+        for k in range(1, n_cycles + 1):
+            cyc = sample_cycle(t, channels, self.T0, end_time=t[0] + k * self.T0)
+            if prev is not None and periodicity_reached(cyc, prev, threshold):
+                return k
+            prev = cyc
+        return None
+
+    @pytest.mark.parametrize("a, r, n_cycles, thr, jitter", [
+        (0.1, 0.5, 12, 1e-3, 0.0),
+        (0.1, 0.5, 12, 1e-2, 0.0),
+        (0.1, 0.5, 12, 1e-4, 0.0),
+        (0.5, 0.95, 6, 1e-3, 0.0),
+        (0.0, 0.5, 12, 1e-3, 0.0),
+        (0.1, 0.5, 12, 1e-3, 0.3),
+        (0.2, 0.7, 16, 1e-3, 0.45),
+    ])
+    def test_matches_per_call_grid(self, a, r, n_cycles, thr, jitter):
+        t, channels = self._transient(a, r, n_cycles=n_cycles)
+        # jitter moves every interior sample by up to the given share of
+        # the step, so the steps differ and their median is not T0 / 200
+        rng = np.random.default_rng(17)
+        t = t.copy()
+        t[1:-1] += jitter * (t[1] - t[0]) * rng.uniform(-1.0, 1.0, t.size - 2)
+        assert (jitter == 0.0) == (np.ptp(np.diff(t)) < 1e-12)
+        expected = self._per_call_grid(t, channels, thr)
+        assert first_periodic_cycle(t, channels, self.T0, thr) == expected
+
     def test_steady_signal_immediate(self):
         # the second cycle is the first with a predecessor to match
         t, channels = self._transient(0.0, 0.5)

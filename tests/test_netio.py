@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hemoflow.errors import ConfigurationError
 from hemoflow.metrics import ErrorReport
 from hemoflow.netio import (
+    _BLOCK_ROWS,
     Junction,
     Network,
     SingleResistance,
@@ -352,6 +355,70 @@ class TestSeriesPersistence:
         path.write_text("t,P,Q,A\n0.0,1.0,2.0\n")
         with pytest.raises(ValueError, match="3 columns under a header of 4"):
             read_series(path)
+
+    @staticmethod
+    def _near_tie(m: int, e: int, ulps: int) -> float:
+        """The double nearest to the decimal m5e{e}, with m of ten digits
+        (a tie for rounding to ten significant digits), moved by a few
+        ulps."""
+        x = float(f"{m}5e{e}")
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    # any float, doubles within a few ulps of a decimal tie at the tenth
+    # significant digit, and floats within about 2e-4 of such a tie, where
+    # the writer leaves its fast path
+    _values = st.one_of(
+        st.floats(),
+        st.builds(_near_tie.__func__, st.integers(10**9, 10**10 - 1),
+                  st.integers(-120, 110), st.integers(-2, 2)),
+        st.builds(lambda m, f, e: (m + f) * 10.0 ** e,
+                  st.integers(10**9, 10**10 - 1),
+                  st.floats(0.4998, 0.5002), st.integers(-110, 110)))
+
+    @given(st.lists(st.tuples(_values, _values, _values, _values),
+                    max_size=40))
+    @example([(12345678905.0, 9.9999999995e5, 9.99999999949e-100, -0.0)])
+    def test_bytes_match_per_value_format_property(self, tmp_path_factory,
+                                                   per_value_csv, rows):
+        columns = np.array(rows, dtype=float).reshape(-1, 4).T
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        write_series(path, *columns)
+        assert path.read_bytes() == per_value_csv(columns)
+
+    def test_crafted_values(self, tmp_path, per_value_csv):
+        values = [
+            # ties and near-ties at the tenth significant digit
+            12345678905.0, 1234567890.5, -2.5e-7, 1.0000000005, 0.30000000005,
+            728660791250000.0, 8.1814049745e-20, 8.4092681615e-88,
+            # values rounding up to the next decade
+            9.9999999995e5, -9.99999999951e-3, 9.99999999949e-100,
+            9.9999999999e97, 9.9999999999e98, -9.9999999996e-99,
+            # exponents of +-98, +-99 and +-100, and powers of ten
+            1.5e98, -1.5e-98, 1.5e99, 1.5e-99, -1.5e100, 1.5e-100,
+            1e98, 1e-98, 1e99, 1e-99, 1e100, 1e-100, 1.0, 0.1, 10.0, 1e22,
+            1e23, 0.0, -0.0, 5e-324, math.nan, -math.inf,
+        ]
+        values += [-v for v in values]
+        values += [0.0] * (-len(values) % 4)
+        columns = np.array(values).reshape(-1, 4).T
+        path = tmp_path / "c.csv"
+        write_series(path, *columns)
+        assert path.read_bytes() == per_value_csv(columns)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1])
+    def test_block_boundaries(self, tmp_path, per_value_csv, n):
+        columns = np.random.default_rng(n).normal(scale=1e5, size=(4, n))
+        path = tmp_path / "b.csv"
+        write_series(path, *columns)
+        assert path.read_bytes() == per_value_csv(columns)
+
+    def test_multidimensional_columns(self, tmp_path):
+        columns = [np.zeros((2, 3))] * 4
+        with pytest.raises(ValueError, match="one-dimensional"):
+            write_series(tmp_path / "x.csv", *columns)
 
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="mismatched"):
