@@ -200,6 +200,8 @@ class WaveformSeries:
 def synthetic_inflow(period: float = 1.1, systole_fraction: float = 0.3,
                      peak: float = 70.0, samples_per_systole: int = 600) -> WaveformSeries:
     """Half-sine systolic pulse followed by zero diastolic flow."""
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
     if not 0.0 < systole_fraction < 1.0:
         raise ValueError(f"systole fraction must be in (0, 1), got {systole_fraction}")
     t_sys = systole_fraction * period

@@ -463,14 +463,14 @@ class _PassSource:
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
     def runner(self) -> str:
-        """``run(y, t0, dt, q_t, q_half, q_dt, stride, last, times,
-        samples) -> y_end``: classical RK4 steps from the state list ``y``
-        at ``t0``, one per entry of the inflow tables, which hold the
-        inflow at each step's t, t + dt/2 and t + dt. The states stay locals
-        from step to step; each step inlines the four passes and their
-        combination. After every ``stride``-th step and after step ``last``
-        the state is checked to be finite and appended to ``samples``, its
-        time to ``times``."""
+        """``run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times,
+        samples) -> y_end``: classical RK4 steps n, n + 1, ... from the
+        state list ``y`` at ``t0 + n * dt``, one per entry of the inflow
+        tables, which hold the inflow at each step's t, t + dt/2 and t + dt.
+        The states stay locals from step to step; each step inlines the
+        four passes and their combination. After every ``stride``-th step
+        and after step ``last`` (counted from ``t0``) the state is checked
+        to be finite and appended to ``samples``, its time to ``times``."""
         y, u = self.names("y"), self.names("u")
         k = [self.names(prefix) for prefix in "abce"]
         state = ", ".join(y)
@@ -492,11 +492,10 @@ class _PassSource:
                  "    times.append(t)",
                  "    samples.extend(s)"]
         return "\n".join([
-            "def run(y, t0, dt, q_t, q_half, q_dt, stride, last, times, samples):",
+            "def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):",
             "    half = 0.5 * dt",
             "    sixth = dt / 6.0",
             f"    {state}, = y",
-            "    n = 0",
             "    for qa, qh, qe in zip(q_t, q_half, q_dt):",
             *(f"        {line}" for line in body),
             f"    return [{state}]", ""])
@@ -632,12 +631,17 @@ class _PassSource:
         return out
 
 
-def _inflow_tables(inflow, n_steps: int, dt: float) -> list[array]:
+#: steps of the 0D run loop per block of inflow tables: 384 KiB of tables
+#: whatever the length of the run
+_BLOCK_STEPS = 1 << 14
+
+
+def _inflow_tables(inflow, first: int, stop: int, dt: float) -> list[array]:
     """The inflow at the stage times t_n = n dt, t_n + dt/2 and t_n + dt of
-    steps n < ``n_steps``, one call on an array each. ``np.arange(n) * dt``
-    is ``n * dt`` as Python computes it, and ``WaveformSeries`` gives the
-    same bits on an array as on a float."""
-    t = np.arange(n_steps) * dt
+    steps ``first`` <= n < ``stop``, one call on an array each.
+    ``np.arange(first, stop) * dt`` is ``n * dt`` as Python computes it,
+    and ``WaveformSeries`` gives the same bits on an array as on a float."""
+    t = np.arange(first, stop) * dt
     return [array("d", np.broadcast_to(np.asarray(inflow(ts), dtype=float),
                                        t.shape).tobytes())
             for ts in (t, t + 0.5 * dt, t + dt)]
@@ -781,7 +785,7 @@ class NetworkModel0D:
 
         def step(t, y):
             # a stride of 2 and a last step of 0: the one step is no sample
-            return run(y, t, dt, (float(inflow(t)),), (float(inflow(t + half)),),
+            return run(y, t, 0, dt, (float(inflow(t)),), (float(inflow(t + half)),),
                        (float(inflow(t + dt)),), 2, 0, None, None)
         return step
 
@@ -790,15 +794,18 @@ class NetworkModel0D:
         """RK4 from the initial state to ``t_end`` with the compiled run
         loop, sampled as ``rk4_integrate`` samples and with its bits on
         ``self.rhs`` and a list state. The inflow is tabulated at every
-        stage time of the run in three calls on arrays; the reported CPU
-        time covers the tables and the loop."""
+        stage time, three calls on arrays for each block of ``_BLOCK_STEPS``
+        steps; the loop runs block by block, carrying the state and the step
+        count. The reported CPU time covers the tables and the loop."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
         run = self._run  # compiled, if it must be, before the clock starts
         y = self.initial_state().tolist()
         times, samples = [0.0], array("d", y)
         start = time.thread_time()
-        run(y, 0.0, dt, *_inflow_tables(self.inflow, n_steps, dt), stride, n_steps,
-            times, samples)
+        for first in range(0, n_steps, _BLOCK_STEPS):
+            stop = min(first + _BLOCK_STEPS, n_steps)
+            y = run(y, 0.0, first, dt, *_inflow_tables(self.inflow, first, stop, dt),
+                    stride, n_steps, times, samples)
         cpu = time.thread_time() - start
         return Integration(t=np.array(times),
                            y=np.frombuffer(samples).reshape(len(times), -1),
@@ -1005,6 +1012,15 @@ def _rk4_list_step(rhs, dt):
     return step
 
 
+def check_run_times(t_end: float, T0: float, sample_interval: float) -> None:
+    """Raise ValueError unless the end time, the cardiac period and the
+    sample interval of a run are positive and finite."""
+    for name, value in (("t_end", t_end), ("T0", T0),
+                        ("sample_interval", sample_interval)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass
 class RunResult:
     """Sampled per-vessel midpoint series of a network run."""
@@ -1022,6 +1038,7 @@ def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
     (``NetworkModel0D.integrate``) and return per-vessel series. The inflow
     is evaluated on arrays, once per stage time of the run; the series are
     those of ``rk4_integrate`` on ``model.rhs`` and a list state."""
+    check_run_times(t_end, T0, sample_interval)
     model = assemble_network(network, mode, inflow)
     integ = model.integrate(dt, t_end, sample_interval)
     vessels = model.observe(integ.y)

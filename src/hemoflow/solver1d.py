@@ -57,7 +57,7 @@ from .errors import (
     SupercriticalError,
 )
 from .netio import Network, WaveformSeries, Windkessel
-from .solver0d import RunResult, _compiled
+from .solver0d import RunResult, _compiled, check_run_times
 from .vessel import VesselSpec
 
 #: m / (m + 1) of the arterial tube law, in the momentum flux
@@ -119,31 +119,40 @@ def _celerity(sx, K_rho, out=None):
 
 class _HLLScratch:
     """Scratch of the HLL flux at interfaces of shape ``shape`` between
-    face states of shape ``faces``: u -/+ c, the wave speeds and their
-    span and product, one (2, *shape) operand and the upwind masks."""
+    face states of shape ``faces``: u -/+ c of every face state, bound once
+    as views on the left (index ``L``) and right (``R``) state of each
+    interface, the wave speeds and their span and product, one (2, *shape)
+    operand and the upwind masks."""
 
-    __slots__ = ("a", "b", "SL", "SR", "span", "SLSR", "t", "left", "right")
+    __slots__ = ("a", "b", "aL", "aR", "bL", "bR", "SL", "SR", "span", "SLSR",
+                 "t", "left", "right")
 
-    def __init__(self, faces, shape):
+    def __init__(self, faces, shape, L, R):
         self.a, self.b = np.empty((2, *faces))
+        self.aL, self.aR, self.bL, self.bR = self.a[L], self.a[R], self.b[L], self.b[R]
         self.SL, self.SR, self.span, self.SLSR = np.empty((4, *shape))
         self.t = np.empty((2, *shape))
         self.left, self.right = np.empty((2, *shape), dtype=bool)
 
 
-def _hll(UL, UR, FL, FR, u, c, L, R, out, buf: _HLLScratch):
+def _hll(UL, UR, FL, FR, u, c, out, buf: _HLLScratch):
     """HLL flux with Davis wave-speed estimates, for the mass and the
     momentum at once, written to ``out`` (2, *interfaces).
 
     ``UL``, ``UR`` are the conserved (A, q) and ``FL``, ``FR`` the physical
     fluxes (q, F_q) left and right of each interface, stacked as (mass,
     momentum); ``u`` and ``c`` hold the velocity and celerity of every face
-    state, and the indices ``L``, ``R`` pick the left and right states of
-    the interfaces from them."""
-    a = np.subtract(u, c, out=buf.a)
-    b = np.add(u, c, out=buf.b)
-    SL = np.minimum(a[L], a[R], out=buf.SL)
-    SR = np.maximum(b[L], b[R], out=buf.SR)
+    state, from which ``buf`` picks the left and right states of the
+    interfaces.
+
+    Where SL SR < 0 at every interface (a NaN fails the test), every wave
+    fan straddles its interface, so neither upwind mask can hold and both
+    are skipped. The ``np.errstate`` scope stays: an infinite wave speed
+    passes that test, and the arithmetic then meets infinities."""
+    np.subtract(u, c, out=buf.a)
+    np.add(u, c, out=buf.b)
+    SL = np.minimum(buf.aL, buf.aR, out=buf.SL)
+    SR = np.maximum(buf.bL, buf.bR, out=buf.SR)
     t = buf.t
     with np.errstate(divide="ignore", invalid="ignore"):
         span = np.subtract(SR, SL, out=buf.span)
@@ -152,9 +161,10 @@ def _hll(UL, UR, FL, FR, u, c, L, R, out, buf: _HLLScratch):
         np.subtract(out, np.multiply(SL, FR, out=t), out=out)
         np.add(out, np.multiply(SLSR, np.subtract(UR, UL, out=t), out=t), out=out)
         np.divide(out, span, out=out)
-    # upwind where all waves go one way: the left state wins over the right
-    np.copyto(out, FR, where=np.less_equal(SR, 0.0, out=buf.right))
-    np.copyto(out, FL, where=np.greater_equal(SL, 0.0, out=buf.left))
+    if not np.maximum.reduce(SLSR, axis=None) < 0.0:
+        # upwind where all waves go one way: the left state wins over the right
+        np.copyto(out, FR, where=np.less_equal(SR, 0.0, out=buf.right))
+        np.copyto(out, FL, where=np.greater_equal(SL, 0.0, out=buf.left))
     return out
 
 
@@ -256,8 +266,9 @@ class _Workspace:
         self.FbL, self.FbR = self.Fb[:, 1, :-1], self.Fb[:, 0, 1:]
         self.F = np.empty((2, 2, N))
         self.F_hll, self.F_in = self.F[1, :, :-1], self.F[0, :, 1:]
+        self.F_flat = self.F.reshape(-1)
         self.finite = np.empty((2, N - 1), dtype=bool)
-        self.hll = _HLLScratch((2, N), (N - 1,))
+        self.hll = _HLLScratch((2, N), (N - 1,), _RIGHT_FACES, _LEFT_FACES)
         self.U_new = np.empty((2, N))
 
 
@@ -425,8 +436,8 @@ class Vessel1D:
         X = np.stack((A, q, _momentum_flux(A, q, sx, self.alpha, self.K, self.rho)))
         shape = A.shape[1:]
         F_A, F_q = _hll(X[:2, 0], X[:2, 1], X[1:, 0], X[1:, 1], q / A,
-                        _celerity(sx, self.law[3]), 0, 1,
-                        np.empty((2, *shape)), _HLLScratch(A.shape, shape))
+                        _celerity(sx, self.law[3]), np.empty((2, *shape)),
+                        _HLLScratch(A.shape, shape, 0, 1))
         if not (np.all(np.isfinite(F_A)) and np.all(np.isfinite(F_q))):
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self.ids[0]!r}")
@@ -434,27 +445,42 @@ class Vessel1D:
 
     # -- stacked MUSCL-Hancock pieces ---------------------------------------
 
-    def max_stable_dt(self) -> float:
-        """min over cells of dx/(|u| + c); raises on supercritical flow."""
+    def centre_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity u = q/A and celerity c at every cell centre of the
+        current state, in the workspace: valid until the next kernel call
+        of this stack. A step computes them once and hands them to
+        ``max_stable_dt`` (through ``cfl_dt``) and to ``prepare``."""
         ws = self._ws
-        U = self.U
-        A, q = U[0], U[1]
-        u = np.divide(np.abs(q, out=ws.u_c), A, out=ws.u_c)
+        A, q = self.U
+        u = np.divide(q, A, out=ws.u_c)
         c = _celerity(np.sqrt(np.divide(A, ws.A0_c, out=ws.c_c), out=ws.c_c),
                       ws.K_rho_c, out=ws.c_c)
-        if np.greater_equal(u, c, out=ws.mask_c).any():
-            vid, _, s, e = self._locate(u >= c)
+        return u, c
+
+    def max_stable_dt(self, centre=None) -> float:
+        """min over cells of dx/(|u| + c); raises on supercritical flow.
+        ``centre`` is the ``centre_values()`` of the current state, computed
+        here if not given."""
+        ws = self._ws
+        u, c = self.centre_values() if centre is None else centre
+        # |q/A| is |q|/A bit for bit at A > 0: division rounds symmetrically
+        # about zero
+        u = np.abs(u, out=ws.s_c)
+        if np.logical_or.reduce(np.greater_equal(u, c, out=ws.mask_c)):
+            vid, _, s, e = self._locate(ws.mask_c)
             cell = int(np.argmax(u[s:e] - c[s:e]))
             raise SupercriticalError(
                 f"supercritical flow in vessel {vid!r} at cell {cell}: "
                 f"|u| = {u[s + cell]:.6g} >= c = {c[s + cell]:.6g}")
-        return float(np.divide(ws.dx_c, np.add(u, c, out=ws.t_c), out=ws.t_c).min())
+        return float(np.minimum.reduce(
+            np.divide(ws.dx_c, np.add(u, c, out=ws.t_c), out=ws.t_c)))
 
-    def prepare(self, dt: float) -> "_Prep":
+    def prepare(self, dt: float, centre=None) -> "_Prep":
         """Slope reconstruction, half-step evolution of the face values and
-        the ADER-style source predictor, for every cell at once. ``Ub`` and
-        ``S_q`` of the result are fresh arrays; the rest stays in the
-        workspace."""
+        the ADER-style source predictor, for every cell at once. ``centre``
+        is the ``centre_values()`` of the current state, computed here if
+        not given. ``Ub`` and ``S_q`` of the result are fresh arrays; the
+        rest stays in the workspace."""
         ws = self._ws
         U = self.U
         A, q = U[0], U[1]
@@ -464,7 +490,7 @@ class Vessel1D:
         np.subtract(U, h_slope, out=ws.WL)
         np.add(U, h_slope, out=ws.WR)
         Af, qf = ws.Af, ws.qf
-        if not Af.min() > 0.0:
+        if not np.minimum.reduce(Af, axis=None) > 0.0:
             vid, cell, _, _ = self._locate(~(Af > 0.0).all(axis=0))
             raise CollapseError(
                 f"non-positive reconstructed area in vessel {vid!r} at cell {cell}")
@@ -480,16 +506,14 @@ class Vessel1D:
         Ub = np.add(ws.W, ws.dv_b)
         src = np.divide(np.multiply(ws.neg_kR, qf, out=ws.tmp), Af, out=ws.tmp)
         np.add(Ub[1], np.multiply(hdt, src, out=src), out=Ub[1])
-        if not Ub[0].min() > 0.0:
+        if not np.minimum.reduce(Ub[0], axis=None) > 0.0:
             vid, cell, _, _ = self._locate(~(Ub[0] > 0.0).all(axis=0))
             raise CollapseError(
                 f"non-positive evolved face area in vessel {vid!r} at cell {cell}")
 
         # source predictor: S evaluated at Q + dt/2 (-J(Q) dQ/dx + S(Q))
         sA, sq = slope[0], slope[1]
-        u = np.divide(q, A, out=ws.u_c)
-        c = _celerity(np.sqrt(np.divide(A, ws.A0_c, out=ws.c_c), out=ws.c_c),
-                      ws.K_rho_c, out=ws.c_c)
+        u, c = self.centre_values() if centre is None else centre
         adv_q = np.multiply(c, c, out=ws.t_c)
         x = np.multiply(np.multiply(ws.alpha_c, u, out=ws.s_c), u, out=ws.s_c)
         np.multiply(np.subtract(adv_q, x, out=adv_q), sA, out=adv_q)
@@ -509,13 +533,16 @@ class Vessel1D:
         segment order."""
         return prep.Ub.take(self._segs.ends).tolist()
 
-    def commit(self, dt: float, prep: "_Prep", left_flux, right_flux) -> None:
+    def commit(self, dt: float, prep: "_Prep", left_flux=None, right_flux=None,
+               *, flux=None) -> None:
         """Interior Riemann problems, conservative update and sanity checks.
 
         ``left_flux`` and ``right_flux`` are the (F_A, F_q) at the left and
         right end of each segment: one pair for a single segment, or a
-        sequence of pairs in segment order. ``U`` is written only once
-        every check has passed."""
+        sequence of pairs in segment order. ``flux`` may give them instead
+        as one flat sequence: F_A, F_q at each left end, then at each right
+        end, in segment order. ``U`` is written only once every check has
+        passed."""
         ws = self._ws
         U = self.U
         N = U.shape[1]
@@ -532,21 +559,26 @@ class Vessel1D:
         # straddle two segments are then replaced by the boundary fluxes
         F = ws.F
         F_hll = _hll(Ub[:, 1, :-1], Ub[:, 0, 1:], ws.FbL, ws.FbR, u, c,
-                     _RIGHT_FACES, _LEFT_FACES, ws.F_hll, ws.hll)
-        if not np.isfinite(F_hll, out=ws.finite).all():
+                     ws.F_hll, ws.hll)
+        # a sum is finite only if every term is: the exact test runs only
+        # on a sum that is not
+        if (not math.isfinite(np.add.reduce(F_hll, axis=None))
+                and not np.logical_and.reduce(np.isfinite(F_hll, out=ws.finite),
+                                              axis=None)):
             bad = np.zeros(N, dtype=bool)
             bad[:-1] = ~ws.finite.all(axis=0)
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self._locate(bad)[0]!r}")
         np.copyto(ws.F_in, F_hll)
-        F.ravel()[self._segs.fluxes] = np.ravel(
-            np.array((left_flux, right_flux), dtype=float))
+        if flux is None:
+            flux = np.ravel(np.array((left_flux, right_flux), dtype=float))
+        ws.F_flat[self._segs.fluxes] = flux
         dU = np.subtract(F[1], F[0], out=ws.dv)
         np.multiply(np.divide(dt, ws.dx, out=ws.tmp), dU, out=dU)
         U_new = np.subtract(U, dU, out=ws.U_new)
         np.add(U_new[1], np.multiply(dt, prep.S_q, out=ws.t_c), out=U_new[1])
         A_new = U_new[0]
-        if not A_new.min() > 0.0:
+        if not np.minimum.reduce(A_new) > 0.0:
             vid, _, s, e = self._locate(~(A_new > 0.0))
             cell = int(np.argmin(A_new[s:e]))
             raise CollapseError(
@@ -581,13 +613,14 @@ class _Prep:
         return self.Ub[1, 1]
 
 
-def cfl_dt(vessels, CFL: float) -> float:
-    """Global time step: CFL * min over cells of dx/(|u| + c)."""
+def cfl_dt(vessels, CFL: float, centres=None) -> float:
+    """Global time step: CFL * min over cells of dx/(|u| + c). ``centres``
+    may give each vessel's ``centre_values()`` of its current state."""
     if not 0.0 < CFL <= 1.0:
         raise ValueError(f"CFL must be in (0, 1], got {CFL}")
     dt = math.inf
-    for ves in vessels:
-        dt = min(dt, ves.max_stable_dt())
+    for k, ves in enumerate(vessels):
+        dt = min(dt, ves.max_stable_dt(None if centres is None else centres[k]))
     return CFL * dt
 
 
@@ -956,11 +989,16 @@ class Simulation1D:
     def vessels(self) -> dict[str, Vessel1D]:
         return dict(zip(self.network.vessels, self.cells.segments))
 
-    def step(self, dt: float | None = None) -> float:
+    def step(self, dt: float | None = None, until: float = math.inf) -> float:
+        """Advance by ``dt``, or by the CFL step cut to end no later than
+        ``until``; returns the step taken. The CFL step and ``prepare`` read
+        the cell-centre velocity and celerity of one pass."""
         cells = self.cells
+        centre = None
         if dt is None:
-            dt = cfl_dt((cells,), self.CFL)
-        prep = cells.prepare(dt)
+            centre = cells.centre_values()
+            dt = min(cfl_dt((cells,), self.CFL, (centre,)), until - self.t)
+        prep = cells.prepare(dt, centre)
         ends = cells.end_states(prep)
         flux = [0.0] * len(ends)
 
@@ -983,52 +1021,71 @@ class Simulation1D:
             if term.RC is not None:
                 P_wk[term.vid] = P_new
 
-        half = len(flux) // 2
-        cells.commit(dt, prep, flux[:half], flux[half:])
+        cells.commit(dt, prep, flux=flux)
         self.t += dt
         return dt
 
     @cached_property
     def _midpoints(self):
-        """Stack index of each vessel's midpoint cell and the tube-law
-        parameters there."""
+        """Flat indices in the stack's U of the area, then of the flow, at
+        each vessel's midpoint cell, and the tube-law parameters there."""
         mids = np.array([int(b) + mesh.M // 2 for b, mesh
                          in zip(self.cells.bounds, self.cells._meshes)])
         T = self.cells._table[:, 0]
-        return mids, T[_A0, mids], T[_K, mids], T[_P_REF, mids]
+        N = self.cells.U.shape[1]
+        return (np.concatenate((mids, N + mids)),
+                T[_A0, mids], T[_K, mids], T[_P_REF, mids])
+
+    def _midpoint_pressure(self, A):
+        """Pressure at midpoint areas ``A`` (..., vessels)."""
+        _, A0, K, P_ref = self._midpoints
+        return K * (np.sqrt(A / A0) - 1.0) + P_ref
 
     def midpoint_samples(self) -> np.ndarray:
         """(P, q, A) at every vessel's midpoint cell, shape (3, vessels)."""
-        mids, A0, K, P_ref = self._midpoints
-        A, q = self.cells.U[:, mids]
-        return np.stack((K * (np.sqrt(A / A0) - 1.0) + P_ref, q, A))
+        A, q = self.cells.U.take(self._midpoints[0]).reshape(2, -1)
+        return np.stack((self._midpoint_pressure(A), q, A))
+
+
+#: rows of the sample buffer of ``run_1d`` that are made at its start, at most
+_SAMPLE_ROWS = 4096
 
 
 def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
            dx_max: float = 0.2, CFL: float = 0.9, T0: float = 1.1,
            sample_interval: float = 1e-3) -> RunResult:
-    """Advance the network to t_end, sampling vessel midpoints."""
+    """Advance the network to t_end, sampling vessel midpoints.
+
+    A sample copies (A, q) at the midpoint cells into a preallocated
+    buffer; the pressures of all samples are computed after the loop, by
+    the operations of ``Simulation1D.midpoint_samples``."""
+    check_run_times(t_end, T0, sample_interval)
     sim = Simulation1D(network, inflow, dx_max=dx_max, CFL=CFL)
     vids = list(network.vessels)
+    U, take = sim.cells.U, sim._midpoints[0]
+    # at most one sample per interval: the buffer doubles if a run takes more
+    rows = np.empty((int(min(t_end / sample_interval + 2.0, _SAMPLE_ROWS)),
+                     take.size))
+    U.take(take, out=rows[0], mode="clip")
     times = [0.0]
-    records = [sim.midpoint_samples()]
     next_sample = sample_interval
 
     start = time.thread_time()
     while sim.t < t_end - 1e-12:
-        dt = cfl_dt((sim.cells,), sim.CFL)
-        dt = min(dt, t_end - sim.t)
-        sim.step(dt)
+        sim.step(until=t_end)
         if sim.t >= next_sample - 1e-12:
+            if len(times) == len(rows):
+                rows = np.concatenate((rows, np.empty_like(rows)))
+            U.take(take, out=rows[len(times)], mode="clip")
             times.append(sim.t)
-            records.append(sim.midpoint_samples())
             while next_sample <= sim.t + 1e-12:
                 next_sample += sample_interval
     cpu = time.thread_time() - start
 
     t = np.array(times)
+    A, q = rows[:len(t)].reshape(len(t), 2, -1).transpose(1, 0, 2)
     # (vessel, channel, sample), each series contiguous
-    series = np.array(records).transpose(2, 1, 0).copy()
+    series = np.stack((sim._midpoint_pressure(A), q, A)).transpose(2, 0, 1).copy()
     vessels = {vid: {"P": series[k, 0], "Q": series[k, 1], "A": series[k, 2]}
                for k, vid in enumerate(vids)}
     cycles = t_end / T0

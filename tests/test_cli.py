@@ -113,6 +113,19 @@ class TestRun:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["0d", "1d"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--t-end", "0", "error: t_end must be positive and finite, got 0.0"),
+        ("--t-end", "-1", "error: t_end must be positive and finite, got -1.0"),
+        ("--T0", "0", "error: period must be positive and finite, got 0.0")])
+    def test_run_without_time_is_refused(self, tmp_path, capsys, solver, option,
+                                         value, message):
+        code = main(["run", "--network", "aortic_bif", "--solver", solver,
+                     option, value, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "x").exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
         code = main(["run", "--network", "aortic_bif", "--solver", "0d",

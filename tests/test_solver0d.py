@@ -799,6 +799,87 @@ class TestCompiledStep:
             run_0d(bifurcation, inflow, NL, dt=1e-3, t_end=0.2,
                    sample_interval=0.01)
 
+    @pytest.mark.parametrize("block", [7, 100, 1249])
+    def test_blocks_of_inflow_tables_keep_the_bits(self, bifurcation, block,
+                                                   monkeypatch):
+        # blocks of the stride, of a size the stride does not divide, and a
+        # last block of one step; the last step falls inside a block
+        import hemoflow.solver0d as solver0d
+
+        monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
+        inflow = synthetic_inflow()
+        dt, t_end, every = 1e-3, 1.25, 7e-3
+        model = assemble_network(bifurcation, NL, inflow)
+        direct = model.integrate(dt, t_end, every)
+        integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+                              dt, t_end, sample_interval=every)
+        assert direct.n_steps == integ.n_steps == 1250
+        assert np.array_equal(direct.t, integ.t)
+        assert np.array_equal(direct.y, integ.y)
+
+    def test_failures_across_blocks_keep_their_messages(self, bifurcation,
+                                                        monkeypatch):
+        import hemoflow.solver0d as solver0d
+
+        def inflow(t):
+            return np.where(t > 0.05, np.nan, 0.0)
+
+        def messages():
+            out = []
+            with pytest.raises(ModelError) as exc:
+                run_0d(bifurcation, inflow, NL, dt=1e-3, t_end=0.2,
+                       sample_interval=0.01)
+            out.append(str(exc.value))
+            with pytest.raises(CollapseError) as exc:
+                run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0)
+            out.append(str(exc.value))
+            return out
+
+        whole = messages()
+        assert whole[0] == "non-finite state at t = 0.06 s"
+        monkeypatch.setattr(solver0d, "_BLOCK_STEPS", 9)
+        assert messages() == whole
+
+    def test_inflow_tables_are_bounded_on_a_long_run(self, bifurcation):
+        # 2.97 million steps: their tables once took 68 MiB, and 163 MiB
+        # while being built; the loop is replaced by one that only records
+        # the blocks it is given
+        import tracemalloc
+
+        import hemoflow.solver0d as solver0d
+
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        blocks = []
+
+        def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):
+            assert len(q_t) == len(q_half) == len(q_dt) and last == 2_970_000
+            blocks.append((n, len(q_t)))
+            return y
+
+        model.__dict__["_run"] = run
+        tracemalloc.start()
+        try:
+            model.integrate(1e-5, 29.7, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        starts = [n for n, _ in blocks]
+        assert starts == list(range(0, 2_970_000, solver0d._BLOCK_STEPS))
+        assert sum(size for _, size in blocks) == 2_970_000
+
+    @pytest.mark.parametrize("bad", [{"t_end": 0.0}, {"t_end": -1.0},
+                                     {"t_end": math.nan}, {"T0": 0.0},
+                                     {"T0": math.inf}, {"sample_interval": 0.0},
+                                     {"sample_interval": -1e-3}])
+    def test_run_without_time_is_refused(self, bifurcation, bad, monkeypatch):
+        import hemoflow.solver0d as solver0d
+
+        name = next(iter(bad))
+        monkeypatch.setattr(solver0d, "assemble_network", None)  # no work begins
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            run_0d(bifurcation, synthetic_inflow(), NL, **bad)
+
     @pytest.fixture
     def compiled_names(self, monkeypatch):
         """The file names ``solver0d`` compiles from here on, its code

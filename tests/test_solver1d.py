@@ -20,6 +20,7 @@ from hemoflow.netio import (
     parse_network,
     synthetic_inflow,
 )
+from hemoflow import solver1d
 from hemoflow.solver1d import (
     JunctionNode,
     Simulation1D,
@@ -1192,6 +1193,129 @@ class TestWorkspace:
         assert np.array_equal(cells.U, before)
 
 
+class TestStepPasses:
+    """A step computes the cell-centre values once, skips the upwind masks
+    of the HLL flux where every interface is subsonic, and samples run_1d
+    as raw midpoint states; each keeps the bits of the full computation."""
+
+    def test_interface_flux_upwind_by_slow_path(self):
+        ves = Vessel1D(aorta_spec(), 0.2)
+        A = ves.A0 * np.array([1.0, 1.02, 0.98])
+        c = ves.celerity(A)
+        # interfaces: subsonic, all waves right-going (SL >= 0), all
+        # left-going (SR <= 0)
+        qL = np.array([10.0, 3.0 * c[1] * A[1], -3.0 * c[2] * A[2]])
+        qR = np.array([-5.0, 3.5 * c[1] * A[1], -3.5 * c[2] * A[2]])
+        F_A, F_q = ves.interface_flux(A, qL, A[::-1].copy(), qR)
+        assert (F_A[1], F_q[1]) == tuple(float(f) for f in ves.flux(A[1], qL[1]))
+        assert (F_A[2], F_q[2]) == tuple(float(f) for f in ves.flux(A[0], qR[2]))
+        # the subsonic interface alone takes the fast path: the same bits
+        alone = ves.interface_flux(A[:1], qL[:1], A[2:], qR[:1])
+        assert (F_A[0], F_q[0]) == (alone[0][0], alone[1][0])
+
+    @pytest.mark.parametrize("supersonic", [False, True])
+    def test_interface_flux_on_a_grid_of_interfaces(self, supersonic):
+        ves = Vessel1D(aorta_spec(), 0.2)
+        rng = np.random.default_rng(4)
+        A = ves.A0 * rng.uniform(0.9, 1.1, (2, 6))
+        q = rng.uniform(-40.0, 40.0, (2, 6))
+        if supersonic:
+            q[:, 3] = 3.0 * ves.celerity(A[:, 3]) * A[:, 3]
+        flat = ves.interface_flux(A[0], q[0], A[1], q[1])
+        grid = ves.interface_flux(*(x.reshape(2, 3) for x in (A[0], q[0], A[1], q[1])))
+        for f, g in zip(flat, grid):
+            assert g.shape == (2, 3) and np.array_equal(g.ravel(), f)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stack_with_supersonic_interfaces_matches_oracle(self, seed):
+        sim, oracle = _disturbed_pair(parse_network(ASYMMETRIC_TREE), seed)
+        for vid, sign in (("b", 3.0), ("e", -3.0)):
+            ves = sim.vessels[vid]
+            ves.q[4:9] = sign * ves.celerity(ves.A[4:9]) * ves.A[4:9]
+            oracle.vessels[vid].q = ves.q.copy()
+        cells, dt = sim.cells, 1e-5
+        prep = cells.prepare(dt)
+        upwind = cells._ws.hll
+        upwind.left[:] = upwind.right[:] = False
+        left, right = [], []
+        for k, (vid, ves) in enumerate(oracle.vessels.items()):
+            ref = ves.prepare(dt)
+            s, e = cells.bounds[k], cells.bounds[k + 1]
+            assert np.array_equal(prep.Ub[0, 1, s:e], ref["AbR"])
+            left.append(tuple(float(f) for f in ves.flux(ref["AbL"][0], ref["qbL"][0])))
+            right.append(tuple(float(f) for f in ves.flux(ref["AbR"][-1], ref["qbR"][-1])))
+            ves.commit(dt, ref, left[-1], right[-1])
+        cells.commit(dt, prep, left, right)
+        # the masks of the slow path were taken
+        assert upwind.left.any() and upwind.right.any()
+        for vid, ves in sim.vessels.items():
+            assert np.array_equal(ves.A, oracle.vessels[vid].A)
+            assert np.array_equal(ves.q, oracle.vessels[vid].q)
+
+    @pytest.mark.parametrize("network", ["bifurcation", "asymmetric"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prepare_on_step_centre_values_matches_standalone(self, network, seed):
+        net = (parse_network(ASYMMETRIC_TREE) if network == "asymmetric"
+               else aortic_bifurcation())
+        cells = _disturbed_pair(net, seed)[0].cells
+        dt = cfl_dt([cells], 0.9)
+        alone = cells.prepare(dt)
+        centre = cells.centre_values()
+        assert cfl_dt([cells], 0.9, [centre]) == dt
+        handed = cells.prepare(dt, centre)
+        assert np.array_equal(handed.Ub, alone.Ub)
+        assert np.array_equal(handed.S_q, alone.S_q)
+
+    def test_write_between_cfl_dt_and_prepare_is_honoured(self):
+        sim, twin = (_disturbed_pair(parse_network(ASYMMETRIC_TREE), 6)[0]
+                     for _ in range(2))
+        dt = cfl_dt([sim.cells], 0.9)
+        before = sim.cells.prepare(dt)
+        sim.vessels["c"].q[2:5] += 15.0
+        sim.vessels["c"].A = sim.vessels["c"].A * 1.01
+        twin.cells.U[:] = sim.cells.U
+        got, ref = sim.cells.prepare(dt), twin.cells.prepare(dt)
+        assert not np.array_equal(got.Ub, before.Ub)
+        assert np.array_equal(got.Ub, ref.Ub) and np.array_equal(got.S_q, ref.S_q)
+        sim.vessels["d"].q[0] = -12.0
+        twin.cells.U[:] = sim.cells.U
+        assert sim.step() == twin.step()
+        assert np.array_equal(sim.cells.U, twin.cells.U)
+
+    @pytest.mark.parametrize("rows", [3, 4096])
+    def test_run_samples_equal_midpoint_samples(self, rows, monkeypatch):
+        monkeypatch.setattr(solver1d, "_SAMPLE_ROWS", rows)
+        network, inflow = parse_network(ASYMMETRIC_TREE), synthetic_inflow()
+        t_end, every = 0.02, 1e-3
+        res = run_1d(network, inflow, t_end=t_end, T0=1.1, sample_interval=every)
+        sim = Simulation1D(network, inflow)
+        times, samples = [0.0], [sim.midpoint_samples()]
+        next_sample = every
+        while sim.t < t_end - 1e-12:
+            sim.step(until=t_end)
+            if sim.t >= next_sample - 1e-12:
+                times.append(sim.t)
+                samples.append(sim.midpoint_samples())
+                while next_sample <= sim.t + 1e-12:
+                    next_sample += every
+        samples = np.array(samples)
+        assert np.array_equal(res.t, times)
+        assert rows == 4096 or len(times) > 2 * rows
+        for k, vid in enumerate(network.vessels):
+            for j, ch in enumerate("PQA"):
+                assert np.array_equal(res.vessels[vid][ch], samples[:, j, k]), (vid, ch)
+
+    @pytest.mark.parametrize("bad", [{"t_end": 0.0}, {"t_end": -1.0},
+                                     {"t_end": math.inf}, {"T0": 0.0},
+                                     {"T0": -1.1}, {"sample_interval": 0.0},
+                                     {"sample_interval": math.nan}])
+    def test_run_without_time_is_refused(self, bad, monkeypatch):
+        name, value = next(iter(bad.items()))
+        monkeypatch.setattr(Simulation1D, "__init__", None)  # no work begins
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            run_1d(aortic_bifurcation(), synthetic_inflow(), **bad)
+
+
 def _random_junction(n_members, seed, mirrored=False):
     """Members of different walls at states near a common pressure, in
     Python floats as in a simulation."""
@@ -1420,12 +1544,12 @@ def _loop_terminal_bc(ves, boundary_state, terminal, P_wk, dt, tol=1e-10,
     return (A, q_star), P_wk
 
 
-def _loop_step(sim, dt=None):
+def _loop_step(sim, dt=None, until=math.inf):
     """``Simulation1D.step`` with the loop-form closures, reading each
     vessel's constants from its view."""
     cells = sim.cells
     if dt is None:
-        dt = cfl_dt((cells,), sim.CFL)
+        dt = min(cfl_dt((cells,), sim.CFL), until - sim.t)
     prep = cells.prepare(dt)
     ends = cells.end_states(prep)
     segments = cells.segments
