@@ -1,33 +1,34 @@
-"""Lumped-parameter (0D) vessel models and their network assembly.
+"""Lumped-parameter (0D) network models: assembly, generated RK4 run loop.
 
 Each vessel is described by volume/flow states coupled through resistance,
-inductance and compliance elements. Four configurations exist, named by
-which quantities are prescribed at the inlet and outlet: (P_in, Q_out),
+inductance and compliance elements. The configurations are named by which
+quantities are prescribed at the inlet and outlet: (P_in, Q_out),
 (Q_in, P_out), (P_in, P_out) and (Q_in, Q_out). The nonlinear variants
 evaluate R and L at the instantaneous mean area and use the full elastic
 tube law for the pressure-volume relation; the linear variants use the
 constant reference values R0, L0, C0.
 
-A network is assembled into one global ODE system (root vessel QinQout,
-interior vessels as chains of two PinQout compartments, terminal vessels
-PinPout, plus one capacitor pressure per RCR terminal) and advanced with
-classical RK4. Assembly flattens the tree into an evaluation plan of
-constant tuples, state offsets and junction/terminal coupling in tree
-order. From that plan the model writes the network pass as straight-line
-Python source, each state a local and each constant a literal, and
-compiles it on first use (never at assembly): ``rhs`` runs one pass, and
-``run_0d`` runs one compiled function for the whole run, whose loop keeps
-the states in locals from step to step and inlines the four passes of an
-RK4 step, their combination and the sampling. The inflow at every stage
-time of the run (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the
-loop, in three calls of the waveform on arrays. Compiled code is cached
-by the plan it was written from (``_compiled``, ``_plan_key``), so models
-of one network and mode neither write nor compile their source again,
-share one code object and each bind their own inflow. The generated
-statements are those of the compartment laws
-(``_Compartment.pressure_law`` and ``_Compartment.flow_law``), operation
-for operation; the per-vessel classes call the laws themselves and remain
-the single-vessel API and the tests' reference.
+A network is assembled into one global ODE system (root vessel (Q_in,
+Q_out), interior vessels as two (P_in, Q_out) halves in series, terminal
+vessels (P_in, P_out), plus one capacitor pressure per RCR terminal) and
+advanced with classical RK4. Assembly builds the one description of that
+system, an evaluation plan of constant tuples, state offsets and
+junction/terminal coupling in tree order, straight from the vessel specs.
+The initial state, the volume indices, the boundary flows and ``observe``
+read the plan. From it the model also writes the network pass as
+straight-line Python source, each state a local and each constant a
+literal, and compiles it on first use (never at assembly): ``rhs`` runs one
+pass, and ``run_0d`` runs one compiled function for the whole run, whose
+loop keeps the states in locals from step to step and inlines the four
+passes of an RK4 step, their combination and the sampling. The inflow at
+every stage time of the run (t_n = n dt, t_n + dt/2, t_n + dt) is
+tabulated before the loop, in three calls of the waveform on arrays.
+Compiled code is cached by the plan it was written from (``_compiled``,
+``_plan_key``), so models of one network and mode neither write nor
+compile their source again, share one code object and each bind their own
+inflow. The compartment laws are written in ``_PassSource`` and, on arrays
+for ``observe``, in ``_pressure``; the tests keep the per-vessel
+configurations as classes, composed into the reference network.
 """
 
 from __future__ import annotations
@@ -90,294 +91,45 @@ class ModelMode:
                 f"unknown 0D mode {name!r}; choose from {sorted(table)}") from None
 
 
-def _at(vid: str | None, part: str | None, t: float | None) -> str:
-    """Where and when a network pass failed: the vessel, the compartment
-    and the time of the pass; nothing for a lone compartment."""
-    return "" if vid is None else f" in vessel {vid!r} ({part}) at t = {t:.6g} s"
+def _volume_collapse(V: float, vid: str, part: str, t: float) -> CollapseError:
+    return CollapseError(f"compartment volume became non-positive in vessel "
+                         f"{vid!r} ({part}) at t = {t:.6g} s: {V}")
 
 
-def _volume_collapse(V: float, vid=None, part=None, t=None) -> CollapseError:
-    return CollapseError(f"compartment volume became non-positive{_at(vid, part, t)}: {V}")
+def _area_collapse(A_hat: float, vid: str, part: str, t: float) -> CollapseError:
+    return CollapseError(f"mean area became non-positive in vessel "
+                         f"{vid!r} ({part}) at t = {t:.6g} s: {A_hat}")
 
 
-def _area_collapse(A_hat: float, vid=None, part=None, t=None) -> CollapseError:
-    return CollapseError(f"mean area became non-positive{_at(vid, part, t)}: {A_hat}")
+def _compartment(spec: VesselSpec, fraction: float = 1.0) -> tuple[float, tuple]:
+    """(length, consts) of a lumped piece of a vessel: ``fraction`` of its
+    length, with the reference volume and constants scaled accordingly.
 
-
-class _Compartment:
-    """A lumped piece of a vessel: ``fraction`` of its length, with the
-    reference volume and constants scaled accordingly.
-
-    ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l).
-    The per-vessel classes evaluate a compartment's pressure, resistance
-    and inductance with the two static laws below; the network pass
-    (``_PassSource``) writes out their statements, and a change to a law
-    must be made in both.
+    ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l):
+    the reference volume, the tube law's K, m, n and reference pressure,
+    the reference compliance, resistance and inductance, and the
+    numerators of the resistance and inductance at a mean area A_hat,
+    rho k_R l / A_hat^2 and rho l / A_hat.
     """
-
-    __slots__ = ("length", "consts")
-
-    def __init__(self, spec: VesselSpec, fraction: float = 1.0):
-        w, f = spec.wall, spec.fluid
-        length = fraction * spec.length
-        rho_kR_l = f.rho * f.k_R * length
-        rho_l = f.rho * length
-        self.length = length
-        self.consts = (w.A0 * length, w.K, w.m, w.n, w.P0 + w.p_ext,
-                       length / tube_law_slope(w.A0, w),
-                       rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
-
-    @staticmethod
-    def pressure_law(c: tuple, V: float, nonlinear: bool) -> float:
-        """Pressure at volume V: the elastic tube law at the mean area V/l,
-        or its linearisation with the reference compliance C0."""
-        if V <= 0.0:
-            raise _volume_collapse(V)
-        V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
-        if nonlinear:
-            x = V / V0  # = A_hat / A0
-            return K * (x ** m - x ** n) + P_ref
-        return P_ref + (V - V0) / C0
-
-    @staticmethod
-    def flow_law(c: tuple, A_hat: float, nonlinear_r: bool,
-                 nonlinear_l: bool) -> tuple[float, float]:
-        """(R, L) at mean area A_hat, or the reference values R0, L0."""
-        if (nonlinear_r or nonlinear_l) and A_hat <= 0.0:
-            raise _area_collapse(A_hat)
-        V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
-        return (rho_kR_l / (A_hat * A_hat) if nonlinear_r else R0,
-                rho_l / A_hat if nonlinear_l else L0)
-
-    def pressure(self, V: float, mode: ModelMode) -> float:
-        """Compartment pressure from its volume, per the mode's law."""
-        return self.pressure_law(self.consts, V, mode.nonlinear_pressure)
-
-    def flow(self, A_hat: float, mode: ModelMode) -> tuple[float, float]:
-        _, nl_r, nl_l = mode.flags
-        return self.flow_law(self.consts, A_hat, nl_r, nl_l)
-
-    def resistance(self, A_hat: float, mode: ModelMode) -> float:
-        return self.flow_law(self.consts, A_hat, mode.flags[1], False)[0]
-
-    def inductance(self, A_hat: float, mode: ModelMode) -> float:
-        return self.flow_law(self.consts, A_hat, False, mode.flags[2])[1]
-
-    def pressure_array(self, V: np.ndarray, mode: ModelMode) -> np.ndarray:
-        """Vectorized ``pressure_law``, for post-processing sampled volumes."""
-        V0, K, m, n, P_ref, C0 = self.consts[:6]
-        if mode.nonlinear_pressure:
-            x = V / V0
-            return K * (x ** m - x ** n) + P_ref
-        return P_ref + (V - V0) / C0
+    w, f = spec.wall, spec.fluid
+    length = fraction * spec.length
+    rho_kR_l = f.rho * f.k_R * length
+    rho_l = f.rho * length
+    return length, (w.A0 * length, w.K, w.m, w.n, w.P0 + w.p_ext,
+                    length / tube_law_slope(w.A0, w),
+                    rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
 
 
-def pressure_of_volume(V: float, spec: VesselSpec, mode: ModelMode) -> float:
-    """Whole-vessel pressure at volume V (mean area V/l)."""
-    return _Compartment(spec).pressure(V, mode)
-
-
-# ---------------------------------------------------------------------------
-# The four vessel configurations
-# ---------------------------------------------------------------------------
-
-class PinQoutVessel:
-    """(P_in, Q_out)-type vessel: states (V, Q).
-
-    dV/dt = Q - Q_out;  dQ/dt = [P_in - R(A_hat) Q - P]/L(A_hat).
-    With the distal split enabled, half of the total resistance is moved to
-    the outlet and the exposed outlet pressure is P - R_d Q_out.
-    """
-
-    nstates = 2
-
-    def __init__(self, spec: VesselSpec, fraction: float = 1.0,
-                 distal_split: bool = False):
-        self.comp = _Compartment(spec, fraction)
-        self.distal_split = distal_split
-
-    def rhs(self, y, p_in: float, q_out: float, mode: ModelMode):
-        V, Q = y
-        c = self.comp
-        P = c.pressure(V, mode)
-        R, L = c.flow(V / c.length, mode)
-        return (Q - q_out, (p_in - R * Q - P) / L)
-
-    def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
-        V, _ = y
-        P = self.comp.pressure(V, mode)
-        if not self.distal_split:
-            return P
-        R_d = 0.5 * self.comp.resistance(V / self.comp.length, mode)
-        return P - R_d * q_out
-
-
-class QinPoutVessel:
-    """(Q_in, P_out)-type vessel: states (V, Q), mirror of PinQout."""
-
-    nstates = 2
-
-    def __init__(self, spec: VesselSpec, fraction: float = 1.0,
-                 proximal_split: bool = False):
-        self.comp = _Compartment(spec, fraction)
-        self.proximal_split = proximal_split
-
-    def rhs(self, y, q_in: float, p_out: float, mode: ModelMode):
-        V, Q = y
-        c = self.comp
-        P = c.pressure(V, mode)
-        R, L = c.flow(V / c.length, mode)
-        return (q_in - Q, (P - R * Q - p_out) / L)
-
-    def inlet_pressure(self, y, q_in: float, mode: ModelMode) -> float:
-        V, _ = y
-        P = self.comp.pressure(V, mode)
-        if not self.proximal_split:
-            return P
-        R_p = 0.5 * self.comp.resistance(V / self.comp.length, mode)
-        return P + R_p * q_in
-
-
-class PinPoutVessel:
-    """(P_in, P_out)-type vessel: states (V, Q, Q_d).
-
-    The total resistance and inductance are split evenly between the
-    proximal (flow Q) and distal (flow Q_d) portions around one capacitor.
-    """
-
-    nstates = 3
-
-    def __init__(self, spec: VesselSpec):
-        self.comp = _Compartment(spec)
-
-    def rhs(self, y, p_in: float, p_out: float, mode: ModelMode):
-        V, Q, Qd = y
-        c = self.comp
-        P = c.pressure(V, mode)
-        R, L = c.flow(V / c.length, mode)
-        Rh, Lh = 0.5 * R, 0.5 * L
-        return (Q - Qd, (p_in - Rh * Q - P) / Lh, (P - Rh * Qd - p_out) / Lh)
-
-
-class QinQoutVessel:
-    """(Q_in, Q_out)-type vessel: states (V, Q, V_d).
-
-    Two half-length compartments (reference volume A0 l/2 each) exchange the
-    interior flow Q through resistance R and inductance L evaluated at the
-    whole-vessel mean area. The total resistance is split as R_p : R : R_d =
-    rp_frac : 1 - rp_frac - rd_frac : rd_frac; end resistances are evaluated
-    at the mean area of the compartment they attach to.
-    """
-
-    nstates = 3
-
-    def __init__(self, spec: VesselSpec, rp_frac: float = 0.25,
-                 rd_frac: float = 0.25):
-        if rp_frac < 0 or rd_frac < 0 or rp_frac + rd_frac >= 1.0:
-            raise ConfigurationError(
-                f"resistance split fractions must be non-negative with sum < 1, "
-                f"got rp={rp_frac}, rd={rd_frac}")
-        self.half = _Compartment(spec, 0.5)
-        self.full = _Compartment(spec, 1.0)
-        self.rp_frac = rp_frac
-        self.rd_frac = rd_frac
-        self.r_frac = 1.0 - rp_frac - rd_frac
-
-    def rhs(self, y, q_in: float, q_out: float, mode: ModelMode):
-        V, Q, Vd = y
-        P = self.half.pressure(V, mode)
-        Pd = self.half.pressure(Vd, mode)
-        R, L = self.full.flow((V + Vd) / self.full.length, mode)
-        R = self.r_frac * R
-        return (q_in - Q, (P - R * Q - Pd) / L, Q - q_out)
-
-    def inlet_pressure(self, y, q_in: float, mode: ModelMode) -> float:
-        V = y[0]
-        R_p = self.rp_frac * self.full.resistance(V / self.half.length, mode)
-        return self.half.pressure(V, mode) + R_p * q_in
-
-    def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
-        Vd = y[2]
-        return self.half.pressure(Vd, mode) - self.distal_resistance(y, mode) * q_out
-
-    def distal_resistance(self, y, mode: ModelMode) -> float:
-        return self.rd_frac * self.full.resistance(y[2] / self.half.length, mode)
-
-
-class TwoSplitPinQout:
-    """Interior vessel realized as two PinQout half-compartments in series,
-    coupled by a two-vessel junction: states (V1, Q1, V2, Q2)."""
-
-    nstates = 4
-
-    def __init__(self, spec: VesselSpec):
-        self.first = PinQoutVessel(spec, fraction=0.5, distal_split=True)
-        self.second = PinQoutVessel(spec, fraction=0.5, distal_split=True)
-
-    def rhs(self, y, p_in: float, q_out: float, mode: ModelMode):
-        y1, y2 = y[:2], y[2:]
-        # junction between the halves: Q_out of the first is the flow state
-        # of the second, and the second sees the first's outlet pressure
-        q_mid = y2[1]
-        p_mid = self.first.outlet_pressure(y1, q_mid, mode)
-        d1 = self.first.rhs(y1, p_in, q_mid, mode)
-        d2 = self.second.rhs(y2, p_mid, q_out, mode)
-        return d1 + d2
-
-    def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
-        return self.second.outlet_pressure(y[2:], q_out, mode)
-
-
-# Spec-level functional entry points over the class machinery.
-
-def rhs_pin_qout(state, p_in, q_out, spec, mode, distal_split=False):
-    return PinQoutVessel(spec, distal_split=distal_split).rhs(state, p_in, q_out, mode)
-
-
-def rhs_qin_pout(state, q_in, p_out, spec, mode, proximal_split=False):
-    return QinPoutVessel(spec, proximal_split=proximal_split).rhs(state, q_in, p_out, mode)
-
-
-def rhs_pin_pout(state, p_in, p_out, spec, mode):
-    return PinPoutVessel(spec).rhs(state, p_in, p_out, mode)
-
-
-def rhs_qin_qout(state, q_in, q_out, spec, mode, rp_frac=0.25, rd_frac=0.25):
-    return QinQoutVessel(spec, rp_frac, rd_frac).rhs(state, q_in, q_out, mode)
-
-
-# ---------------------------------------------------------------------------
-# Terminal coupling
-# ---------------------------------------------------------------------------
-
-def terminal_flow_coupling(P: float, R_d: float, terminal, P_wk: float):
-    """Flow-typed coupling of a vessel outlet (distal pressure P behind
-    split resistance R_d) to a terminal element.
-
-    Returns (Q_out, dP_wk/dt); the capacitor derivative is 0 for a single
-    resistance.
-    """
-    if isinstance(terminal, Windkessel):
-        R_tot = R_d + terminal.R1
-        if R_tot <= 0.0:
-            raise ConfigurationError("terminal coupling has zero total resistance")
-        q = (P - P_wk) / R_tot
-        dP_wk = (q - (P_wk - terminal.P_v) / terminal.R2) / terminal.C
-        return q, dP_wk
-    R_tot = R_d + terminal.R
-    if R_tot <= 0.0:
-        raise ConfigurationError("terminal coupling has zero total resistance")
-    return (P - terminal.P_v) / R_tot, 0.0
-
-
-def terminal_pressure_coupling(Q: float, terminal, P_wk: float):
-    """Pressure-typed coupling: the vessel's distal flow Q enters the
-    terminal and the outlet pressure is returned with dP_wk/dt."""
-    if isinstance(terminal, Windkessel):
-        p_out = P_wk + terminal.R1 * Q
-        dP_wk = (Q - (P_wk - terminal.P_v) / terminal.R2) / terminal.C
-        return p_out, dP_wk
-    return terminal.P_v + terminal.R * Q, 0.0
+def _pressure(c: tuple, V: np.ndarray, nonlinear: bool) -> np.ndarray:
+    """Compartment pressure at the sampled volumes V: the elastic tube law
+    at the mean area V/l, or its linearisation with the reference
+    compliance C0. The network pass writes the same law per state
+    (``_PassSource.pressure``)."""
+    V0, K, m, n, P_ref, C0 = c[:6]
+    if nonlinear:
+        x = V / V0  # = A_hat / A0
+        return K * (x ** m - x ** n) + P_ref
+    return P_ref + (V - V0) / C0
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +178,11 @@ _PROXIMAL, _DISTAL, _WHOLE = "proximal half", "distal half", "whole vessel"
 class _PassSource:
     """Python source of the network pass, written from the evaluation plan
     of a ``NetworkModel0D``: each state a local, each compartment constant a
-    literal, and the mode's flags resolved while writing. The statements
-    are those of the compartment laws and the terminal couplings, operation
-    for operation and in plan order, so the compiled pass gives the same
-    bits as the laws and raises the same errors in the same order.
+    literal, and the mode's flags resolved while writing. This is where
+    the compartment laws (``pressure``, ``flow``) and the junction and
+    terminal couplings (``stage``) are written, in plan order; the tests
+    compose the per-vessel configurations from the same laws, operation for
+    operation, and require the same bits and the same errors.
 
     While writing, a value is a local name (str) or a constant (float); a
     product of two constants is folded, as Python would fold it. A collapse
@@ -440,7 +193,7 @@ class _PassSource:
 
     def __init__(self, model: "NetworkModel0D"):
         self.model = model
-        self.vid_at = {off: vid for vid, off in model.layout.items()}
+        self.vid_at = model._vid_at
         self.dim = model.dim
         self.nl_p, self.nl_r, self.nl_l = model.mode.flags
         self.p_if = [f"pif_{j}" for j in range(len(model._junctions))]
@@ -503,8 +256,10 @@ class _PassSource:
     # -- one pass --------------------------------------------------------
 
     def pressure(self, out: list, name: str, V: str, c: tuple, where: str) -> str:
-        """``_Compartment.pressure_law``; ``where`` is the source of the
-        location arguments of its collapse error."""
+        """Pressure at volume ``V``: the elastic tube law at the mean area
+        V/l, or its linearisation with the reference compliance C0 (as
+        ``_pressure``). ``where`` is the source of the location arguments
+        of its collapse error."""
         V0, K, m, n, P_ref, C0 = c[:6]
         out.append(f"if {V} <= 0.0: raise _volume_collapse({V}, {where})")
         if self.nl_p:
@@ -522,7 +277,8 @@ class _PassSource:
     @staticmethod
     def flow(out: list, tag: str, A_hat: str, c: tuple, nl_r: bool, nl_l: bool,
              where: str):
-        """``_Compartment.flow_law``: (R, L) at the mean area ``A_hat``."""
+        """(R, L) at the mean area ``A_hat``, rho k_R l / A_hat^2 and
+        rho l / A_hat, or the reference values R0 and L0."""
         R0, L0, rho_kR_l, rho_l = c[6:]
         R, L = float(R0), float(L0)
         if nl_r or nl_l:
@@ -577,7 +333,7 @@ class _PassSource:
             q_out = q_if[j]
             inflows(q_out, flows)
             out.append(f"{p_if[j]} = {Pd} - {_lit(R_d)} * {q_out}")
-        else:  # single-vessel network: ``terminal_flow_coupling``
+        else:  # single-vessel network: flow-typed terminal coupling
             q_out = t_out[j]
             rcr = isinstance(term, Windkessel)
             out.append(f"Rt_{o} = {_lit(R_d)} + {_lit(term.R1 if rcr else term.R)}")
@@ -618,7 +374,7 @@ class _PassSource:
             R, L = flow(out, f"{o}", f"{V} / {_lit(l)}", c, nl_r, nl_l, at(o, _WHOLE))
             Rh = mul(out, 0.5, R, f"hR_{o}")
             Lh = mul(out, 0.5, L, f"hL_{o}")
-            # ``terminal_pressure_coupling``
+            # pressure-typed terminal coupling: the distal flow enters it
             if isinstance(term, Windkessel):
                 out += [f"{t_out[k]} = {s[wk]} + {_lit(term.R1)} * {Qd}",
                         f"{d[wk]} = ({Qd} - ({s[wk]} - {_lit(term.P_v)}) / "
@@ -647,21 +403,30 @@ def _inflow_tables(inflow, first: int, stop: int, dt: float) -> list[array]:
             for ts in (t, t + 0.5 * dt, t + dt)]
 
 
+#: the root's resistance split R_p : R : R_d = 1/4 : 1/2 : 1/4 of its total
+#: resistance; R_p sits at the inlet, whose flow is prescribed, and enters
+#: no derivative
+_ROOT_R_FRAC, _ROOT_RD_FRAC = 0.5, 0.25
+
+
 class NetworkModel0D:
-    """Global ODE system for a vessel tree.
+    """Global ODE system for a vessel tree, described by one evaluation
+    plan built at assembly.
 
-    Configuration assignment: the root vessel is QinQout (inflow rate
-    prescribed), interior vessels are two-split PinQout chains, and leaf
-    vessels are PinPout. One capacitor pressure per RCR terminal is appended
-    to the state vector.
+    Configuration assignment: the root vessel is (Q_in, Q_out), states
+    (V, Q, V_d) over two half-length compartments; each interior vessel is
+    two (P_in, Q_out) halves in series, states (V1, Q1, V2, Q2); each leaf
+    is (P_in, P_out), states (V, Q, Q_d). One capacitor pressure per RCR
+    terminal follows the vessels in the state vector.
 
-    Assembly also flattens the network into an evaluation plan: per vessel
-    its state offset and compartment constants, junctions numbered in tree
+    The plan holds per vessel its state offset and compartment constants
+    (``_root``, ``_interior``, ``_leaves``), the junctions numbered in tree
     order (parents before daughters) with the state indices of the flows
     they collect, and per terminal its element and capacitor index. The
     network pass over that plan (``rhs``) and the RK4 run loop
     (``integrate``, ``rk4_step``) are generated from it as Python source
-    and compiled the first time each is used.
+    and compiled the first time each is used; the initial state, the
+    volume indices, the boundary flows and ``observe`` read it too.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -669,40 +434,23 @@ class NetworkModel0D:
         self.network = network
         self.mode = mode
         self.inflow = inflow
-        self.models: dict[str, object] = {}
         self.layout: dict[str, int] = {}
         self.wk_index: dict[str, int] = {}
 
         has_daughters = {j.parent for j in network.junctions}
         offset = 0
         for vid in network.vessels:
-            spec = network.vessels[vid]
-            if vid == network.root:
-                model = QinQoutVessel(spec)
-            elif vid in has_daughters:
-                model = TwoSplitPinQout(spec)
-            else:
-                model = PinPoutVessel(spec)
-            self.models[vid] = model
             self.layout[vid] = offset
-            offset += model.nstates
+            offset += 4 if vid != network.root and vid in has_daughters else 3
         for vid, term in network.terminals.items():
             if isinstance(term, Windkessel):
                 self.wk_index[vid] = offset
                 offset += 1
         self.dim = offset
-
-        root_model = self.models[network.root]
-        if isinstance(root_model, QinQoutVessel) and network.root in network.terminals:
-            term = network.terminals[network.root]
-            R1 = term.R1 if isinstance(term, Windkessel) else term.R
-            if R1 <= 0.0 and root_model.rd_frac == 0.0:
-                raise ConfigurationError(
-                    "flow-typed terminal coupling has zero total resistance")
         self._build_plan()
 
     def _build_plan(self) -> None:
-        net, layout, models = self.network, self.layout, self.models
+        net, layout = self.network, self.layout
         by_parent = {j.parent: j for j in net.junctions}
         #: junctions and terminal vessels in plan order
         self._junctions = junctions = []
@@ -712,7 +460,7 @@ class NetworkModel0D:
         j_in: dict[str, int] = {}
         order = [net.root]
         for vid in order:  # breadth-first: parents before daughters
-            model, off = models[vid], layout[vid]
+            spec, off = net.vessels[vid], layout[vid]
             # outlet: (junction or terminal position, the daughters' proximal
             # flows a junction collects, terminal, capacitor index)
             junction = by_parent.get(vid)
@@ -730,17 +478,28 @@ class NetworkModel0D:
                     j_in[d] = j
                     flows.append(layout[d] + 1)
                 outlet = (j, tuple(flows), None, -1)
-            if vid == net.root:
-                self._root = (off, model.half.consts, model.half.length,
-                              model.full.consts, model.full.length,
-                              model.r_frac, model.rd_frac, *outlet)
-            elif junction is not None:  # interior: two PinQout halves
-                c = model.first.comp
-                interior.append((off, c.consts, c.length, j_in[vid], *outlet[:2]))
-            else:  # PinPout leaf
-                c = model.comp
+            if vid == net.root:  # two halves, R and L of the whole vessel
+                hl, hc = _compartment(spec, 0.5)
+                fl, fc = _compartment(spec, 1.0)
+                self._root = (off, hc, hl, fc, fl, _ROOT_R_FRAC, _ROOT_RD_FRAC,
+                              *outlet)
+            elif junction is not None:  # interior: two equal halves
+                l, c = _compartment(spec, 0.5)
+                interior.append((off, c, l, j_in[vid], *outlet[:2]))
+            else:  # leaf: one compartment
+                l, c = _compartment(spec)
                 k, _, term, wk = outlet
-                leaves.append((off, c.consts, c.length, j_in[vid], k, term, wk))
+                leaves.append((off, c, l, j_in[vid], k, term, wk))
+
+    @cached_property
+    def _vid_at(self) -> dict[int, str]:
+        """The vessel at each state offset."""
+        return {off: vid for vid, off in self.layout.items()}
+
+    def _halves(self) -> list[int]:
+        """State offsets of the vessels of two compartments, (V, Q, V_d) or
+        (V1, Q1, V2, Q2): the root and the interior vessels."""
+        return [self._root[0], *(v[0] for v in self._interior)]
 
     @cached_property
     def _plan_key(self) -> str:
@@ -813,52 +572,26 @@ class NetworkModel0D:
 
     @property
     def volume_indices(self) -> list[int]:
-        """State indices holding compartment volumes (for mass audits)."""
-        idx = []
-        for vid, model in self.models.items():
-            off = self.layout[vid]
-            if isinstance(model, (QinQoutVessel, TwoSplitPinQout)):
-                idx.extend([off, off + 2])
-            else:
-                idx.append(off)
-        return idx
+        """State indices holding compartment volumes (for mass audits), in
+        layout order."""
+        halves = self._halves()
+        return sorted([*halves, *(o + 2 for o in halves),
+                       *(v[0] for v in self._leaves)])
 
     def initial_state(self) -> np.ndarray:
         """All vessels at the area matching the initial pressure, zero flow,
         terminal capacitors at the initial pressure."""
-        net = self.network
+        net, vid_at = self.network, self._vid_at
         y0 = np.zeros(self.dim)
-        for vid, model in self.models.items():
-            off = self.layout[vid]
-            A_init = net.initial_area(vid)
-            l = net.vessels[vid].length
-            if isinstance(model, QinQoutVessel):
-                y0[off] = A_init * l / 2.0
-                y0[off + 2] = A_init * l / 2.0
-            elif isinstance(model, TwoSplitPinQout):
-                y0[off] = A_init * l / 2.0
-                y0[off + 2] = A_init * l / 2.0
-            else:  # PinPout
-                y0[off] = A_init * l
-        for vid, idx in self.wk_index.items():
+        for o in self._halves():
+            vid = vid_at[o]
+            y0[o] = y0[o + 2] = net.initial_area(vid) * net.vessels[vid].length / 2.0
+        for o, *_ in self._leaves:
+            vid = vid_at[o]
+            y0[o] = net.initial_area(vid) * net.vessels[vid].length
+        for idx in self.wk_index.values():
             y0[idx] = net.initial_pressure
         return y0
-
-    def _vessel_inputs(self, t: float, y):
-        """Junction and terminal coupling: per-vessel (inlet, outlet) input
-        values and the terminal capacitor derivatives."""
-        d, q_in, p_if, q_if, t_out = self._evaluate(
-            t, np.asarray(y, dtype=float).tolist())
-        inputs: dict[str, list] = {vid: [None, None] for vid in self.models}
-        inputs[self.network.root][0] = q_in
-        for j, junction in enumerate(self._junctions):
-            inputs[junction.parent][1] = q_if[j]
-            for daughter in junction.daughters:
-                inputs[daughter][0] = p_if[j]
-        for k, vid in enumerate(self._terminals):
-            inputs[vid][1] = t_out[k]
-        dwk = {vid: d[idx] for vid, idx in self.wk_index.items()}
-        return inputs, dwk
 
     def rhs(self, t: float, y):
         """dy/dt at (t, y): a list for a list of floats, else an array."""
@@ -869,49 +602,39 @@ class NetworkModel0D:
     def boundary_flows(self, t: float, y):
         """(inflow at the root, per-leaf outflow into the terminals);
         used for mass-balance verification."""
-        inputs, _ = self._vessel_inputs(t, y)
-        outflows = {}
-        for vid in self.network.terminals:
-            model = self.models[vid]
-            off = self.layout[vid]
-            if isinstance(model, PinPoutVessel):
-                outflows[vid] = y[off + 2]
-            else:
-                outflows[vid] = inputs[vid][1]
-        return inputs[self.network.root][0], outflows
+        _, q_in, _, _, t_out = self._evaluate(t, np.asarray(y, dtype=float).tolist())
+        # a leaf's outflow is its distal flow; a single vessel's is the flow
+        # its flow-typed terminal coupling gives (``t_out``)
+        for o, c, l, j_in, k, *_ in self._leaves:
+            t_out[k] = y[o + 2]
+        flows = dict(zip(self._terminals, t_out))
+        return q_in, {vid: flows[vid] for vid in self.network.terminals}
 
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,
         mid-vessel interface flow and mean area, from sampled states Y with
         shape (n_samples, dim)."""
+        nl, vessels, vid_at = self.mode.nonlinear_pressure, self.network.vessels, self._vid_at
         out = {}
-        mode = self.mode
-        for vid, model in self.models.items():
-            off = self.layout[vid]
-            l = self.network.vessels[vid].length
-            if isinstance(model, QinQoutVessel):
-                V, Q, Vd = Y[:, off], Y[:, off + 1], Y[:, off + 2]
-                P = model.half.pressure_array(V, mode)
-                Pd = model.half.pressure_array(Vd, mode)
-                P_mean = (V * P + Vd * Pd) / (V + Vd)
-                A = (V + Vd) / l
-            elif isinstance(model, TwoSplitPinQout):
-                V1, V2 = Y[:, off], Y[:, off + 2]
-                P1 = model.first.comp.pressure_array(V1, mode)
-                P2 = model.second.comp.pressure_array(V2, mode)
-                P_mean = (V1 * P1 + V2 * P2) / (V1 + V2)
-                Q = Y[:, off + 3]
-                A = (V1 + V2) / l
-            else:  # PinPout: the capacitor node sits mid-vessel between the
-                # proximal and distal flows, so their mean stands in for the
-                # midpoint flow
-                V = Y[:, off]
-                Q = 0.5 * (Y[:, off + 1] + Y[:, off + 2])
-                P_mean = model.comp.pressure_array(V, mode)
-                A = V / l
-            out[vid] = {"P": np.asarray(P_mean), "Q": np.asarray(Q),
-                        "A": np.asarray(A)}
-        return out
+
+        def halves(o, c, Q):
+            V, Vd = Y[:, o], Y[:, o + 2]
+            P, Pd = _pressure(c, V, nl), _pressure(c, Vd, nl)
+            out[vid_at[o]] = {"P": (V * P + Vd * Pd) / (V + Vd), "Q": Q,
+                              "A": (V + Vd) / vessels[vid_at[o]].length}
+
+        o = self._root[0]
+        halves(o, self._root[1], Y[:, o + 1])
+        for o, c, *_ in self._interior:  # the flow into the second half
+            halves(o, c, Y[:, o + 3])
+        for o, c, *_ in self._leaves:
+            # the capacitor node sits mid-vessel between the proximal and
+            # distal flows, so their mean stands in for the midpoint flow
+            V = Y[:, o]
+            out[vid_at[o]] = {"P": _pressure(c, V, nl),
+                              "Q": 0.5 * (Y[:, o + 1] + Y[:, o + 2]),
+                              "A": V / vessels[vid_at[o]].length}
+        return {vid: out[vid] for vid in self.layout}
 
 
 def assemble_network(network: Network, mode: ModelMode,
@@ -936,10 +659,18 @@ class Integration:
 
 def _step_count(dt: float, t_end: float,
                 sample_interval: float | None) -> tuple[int, int]:
-    """(steps to ``t_end``, steps between samples) of a fixed-step run."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    n_steps = int(round(t_end / dt))
+    """(steps to ``t_end``, steps between samples) of a fixed-step run.
+    Raises ValueError unless ``dt`` is positive and finite and the run
+    takes at least one step."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got dt = {dt} "
+                         f"(t_end = {t_end})")
+    steps = t_end / dt
+    # round() takes 0.5 to no step, and fails on an infinite or NaN count
+    if not 0.5 < steps < math.inf:
+        raise ValueError(f"time step dt = {dt} takes no finite, positive number "
+                         f"of steps to t_end = {t_end}")
+    n_steps = int(round(steps))
     if sample_interval is None:
         return n_steps, 1
     return n_steps, max(1, int(round(sample_interval / dt)))

@@ -128,11 +128,17 @@ class _HLLScratch:
                  "t", "left", "right")
 
     def __init__(self, faces, shape, L, R):
-        self.a, self.b = np.empty((2, *faces))
+        self.a, self.b = _rows(np.empty((2, *faces)))
         self.aL, self.aR, self.bL, self.bR = self.a[L], self.a[R], self.b[L], self.b[R]
-        self.SL, self.SR, self.span, self.SLSR = np.empty((4, *shape))
+        self.SL, self.SR, self.span, self.SLSR = _rows(np.empty((4, *shape)))
         self.t = np.empty((2, *shape))
-        self.left, self.right = np.empty((2, *shape), dtype=bool)
+        self.left, self.right = _rows(np.empty((2, *shape), dtype=bool))
+
+
+def _rows(block: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``block`` as views, 0-d ones included: iterating an
+    array of one dimension gives scalars, which cannot take ``out=``."""
+    return [block[i, ...] for i in range(len(block))]
 
 
 def _hll(UL, UR, FL, FR, u, c, out, buf: _HLLScratch):
@@ -428,7 +434,8 @@ class Vessel1D:
         return q, _momentum_flux(A, q, sx, self.alpha, self.K, self.rho)
 
     def interface_flux(self, AL, qL, AR, qR):
-        """HLL flux with Davis wave-speed estimates (vectorized)."""
+        """HLL flux with Davis wave-speed estimates, element-wise over
+        operands of one shape, 0-d ones (floats) included."""
         # rows A, q, F_q of the states [side, ...], side 0 left of the
         # interfaces: rows 0-1 are the conserved variables, rows 1-2 the fluxes
         A, q = np.array(((AL, AR), (qL, qR)), dtype=float)
@@ -437,7 +444,7 @@ class Vessel1D:
         shape = A.shape[1:]
         F_A, F_q = _hll(X[:2, 0], X[:2, 1], X[1:, 0], X[1:, 1], q / A,
                         _celerity(sx, self.law[3]), np.empty((2, *shape)),
-                        _HLLScratch(A.shape, shape, 0, 1))
+                        _HLLScratch(A.shape, shape, (0, ...), (1, ...)))
         if not (np.all(np.isfinite(F_A)) and np.all(np.isfinite(F_q))):
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self.ids[0]!r}")
@@ -636,13 +643,11 @@ def reflective_flux(ves: Vessel1D, prep: _Prep, end: str) -> tuple[float, float]
     face state."""
     if end == "left":
         A, q = prep.AbL[0], prep.qbL[0]
-        F_A, F_q = ves.interface_flux(np.array([A]), np.array([-q]),
-                                      np.array([A]), np.array([q]))
+        F_A, F_q = ves.interface_flux(A, -q, A, q)
     else:
         A, q = prep.AbR[-1], prep.qbR[-1]
-        F_A, F_q = ves.interface_flux(np.array([A]), np.array([q]),
-                                      np.array([A]), np.array([-q]))
-    return float(F_A[0]), float(F_q[0])
+        F_A, F_q = ves.interface_flux(A, q, A, -q)
+    return float(F_A), float(F_q)
 
 
 # ---------------------------------------------------------------------------

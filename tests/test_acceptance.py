@@ -32,8 +32,6 @@ from hemoflow.metrics import (
 from hemoflow.netio import synthetic_inflow
 from hemoflow.solver0d import (
     ModelMode,
-    PinQoutVessel,
-    QinQoutVessel,
     assemble_network,
     rk4_integrate,
     run_0d,
@@ -45,6 +43,7 @@ from hemoflow.vessel import (
     WallModel,
     lumped_constants,
 )
+from oracle0d import PinQoutVessel, QinQoutVessel
 
 T0 = 1.1
 N_CYCLES = 27  # benchmark horizon t_end / T0

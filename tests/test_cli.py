@@ -126,6 +126,18 @@ class TestRun:
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("dt, message", [
+        ("inf", "error: time step must be positive and finite, got dt = inf "
+                "(t_end = 1.1)"),
+        ("3.0", "error: time step dt = 3.0 takes no finite, positive number of "
+                "steps to t_end = 1.1")])
+    def test_degenerate_time_step_is_refused(self, tmp_path, capsys, dt, message):
+        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--dt", dt, "--t-end", "1.1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "x").exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
         code = main(["run", "--network", "aortic_bif", "--solver", "0d",

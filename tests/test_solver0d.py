@@ -16,24 +16,23 @@ from hemoflow.netio import (
 from hemoflow.solver0d import (
     ModelMode,
     NetworkModel0D,
+    assemble_network,
+    rk4_integrate,
+    run_0d,
+)
+from hemoflow.netio import Windkessel, SingleResistance
+from hemoflow.vessel import FluidProps, VesselSpec, WallModel, lumped_constants
+from oracle0d import (
+    Composition,
     PinPoutVessel,
     PinQoutVessel,
     QinPoutVessel,
     QinQoutVessel,
-    TwoSplitPinQout,
-    assemble_network,
     pressure_of_volume,
-    rhs_pin_pout,
-    rhs_pin_qout,
-    rhs_qin_pout,
-    rhs_qin_qout,
-    rk4_integrate,
-    run_0d,
     terminal_flow_coupling,
     terminal_pressure_coupling,
+    vessel_inputs,
 )
-from hemoflow.netio import Windkessel, SingleResistance
-from hemoflow.vessel import FluidProps, VesselSpec, WallModel, lumped_constants
 
 NL = ModelMode.nonlinear()
 LIN = ModelMode.linear()
@@ -106,25 +105,25 @@ class TestRhsConfigurations:
     def test_pin_qout_equilibrium(self):
         spec = aorta_like_spec()
         V0 = spec.wall.A0 * spec.length
-        dV, dQ = rhs_pin_qout((V0, 0.0), spec.wall.P0, 0.0, spec, NL)
+        dV, dQ = PinQoutVessel(spec).rhs((V0, 0.0), spec.wall.P0, 0.0, NL)
         assert dV == 0.0 and dQ == 0.0
 
     def test_pin_qout_unit_arithmetic(self):
         # rho = l = A_hat = k_R = 1, P_in - P = 2, Q = 1 -> dQ/dt = 1
         spec = unit_spec()
-        dV, dQ = rhs_pin_qout((1.0, 1.0), 2.0, 0.0, spec, NL)
+        dV, dQ = PinQoutVessel(spec).rhs((1.0, 1.0), 2.0, 0.0, NL)
         assert dQ == pytest.approx(1.0, rel=1e-12)
         assert dV == pytest.approx(1.0, rel=1e-12)
 
     def test_pin_qout_pressure_step_sign(self):
         spec = aorta_like_spec()
         V0 = spec.wall.A0 * spec.length
-        _, dQ = rhs_pin_qout((V0, 0.0), spec.wall.P0 + 1000.0, 0.0, spec, NL)
+        _, dQ = PinQoutVessel(spec).rhs((V0, 0.0), spec.wall.P0 + 1000.0, 0.0, NL)
         assert dQ > 0.0
 
     def test_qin_pout_unit_arithmetic(self):
         spec = unit_spec()
-        dV, dQ = rhs_qin_pout((1.0, 1.0), 0.0, -2.0, spec, NL)
+        dV, dQ = QinPoutVessel(spec).rhs((1.0, 1.0), 0.0, -2.0, NL)
         assert dQ == pytest.approx(1.0, rel=1e-12)
         assert dV == pytest.approx(-1.0, rel=1e-12)
 
@@ -135,21 +134,21 @@ class TestRhsConfigurations:
         state = (0.9 * spec.wall.A0 * spec.length, 12.0)
         P = pressure_of_volume(state[0], spec, NL)
         q_in, p_out = 5.0, P - 800.0
-        dV_m, dQ_m = rhs_qin_pout(state, q_in, p_out, spec, NL)
-        dV_p, dQ_p = rhs_pin_qout(state, 2.0 * P - p_out, q_in, spec, NL)
+        dV_m, dQ_m = QinPoutVessel(spec).rhs(state, q_in, p_out, NL)
+        dV_p, dQ_p = PinQoutVessel(spec).rhs(state, 2.0 * P - p_out, q_in, NL)
         assert dQ_p == pytest.approx(dQ_m, rel=1e-12)
         assert dV_p == pytest.approx(-dV_m, rel=1e-12)
 
     def test_pin_pout_equilibrium(self):
         spec = aorta_like_spec()
         V0 = spec.wall.A0 * spec.length
-        d = rhs_pin_pout((V0, 0.0, 0.0), spec.wall.P0, spec.wall.P0, spec, NL)
+        d = PinPoutVessel(spec).rhs((V0, 0.0, 0.0), spec.wall.P0, spec.wall.P0, NL)
         assert d == (0.0, 0.0, 0.0)
 
     def test_pin_pout_unit_arithmetic(self):
         # half elements R = L = 1/2: dQ/dt = (2 - 0.5)/0.5 = 3 at Q = 1
         spec = unit_spec()
-        dV, dQ, dQd = rhs_pin_pout((1.0, 1.0, 0.0), 2.0, 0.0, spec, NL)
+        dV, dQ, dQd = PinPoutVessel(spec).rhs((1.0, 1.0, 0.0), 2.0, 0.0, NL)
         assert dQ == pytest.approx(3.0, rel=1e-12)
         assert dQd == pytest.approx(0.0, abs=1e-12)
         assert dV == pytest.approx(1.0, rel=1e-12)
@@ -159,27 +158,27 @@ class TestRhsConfigurations:
         V0 = spec.wall.A0 * spec.length
         P = pressure_of_volume(V0, spec, NL)
         d = 500.0
-        dV, dQ, dQd = rhs_pin_pout((V0, 0.0, 0.0), P + d, P - d, spec, NL)
+        dV, dQ, dQd = PinPoutVessel(spec).rhs((V0, 0.0, 0.0), P + d, P - d, NL)
         assert dQ == pytest.approx(dQd, rel=1e-12)
         assert dV == 0.0
 
     def test_qin_qout_equilibrium(self):
         spec = aorta_like_spec()
         Vh = spec.wall.A0 * spec.length / 2.0
-        d = rhs_qin_qout((Vh, 0.0, Vh), 0.0, 0.0, spec, NL)
+        d = QinQoutVessel(spec).rhs((Vh, 0.0, Vh), 0.0, 0.0, NL)
         assert d == (0.0, 0.0, 0.0)
 
     def test_qin_qout_proximal_filling_sign(self):
         spec = aorta_like_spec()
         Vh = spec.wall.A0 * spec.length / 2.0
-        dV, dQ, dVd = rhs_qin_qout((Vh, 0.0, Vh), 5.0, 0.0, spec, NL)
+        dV, dQ, dVd = QinQoutVessel(spec).rhs((Vh, 0.0, Vh), 5.0, 0.0, NL)
         assert dV > 0.0
         assert dVd == 0.0
 
     def test_qin_qout_unit_arithmetic(self):
         # interior R = R_tot/2 = 1/2 at A_hat = 1, L = 1: dQ/dt = -1/2
         spec = unit_spec()
-        dV, dQ, dVd = rhs_qin_qout((0.5, 1.0, 0.5), 0.0, 0.0, spec, NL)
+        dV, dQ, dVd = QinQoutVessel(spec).rhs((0.5, 1.0, 0.5), 0.0, 0.0, NL)
         assert dQ == pytest.approx(-0.5, rel=1e-12)
         assert dV == pytest.approx(-1.0, rel=1e-12)
         assert dVd == pytest.approx(1.0, rel=1e-12)
@@ -356,14 +355,15 @@ class TestAssembly:
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         # root QinQout (3) + two PinPout leaves (3 each) + two capacitors
         assert model.dim == 11
-        assert isinstance(model.models[bifurcation.root], QinQoutVessel)
-        for vid in ("left_iliac", "right_iliac"):
-            assert isinstance(model.models[vid], PinPoutVessel)
+        assert model._root[0] == model.layout[bifurcation.root]
+        assert model._interior == []
+        assert sorted(model._vid_at[leaf[0]] for leaf in model._leaves) == [
+            "left_iliac", "right_iliac"]
 
     def test_interior_vessel_is_two_split_chain(self):
         net = three_level_network()
         model = assemble_network(net, NL, synthetic_inflow())
-        assert isinstance(model.models["mid"], TwoSplitPinQout)
+        assert [model._vid_at[v[0]] for v in model._interior] == ["mid"]
         # 3 + 4 + 3 + 3 + 2 capacitors
         assert model.dim == 15
 
@@ -376,7 +376,7 @@ class TestAssembly:
         off_l = model.layout["left_iliac"]
         off_r = model.layout["right_iliac"]
         y[off_r:off_r + 3] = y[off_l:off_l + 3]
-        inputs, _ = model._vessel_inputs(0.3, y)
+        inputs, _ = vessel_inputs(model, 0.3, y)
         assert inputs["left_iliac"][0] == inputs["right_iliac"][0]
 
     def test_single_daughter_junction_reduces_to_j2(self):
@@ -385,9 +385,9 @@ class TestAssembly:
         y = model.initial_state()
         off_a, off_b = model.layout["a"], model.layout["b"]
         y[off_b + 1] = 4.0  # daughter proximal flow
-        inputs, _ = model._vessel_inputs(0.1, y)
+        inputs, _ = vessel_inputs(model, 0.1, y)
         assert inputs["a"][1] == 4.0  # parent sees the daughter's flow
-        parent = model.models["a"]
+        parent = QinQoutVessel(net.vessels["a"])
         expected = parent.outlet_pressure(y[off_a:off_a + 3], 4.0, NL)
         assert inputs["b"][0] == expected
 
@@ -541,52 +541,6 @@ def asymmetric_tree_network():
     return parse_network("\n".join(lines))
 
 
-def composed_inputs(model, t, y):
-    """Reference coupling composed from the per-vessel classes: per-vessel
-    (inlet, outlet) inputs and terminal capacitor derivatives."""
-    net, mode = model.network, model.mode
-    inputs = {vid: [None, None] for vid in model.models}
-    dwk = {}
-    inputs[net.root][0] = float(model.inflow(t))
-    for j in net.junctions:
-        off = model.layout[j.parent]
-        parent = model.models[j.parent]
-        q_out = sum(y[model.layout[d] + 1] for d in j.daughters)
-        p_if = parent.outlet_pressure(y[off:off + parent.nstates], q_out, mode)
-        inputs[j.parent][1] = q_out
-        for d in j.daughters:
-            inputs[d][0] = p_if
-    for vid, term in net.terminals.items():
-        vessel, off = model.models[vid], model.layout[vid]
-        P_wk = y[model.wk_index[vid]] if vid in model.wk_index else 0.0
-        if isinstance(vessel, PinPoutVessel):
-            out, dP_wk = terminal_pressure_coupling(y[off + 2], term, P_wk)
-        else:
-            y_v = y[off:off + 3]
-            out, dP_wk = terminal_flow_coupling(
-                vessel.half.pressure(y_v[2], mode),
-                vessel.distal_resistance(y_v, mode), term, P_wk)
-        inputs[vid][1] = out
-        if vid in model.wk_index:
-            dwk[vid] = dP_wk
-    return inputs, dwk
-
-
-def composed_rhs(model, t, y):
-    """Reference right-hand side: each per-vessel class's rhs on its slice
-    of the state, driven by ``composed_inputs``."""
-    inputs, dwk = composed_inputs(model, t, y)
-    dy = np.empty(model.dim)
-    for vid, vessel in model.models.items():
-        off = model.layout[vid]
-        dy[off:off + vessel.nstates] = vessel.rhs(
-            y[off:off + vessel.nstates], inputs[vid][0], inputs[vid][1],
-            model.mode)
-    for vid, idx in model.wk_index.items():
-        dy[idx] = dwk[vid]
-    return dy
-
-
 def random_state(model, rng):
     """Volumes within 30% of the initial state, random flows and
     capacitor pressures."""
@@ -625,21 +579,55 @@ class TestAssembledPlan:
         rng = np.random.default_rng(2024)
         for name, net in self.networks(bifurcation):
             model = assemble_network(net, mode, synthetic_inflow())
+            ref = Composition(model)
             for _ in range(10):
                 y = random_state(model, rng)
                 t = rng.uniform(0.0, 2.2)
-                assert np.array_equal(model.rhs(t, y), composed_rhs(model, t, y)), name
-                inputs, dwk = model._vessel_inputs(t, y)
-                ref_inputs, ref_dwk = composed_inputs(model, t, y)
-                assert inputs == ref_inputs and dwk == ref_dwk, name
+                assert np.array_equal(model.rhs(t, y), ref.rhs(t, y)), name
+                assert vessel_inputs(model, t, y) == ref.inputs(t, y), name
+
+    @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
+    def test_accessors_match_the_composition(self, bifurcation, mode_name):
+        # the layout, initial state, volume indices, boundary flows and
+        # observe read the plan; the composition lays out and couples the
+        # vessels on its own
+        mode = EQUIVALENCE_MODES[mode_name]
+        rng = np.random.default_rng(77)
+        for name, net in self.networks(bifurcation):
+            model = assemble_network(net, mode, synthetic_inflow())
+            ref = Composition(model)
+            assert model.layout == ref.layout and list(model.layout) == list(net.vessels)
+            assert (model.wk_index, model.dim) == (ref.wk_index, ref.dim), name
+            assert model.volume_indices == ref.volume_indices, name
+            assert model.initial_state().tolist() == ref.initial_state(), name
+            states = [random_state(model, rng) for _ in range(6)]
+            for y in states:
+                t = rng.uniform(0.0, 2.2)
+                for state in (y, y.tolist()):
+                    q_in, flows = model.boundary_flows(t, state)
+                    ref_q_in, ref_flows = ref.boundary_flows(t, state)
+                    assert q_in == ref_q_in and flows == ref_flows, name
+                    assert list(flows) == list(net.terminals), name
+            # random states keep the pressures away from zero, where the
+            # tube law cancels and a relative tolerance means nothing
+            Y = np.array(states)
+            series = model.observe(Y)
+            rows = [ref.observe(y) for y in Y.tolist()]
+            assert list(series) == list(ref.models), name
+            for vid, values in series.items():
+                for ch in ("Q", "A"):
+                    assert values[ch].tolist() == [r[vid][ch] for r in rows], (name, vid, ch)
+                # numpy's power may round apart from Python's
+                np.testing.assert_allclose(values["P"], [r[vid]["P"] for r in rows],
+                                           rtol=1e-14, err_msg=f"{name} {vid}")
 
     def test_tree_assembly(self):
         model = assemble_network(asymmetric_tree_network(), NL, synthetic_inflow())
-        kinds = [type(m) for m in model.models.values()]
-        assert kinds.count(QinQoutVessel) == 1
-        assert kinds.count(TwoSplitPinQout) == len(ASYMMETRIC_TREE) - 1
-        assert kinds.count(PinPoutVessel) == 17 - len(ASYMMETRIC_TREE)
-        assert 0 < len(model.wk_index) < kinds.count(PinPoutVessel)
+        assert model._vid_at[model._root[0]] == "v0"
+        interior = {model._vid_at[v[0]] for v in model._interior}
+        assert interior == set(ASYMMETRIC_TREE) - {"v0"}
+        assert len(model._leaves) == 17 - len(ASYMMETRIC_TREE)
+        assert 0 < len(model.wk_index) < len(model._leaves)
 
     @pytest.mark.parametrize("network", ["asymmetric_tree", "single_rcr"])
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
@@ -719,10 +707,11 @@ class TestCompiledStep:
     def test_collapse_names_vessel_compartment_and_time(self, mode):
         model = assemble_network(asymmetric_tree_network(), mode, synthetic_inflow())
         step = model.rk4_step(1e-3)
-        offsets = sorted((off, vid) for vid, off in model.layout.items())
-        for i in model.volume_indices:
+        ref = Composition(model)
+        offsets = sorted((off, vid) for vid, off in ref.layout.items())
+        for i in ref.volume_indices:
             off, vid = max(o for o in offsets if o[0] <= i)
-            if isinstance(model.models[vid], PinPoutVessel):
+            if isinstance(ref.models[vid], PinPoutVessel):
                 part = "whole vessel"
             else:
                 part = "proximal half" if i == off else "distal half"
@@ -779,7 +768,7 @@ class TestCompiledStep:
         probe = assemble_network(single_vessel_network(RCR_TERMINAL), NL,
                                  synthetic_inflow())
         y = probe.initial_state()
-        R_d = probe.models["v"].distal_resistance(y, NL)
+        R_d = QinQoutVessel(probe.network.vessels["v"]).distal_resistance(y, NL)
         terminal = RCR_TERMINAL.replace("r1 = 6.8e2", f"r1 = {-0.5 * float(R_d)!r}")
         model = assemble_network(single_vessel_network(terminal), NL,
                                  synthetic_inflow())
@@ -1015,6 +1004,34 @@ class TestRK4:
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("dt, t_end, message", [
+        (math.inf, 1.1, "time step must be positive and finite, got dt = inf "
+                        "(t_end = 1.1)"),
+        (math.nan, 1.1, "time step must be positive and finite, got dt = nan "
+                        "(t_end = 1.1)"),
+        (3.0, 1.1, "time step dt = 3.0 takes no finite, positive number of "
+                   "steps to t_end = 1.1"),
+        (1e-3, 5e-4, "time step dt = 0.001 takes no finite, positive number of "
+                     "steps to t_end = 0.0005"),
+        (1e-3, math.inf, "time step dt = 0.001 takes no finite, positive number "
+                         "of steps to t_end = inf"),
+        (1e-3, math.nan, "time step dt = 0.001 takes no finite, positive number "
+                         "of steps to t_end = nan")])
+    def test_degenerate_time_step_is_refused(self, dt, t_end, message):
+        # a run of no step once "succeeded" with one sample at t = 0
+        for y0 in (np.array([1.0]), [1.0]):
+            with pytest.raises(ValueError) as exc:
+                rk4_integrate(lambda t, y: y, y0, dt, t_end)
+            assert str(exc.value) == message
+        if math.isfinite(t_end):
+            model = assemble_network(two_vessel_network(), NL, synthetic_inflow())
+            for run in (lambda: model.integrate(dt, t_end),
+                        lambda: run_0d(model.network, model.inflow, NL, dt=dt,
+                                       t_end=t_end)):
+                with pytest.raises(ValueError) as exc:
+                    run()
+                assert str(exc.value) == message
 
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
     def test_list_states_match_array_states(self, bifurcation, mode):

@@ -201,6 +201,19 @@ class TestFluxKernels:
                                     np.array([1.0]), np.array([0.0]))
         assert F_A[0] > 0.0
 
+    @pytest.mark.parametrize("uL, uR", [(0.001, 0.002), (-0.02, 0.02),
+                                        (2.0, 2.4), (-2.0, -2.4)])
+    def test_float_operands_match_one_element_arrays(self, uL, uR):
+        # flows in units of c A0: a subsonic interface, and interfaces where
+        # every wave goes right or every wave goes left
+        ves = Vessel1D(aorta_spec(), 0.2)
+        unit = float(ves.celerity(ves.A0)) * ves.A0
+        args = (ves.A0, uL * unit, 1.01 * ves.A0, uR * unit)
+        floats = ves.interface_flux(*args)
+        arrays = ves.interface_flux(*(np.array([v]) for v in args))
+        for f, a in zip(floats, arrays):
+            assert np.shape(f) == () and np.array([f]).tobytes() == a.tobytes()
+
     def test_pressure_and_celerity_consistency(self):
         ves = Vessel1D(aorta_spec(), 0.2)
         A = 1.1 * ves.A0
