@@ -660,8 +660,8 @@ class Integration:
 def _step_count(dt: float, t_end: float,
                 sample_interval: float | None) -> tuple[int, int]:
     """(steps to ``t_end``, steps between samples) of a fixed-step run.
-    Raises ValueError unless ``dt`` is positive and finite and the run
-    takes at least one step."""
+    Raises ValueError unless ``dt`` and a given ``sample_interval`` are
+    positive and finite and the run takes at least one step."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got dt = {dt} "
                          f"(t_end = {t_end})")
@@ -673,6 +673,9 @@ def _step_count(dt: float, t_end: float,
     n_steps = int(round(steps))
     if sample_interval is None:
         return n_steps, 1
+    if not 0.0 < sample_interval < math.inf:
+        raise ValueError(f"sample_interval must be positive and finite, "
+                         f"got {sample_interval}")
     return n_steps, max(1, int(round(sample_interval / dt)))
 
 

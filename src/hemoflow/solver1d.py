@@ -7,9 +7,11 @@ values a half step, solves interface Riemann problems with an HLL flux
 half-step predictor in the spirit of ADER schemes.
 
 The cells of every vessel of a network live in one stacked (A, q) array,
-with a per-cell copy of each vessel's parameters and the segment bounds
-marking the vessel ends, so each stage of a step is one numpy pass over the
-whole network. A single vessel is the one-segment case of the same stack.
+``Vessel1D``, with a per-cell copy of each vessel's parameters and the
+segment bounds marking the vessel ends, so each stage of a step is one
+numpy pass over the whole network. The stack is the only description of
+the 1D network: ``Simulation1D.vessels`` gives each vessel's cells as a
+view of it.
 
 At the 100 to 800 cells of the networks simulated here, a step costs the
 number of numpy calls and the temporary array each one allocates, not the
@@ -58,7 +60,6 @@ from .errors import (
 )
 from .netio import Network, WaveformSeries, Windkessel
 from .solver0d import RunResult, _compiled, check_run_times
-from .vessel import VesselSpec
 
 #: m / (m + 1) of the arterial tube law, in the momentum flux
 _THIRD = 0.5 / 1.5
@@ -79,26 +80,23 @@ class Mesh1D:
     M: int
     dx: float
 
-    @property
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.M) + 0.5) * self.dx
-
 
 def build_mesh(length: float, dx_max: float) -> Mesh1D:
     """M = max(ceil(l/dx_max), 2); dx = l/M."""
-    if length <= 0 or dx_max <= 0:
-        raise ValueError(f"length and dx_max must be positive, got {length}, {dx_max}")
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
+    if not 0.0 < dx_max < math.inf:
+        raise ValueError(f"dx_max must be positive and finite, got {dx_max}")
     M = max(math.ceil(length / dx_max - 1e-12), 2)
     return Mesh1D(M=M, dx=length / M)
 
 
-# -- kernels shared by the stacked cells and the single-vessel API -----------
+# -- kernels of the stacked cells --------------------------------------------
 
-# The kernels write their intermediates into the buffers they are given: a
-# stack's workspace, or for the single-vessel API fresh scratch or None (numpy
-# allocates). Every element sees the same floating-point operations either way.
+# The kernels write their intermediates into the stack's workspace, through
+# ``out=``.
 
-def _momentum_flux(A, q, sx, alpha, K, rho, out=None, tmp=None):
+def _momentum_flux(A, q, sx, alpha, K, rho, out, tmp):
     """alpha q^2/A + (K A/rho) (m/(m+1)) x^m, with sx = sqrt(A/A0); ``tmp``
     is scratch of the shape of ``out``."""
     p = np.multiply(K, A, out=out)
@@ -110,7 +108,7 @@ def _momentum_flux(A, q, sx, alpha, K, rho, out=None, tmp=None):
     return np.add(a, p, out=out)
 
 
-def _celerity(sx, K_rho, out=None):
+def _celerity(sx, K_rho, out):
     """sqrt((K/rho) m x^m), with sx = sqrt(A/A0)."""
     c = np.multiply(0.5, sx, out=out)
     c = np.multiply(K_rho, c, out=out)
@@ -118,32 +116,26 @@ def _celerity(sx, K_rho, out=None):
 
 
 class _HLLScratch:
-    """Scratch of the HLL flux at interfaces of shape ``shape`` between
-    face states of shape ``faces``: u -/+ c of every face state, bound once
-    as views on the left (index ``L``) and right (``R``) state of each
-    interface, the wave speeds and their span and product, one (2, *shape)
-    operand and the upwind masks."""
+    """Scratch of the HLL flux at the N - 1 interior interfaces of N cells:
+    u -/+ c of every face state, bound once as views on the states left
+    and right of each interface, the wave speeds and their span and
+    product, one (2, N - 1) operand and the upwind masks."""
 
     __slots__ = ("a", "b", "aL", "aR", "bL", "bR", "SL", "SR", "span", "SLSR",
                  "t", "left", "right")
 
-    def __init__(self, faces, shape, L, R):
-        self.a, self.b = _rows(np.empty((2, *faces)))
-        self.aL, self.aR, self.bL, self.bR = self.a[L], self.a[R], self.b[L], self.b[R]
-        self.SL, self.SR, self.span, self.SLSR = _rows(np.empty((4, *shape)))
-        self.t = np.empty((2, *shape))
-        self.left, self.right = _rows(np.empty((2, *shape), dtype=bool))
-
-
-def _rows(block: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``block`` as views, 0-d ones included: iterating an
-    array of one dimension gives scalars, which cannot take ``out=``."""
-    return [block[i, ...] for i in range(len(block))]
+    def __init__(self, N: int):
+        self.a, self.b = np.empty((2, 2, N))
+        self.aL, self.aR = self.a[_RIGHT_FACES], self.a[_LEFT_FACES]
+        self.bL, self.bR = self.b[_RIGHT_FACES], self.b[_LEFT_FACES]
+        self.SL, self.SR, self.span, self.SLSR = np.empty((4, N - 1))
+        self.t = np.empty((2, N - 1))
+        self.left, self.right = np.empty((2, N - 1), dtype=bool)
 
 
 def _hll(UL, UR, FL, FR, u, c, out, buf: _HLLScratch):
     """HLL flux with Davis wave-speed estimates, for the mass and the
-    momentum at once, written to ``out`` (2, *interfaces).
+    momentum at once, written to ``out`` (2, N - 1).
 
     ``UL``, ``UR`` are the conserved (A, q) and ``FL``, ``FR`` the physical
     fluxes (q, F_q) left and right of each interface, stacked as (mass,
@@ -191,19 +183,15 @@ class _EnoScratch:
         self.slope = np.empty(shape)
 
 
-def _eno_slope(U: np.ndarray, dx, breaks=None, buf: _EnoScratch | None = None):
+def _eno_slope(U: np.ndarray, dx, breaks: np.ndarray, buf: _EnoScratch):
     """First-degree ENO slope: the smaller-magnitude one-sided difference,
     one-sided at the ends of each segment, in ``buf.slope``.
 
-    The segments are runs of the flattened ``U``; ``breaks``
-    lists where each one starts, and the end of the last one. By default
-    each row of ``U`` is a segment. The difference across a break is set to
-    infinity, so that the cells next to it take their other side."""
+    The segments are runs of the flattened ``U``; ``breaks`` lists where
+    each one starts, and the end of the last one. The difference across a
+    break is set to infinity, so that the cells next to it take their
+    other side."""
     u = U.reshape(-1)
-    if breaks is None:
-        breaks = np.arange(0, u.size + 1, U.shape[-1])
-    if buf is None:
-        buf = _EnoScratch(U.shape)
     np.subtract(u[1:], u[:-1], out=buf.d_mid)
     d = buf.d
     d[breaks] = np.inf
@@ -211,12 +199,6 @@ def _eno_slope(U: np.ndarray, dx, breaks=None, buf: _EnoScratch | None = None):
     pick = np.less_equal(buf.adL, buf.adR, out=buf.pick)
     np.divide(buf.dR, dx, out=buf.slope)
     return np.divide(buf.dL, dx, out=buf.slope, where=pick)
-
-
-def _law(row) -> tuple:
-    """(A0, K, rho, K/rho, P0 + p_ext, alpha) of a vessel's parameter row,
-    as Python floats: the constants the closures read."""
-    return row[_A0], row[_K], row[_RHO], row[_K_RHO], row[_P_REF], row[_ALPHA]
 
 
 class _Segments(NamedTuple):
@@ -228,11 +210,10 @@ class _Segments(NamedTuple):
 
 
 class _Workspace:
-    """Buffers for every intermediate of one stack's kernels
-    (``max_stable_dt``, ``prepare``, ``commit``) over its N cells, and the
-    parameter rows they read, bound once as views of the table: (2, N) rows
-    for arrays of both faces or both variables, (N) rows named ``*_c`` for
-    cell-centre arrays.
+    """Buffers for every intermediate of one stack's kernels (``cfl_dt``,
+    ``prepare``, ``commit``) over its N cells, and the parameter rows they
+    read, bound once as views of the table: (2, N) rows for arrays of both
+    faces or both variables, (N) rows named ``*_c`` for cell-centre arrays.
 
     At 100 to 800 cells a step costs the number of numpy calls and the
     temporaries they allocate, not the arithmetic, so each kernel writes
@@ -274,47 +255,28 @@ class _Workspace:
         self.F_hll, self.F_in = self.F[1, :, :-1], self.F[0, :, 1:]
         self.F_flat = self.F.reshape(-1)
         self.finite = np.empty((2, N - 1), dtype=bool)
-        self.hll = _HLLScratch((2, N), (N - 1,), _RIGHT_FACES, _LEFT_FACES)
+        self.hll = _HLLScratch(N)
         self.U_new = np.empty((2, N))
 
 
 class Vessel1D:
-    """Cells of one or more vessels, stacked in one state array.
+    """The cells of a network's vessels, stacked in one state array.
 
-    ``U`` has shape (2, N): areas ``A = U[0]`` and flows ``q = U[1]`` of the
-    N cells of all segments, one segment per vessel, in order. Each vessel's
-    parameters are repeated per cell in a table of shape (rows, 2, N), both
-    copies equal, so the kernels see arrays of the shape they work on.
-    ``bounds`` holds the first cell of each segment and N.
-
-    ``Vessel1D(spec, dx_max, initial_area)`` is one vessel, the one-segment
-    case; ``Vessel1D.stack(specs, dx_max, initial_areas)`` stacks several.
-    ``segments`` holds one single-vessel ``Vessel1D`` per segment whose
-    ``U`` (and so ``A`` and ``q``) are views into the stack's arrays, which
-    every step updates in place. The vessel-level attributes (``spec``,
-    ``mesh``, ``A0``, ``K``, ``rho``, ``alpha``, ``k_R``, ``law`` = (A0, K,
-    rho, K/rho, P0 + p_ext, alpha)) and the pointwise kernels belong to
-    single vessels.
+    ``Vessel1D(specs, dx_max, initial_areas)`` meshes each vessel of
+    ``specs`` and starts its cells at rest, at its entry of
+    ``initial_areas``. ``U`` has shape (2, N): areas ``U[0]`` and flows
+    ``U[1]`` of the N cells of all segments, one segment per vessel, in
+    order. Each vessel's parameters are repeated per cell in a table of
+    shape (rows, 2, N), both copies equal, so the kernels see arrays of the
+    shape they work on. ``ids`` holds the vessel ids and ``bounds`` the
+    first cell of each segment, then N.
     """
 
-    def __init__(self, spec: VesselSpec, dx_max: float,
-                 initial_area: float | None = None):
-        self._build((spec,), dx_max, (initial_area,))
-
-    @classmethod
-    def stack(cls, specs, dx_max: float, initial_areas=None) -> "Vessel1D":
-        """The cells of ``specs``, in order, as one stack."""
+    def __init__(self, specs, dx_max: float, initial_areas):
         specs = tuple(specs)
-        if initial_areas is None:
-            initial_areas = (None,) * len(specs)
-        self = cls.__new__(cls)
-        self._build(specs, dx_max, initial_areas)
-        return self
-
-    def _build(self, specs, dx_max, initial_areas) -> None:
         if not specs:
             raise ConfigurationError("a 1D stack needs at least one vessel")
-        rows, meshes, starts = [], [], [0]
+        rows, counts, starts = [], [], [0]
         for spec, A_init in zip(specs, initial_areas):
             w, f = spec.wall, spec.fluid
             if not w.is_arterial:
@@ -326,73 +288,23 @@ class Vessel1D:
             alpha = f.alpha
             rows.append((w.A0, w.K, f.rho, w.K / f.rho, alpha, 2.0 * alpha,
                          -f.k_R, mesh.dx, 0.5 * mesh.dx, 1e-12 * w.A0,
-                         w.P0 + w.p_ext, w.A0 if A_init is None else A_init))
-            meshes.append(mesh)
+                         w.P0 + w.p_ext, A_init))
+            counts.append(mesh.M)
             starts.append(starts[-1] + mesh.M)
         N = starts[-1]
-        cells = np.repeat(np.array(rows).T, [m.M for m in meshes], axis=1)
+        cells = np.repeat(np.array(rows).T, counts, axis=1)
         self._table = np.empty((len(cells), 2, N))
         self._table[:, 0] = cells
         self._table[:, 1] = cells
         self.U = np.zeros((2, N))
         self.U[0] = cells[_A_INIT]
         self.ids = tuple(spec.vessel_id for spec in specs)
-        self._specs, self._rows, self._meshes, self._starts = specs, rows, meshes, starts
-        if len(specs) == 1:
-            self._set_vessel(specs[0], meshes[0], rows[0])
-
-    def _view(self, k: int) -> "Vessel1D":
-        """Single-vessel Vessel1D over segment k, sharing the arrays."""
-        s, e = self._starts[k], self._starts[k + 1]
-        view = Vessel1D.__new__(Vessel1D)
-        view.U = self.U[:, s:e]
-        view._table = self._table[:, :, s:e]
-        view.ids = (self.ids[k],)
-        view._starts = [0, e - s]
-        view._set_vessel(self._specs[k], self._meshes[k], self._rows[k])
-        return view
-
-    def _set_vessel(self, spec, mesh, row) -> None:
-        self.spec = spec
-        self.mesh = mesh
-        self.law = _law(row)
-        A0, K, rho, _, _, alpha = self.law
-        self.A0, self.K, self.rho, self.alpha, self.k_R = A0, K, rho, alpha, -row[_NEG_KR]
-
-    @property
-    def segments(self) -> list["Vessel1D"]:
-        """One single-vessel Vessel1D per segment, made on first use; a
-        single vessel is its own (and does not keep itself in a list, which
-        would make it a reference cycle)."""
-        if len(self.ids) == 1:
-            return [self]
-        views = self.__dict__.get("_views")
-        if views is None:
-            views = self._views = [self._view(k) for k in range(len(self.ids))]
-        return views
+        self._params, self._starts = rows, starts
 
     @cached_property
     def bounds(self) -> np.ndarray:
         """First cell of each segment, then N."""
         return np.array(self._starts, dtype=np.intp)
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.U[0]
-
-    @A.setter
-    def A(self, value) -> None:
-        self.U[0] = value
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.U[1]
-
-    @q.setter
-    def q(self, value) -> None:
-        self.U[1] = value
 
     @cached_property
     def _segs(self) -> _Segments:
@@ -421,66 +333,17 @@ class Vessel1D:
         s, e = int(self.bounds[k]), int(self.bounds[k + 1])
         return self.ids[k], i - s, s, e
 
-    # -- pointwise kernels of a single vessel (scalars or arrays) ----------
-
-    def pressure(self, A):
-        return self.K * (np.sqrt(A / self.A0) - 1.0) + self.law[4]
-
-    def celerity(self, A):
-        return _celerity(np.sqrt(A / self.A0), self.law[3])
-
-    def flux(self, A, q):
-        sx = np.sqrt(A / self.A0)
-        return q, _momentum_flux(A, q, sx, self.alpha, self.K, self.rho)
-
-    def interface_flux(self, AL, qL, AR, qR):
-        """HLL flux with Davis wave-speed estimates, element-wise over
-        operands of one shape, 0-d ones (floats) included."""
-        # rows A, q, F_q of the states [side, ...], side 0 left of the
-        # interfaces: rows 0-1 are the conserved variables, rows 1-2 the fluxes
-        A, q = np.array(((AL, AR), (qL, qR)), dtype=float)
-        sx = np.sqrt(A / self.A0)
-        X = np.stack((A, q, _momentum_flux(A, q, sx, self.alpha, self.K, self.rho)))
-        shape = A.shape[1:]
-        F_A, F_q = _hll(X[:2, 0], X[:2, 1], X[1:, 0], X[1:, 1], q / A,
-                        _celerity(sx, self.law[3]), np.empty((2, *shape)),
-                        _HLLScratch(A.shape, shape, (0, ...), (1, ...)))
-        if not (np.all(np.isfinite(F_A)) and np.all(np.isfinite(F_q))):
-            raise ConvergenceError(
-                f"wave-speed estimate failure in vessel {self.ids[0]!r}")
-        return F_A, F_q
-
-    # -- stacked MUSCL-Hancock pieces ---------------------------------------
-
     def centre_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Velocity u = q/A and celerity c at every cell centre of the
         current state, in the workspace: valid until the next kernel call
         of this stack. A step computes them once and hands them to
-        ``max_stable_dt`` (through ``cfl_dt``) and to ``prepare``."""
+        ``cfl_dt`` and to ``prepare``."""
         ws = self._ws
         A, q = self.U
         u = np.divide(q, A, out=ws.u_c)
         c = _celerity(np.sqrt(np.divide(A, ws.A0_c, out=ws.c_c), out=ws.c_c),
                       ws.K_rho_c, out=ws.c_c)
         return u, c
-
-    def max_stable_dt(self, centre=None) -> float:
-        """min over cells of dx/(|u| + c); raises on supercritical flow.
-        ``centre`` is the ``centre_values()`` of the current state, computed
-        here if not given."""
-        ws = self._ws
-        u, c = self.centre_values() if centre is None else centre
-        # |q/A| is |q|/A bit for bit at A > 0: division rounds symmetrically
-        # about zero
-        u = np.abs(u, out=ws.s_c)
-        if np.logical_or.reduce(np.greater_equal(u, c, out=ws.mask_c)):
-            vid, _, s, e = self._locate(ws.mask_c)
-            cell = int(np.argmax(u[s:e] - c[s:e]))
-            raise SupercriticalError(
-                f"supercritical flow in vessel {vid!r} at cell {cell}: "
-                f"|u| = {u[s + cell]:.6g} >= c = {c[s + cell]:.6g}")
-        return float(np.minimum.reduce(
-            np.divide(ws.dx_c, np.add(u, c, out=ws.t_c), out=ws.t_c)))
 
     def prepare(self, dt: float, centre=None) -> "_Prep":
         """Slope reconstruction, half-step evolution of the face values and
@@ -540,16 +403,12 @@ class Vessel1D:
         segment order."""
         return prep.Ub.take(self._segs.ends).tolist()
 
-    def commit(self, dt: float, prep: "_Prep", left_flux=None, right_flux=None,
-               *, flux=None) -> None:
+    def commit(self, dt: float, prep: "_Prep", flux) -> None:
         """Interior Riemann problems, conservative update and sanity checks.
 
-        ``left_flux`` and ``right_flux`` are the (F_A, F_q) at the left and
-        right end of each segment: one pair for a single segment, or a
-        sequence of pairs in segment order. ``flux`` may give them instead
-        as one flat sequence: F_A, F_q at each left end, then at each right
-        end, in segment order. ``U`` is written only once every check has
-        passed."""
+        ``flux`` holds the boundary fluxes as one flat sequence: F_A, F_q at
+        the left end of each segment, then at the right end of each, in
+        segment order. ``U`` is written only once every check has passed."""
         ws = self._ws
         U = self.U
         N = U.shape[1]
@@ -577,8 +436,6 @@ class Vessel1D:
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self._locate(bad)[0]!r}")
         np.copyto(ws.F_in, F_hll)
-        if flux is None:
-            flux = np.ravel(np.array((left_flux, right_flux), dtype=float))
         ws.F_flat[self._segs.fluxes] = flux
         dU = np.subtract(F[1], F[0], out=ws.dv)
         np.multiply(np.divide(dt, ws.dx, out=ws.tmp), dU, out=dU)
@@ -603,51 +460,24 @@ class _Prep:
     Ub: np.ndarray
     S_q: np.ndarray
 
-    @property
-    def AbL(self) -> np.ndarray:
-        return self.Ub[0, 0]
 
-    @property
-    def AbR(self) -> np.ndarray:
-        return self.Ub[0, 1]
-
-    @property
-    def qbL(self) -> np.ndarray:
-        return self.Ub[1, 0]
-
-    @property
-    def qbR(self) -> np.ndarray:
-        return self.Ub[1, 1]
-
-
-def cfl_dt(vessels, CFL: float, centres=None) -> float:
-    """Global time step: CFL * min over cells of dx/(|u| + c). ``centres``
-    may give each vessel's ``centre_values()`` of its current state."""
-    if not 0.0 < CFL <= 1.0:
-        raise ValueError(f"CFL must be in (0, 1], got {CFL}")
-    dt = math.inf
-    for k, ves in enumerate(vessels):
-        dt = min(dt, ves.max_stable_dt(None if centres is None else centres[k]))
-    return CFL * dt
-
-
-def muscl_hancock_step(ves: Vessel1D, dt: float, left_flux, right_flux) -> None:
-    """Advance one stack one step with externally supplied boundary
-    fluxes (the BC/junction layer provides them)."""
-    prep = ves.prepare(dt)
-    ves.commit(dt, prep, left_flux, right_flux)
-
-
-def reflective_flux(ves: Vessel1D, prep: _Prep, end: str) -> tuple[float, float]:
-    """Sealed-end boundary flux of a single vessel: mirror the evolved
-    face state."""
-    if end == "left":
-        A, q = prep.AbL[0], prep.qbL[0]
-        F_A, F_q = ves.interface_flux(A, -q, A, q)
-    else:
-        A, q = prep.AbR[-1], prep.qbR[-1]
-        F_A, F_q = ves.interface_flux(A, q, A, -q)
-    return float(F_A), float(F_q)
+def cfl_dt(cells: Vessel1D, CFL: float, centre=None) -> float:
+    """Global time step: CFL * min over the cells of dx/(|u| + c); raises
+    on supercritical flow. ``centre`` is the ``centre_values()`` of the
+    current state, computed here if not given."""
+    ws = cells._ws
+    u, c = cells.centre_values() if centre is None else centre
+    # |q/A| is |q|/A bit for bit at A > 0: division rounds symmetrically
+    # about zero
+    u = np.abs(u, out=ws.s_c)
+    if np.logical_or.reduce(np.greater_equal(u, c, out=ws.mask_c)):
+        vid, _, s, e = cells._locate(ws.mask_c)
+        cell = int(np.argmax(u[s:e] - c[s:e]))
+        raise SupercriticalError(
+            f"supercritical flow in vessel {vid!r} at cell {cell}: "
+            f"|u| = {u[s + cell]:.6g} >= c = {c[s + cell]:.6g}")
+    return CFL * float(np.minimum.reduce(
+        np.divide(ws.dx_c, np.add(u, c, out=ws.t_c), out=ws.t_c)))
 
 
 # ---------------------------------------------------------------------------
@@ -937,20 +767,21 @@ class Simulation1D:
     """All vessels of a network advanced with one global CFL time step.
 
     ``cells`` stacks every vessel's cells in network order; ``vessels``
-    maps each vessel id to its single-vessel view, made on first use. The
-    inflow, junction and terminal closures are planned once, at the first
-    step: each holds its constants as floats and the positions of its end
-    states and fluxes, so a step reads no view."""
+    maps each vessel id to its (A, q) of shape (2, M), a view of
+    ``cells.U``, made on first use. The inflow, junction and terminal
+    closures are planned once, at the first step: each holds its constants
+    as floats and the positions of its end states and fluxes, so a step
+    reads no view."""
 
     def __init__(self, network: Network, inflow: WaveformSeries,
                  dx_max: float = 0.2, CFL: float = 0.9):
+        if not 0.0 < CFL <= 1.0:
+            raise ValueError(f"CFL must be in (0, 1], got {CFL}")
         self.network = network
         self.inflow = inflow
         self.CFL = CFL
-        vids = list(network.vessels)
-        self.cells = Vessel1D.stack(
-            network.vessels.values(), dx_max,
-            [network.initial_area(vid) for vid in vids])
+        self.cells = Vessel1D(network.vessels.values(), dx_max,
+                              [network.initial_area(vid) for vid in network.vessels])
         self.junctions = [
             JunctionNode(members=((j.parent, "right"),
                                   *((d, "left") for d in j.daughters)))
@@ -972,7 +803,9 @@ class Simulation1D:
         vids = list(network.vessels)
         n = len(vids)
         seg = {vid: k for k, vid in enumerate(vids)}
-        laws = [_law(row) for row in self.cells._rows]
+        # (A0, K, rho, K/rho, P0 + p_ext, alpha) of each vessel, as floats
+        laws = [(row[_A0], row[_K], row[_RHO], row[_K_RHO], row[_P_REF], row[_ALPHA])
+                for row in self.cells._params]
 
         def end(vid, side):
             """(vessel, law, A index, q index, flux slot) of a vessel end:
@@ -991,8 +824,11 @@ class Simulation1D:
                  for vid, term in network.terminals.items()])
 
     @cached_property
-    def vessels(self) -> dict[str, Vessel1D]:
-        return dict(zip(self.network.vessels, self.cells.segments))
+    def vessels(self) -> dict[str, np.ndarray]:
+        """Each vessel's (A, q) of shape (2, M): a view of ``cells.U``,
+        which every step updates in place."""
+        U, starts = self.cells.U, self.cells._starts
+        return {vid: U[:, s:e] for vid, s, e in zip(self.cells.ids, starts, starts[1:])}
 
     def step(self, dt: float | None = None, until: float = math.inf) -> float:
         """Advance by ``dt``, or by the CFL step cut to end no later than
@@ -1002,7 +838,7 @@ class Simulation1D:
         centre = None
         if dt is None:
             centre = cells.centre_values()
-            dt = min(cfl_dt((cells,), self.CFL, (centre,)), until - self.t)
+            dt = min(cfl_dt(cells, self.CFL, centre), until - self.t)
         prep = cells.prepare(dt, centre)
         ends = cells.end_states(prep)
         flux = [0.0] * len(ends)
@@ -1034,22 +870,12 @@ class Simulation1D:
     def _midpoints(self):
         """Flat indices in the stack's U of the area, then of the flow, at
         each vessel's midpoint cell, and the tube-law parameters there."""
-        mids = np.array([int(b) + mesh.M // 2 for b, mesh
-                         in zip(self.cells.bounds, self.cells._meshes)])
+        starts = self.cells._starts
+        mids = np.array([s + (e - s) // 2 for s, e in zip(starts, starts[1:])])
         T = self.cells._table[:, 0]
         N = self.cells.U.shape[1]
         return (np.concatenate((mids, N + mids)),
                 T[_A0, mids], T[_K, mids], T[_P_REF, mids])
-
-    def _midpoint_pressure(self, A):
-        """Pressure at midpoint areas ``A`` (..., vessels)."""
-        _, A0, K, P_ref = self._midpoints
-        return K * (np.sqrt(A / A0) - 1.0) + P_ref
-
-    def midpoint_samples(self) -> np.ndarray:
-        """(P, q, A) at every vessel's midpoint cell, shape (3, vessels)."""
-        A, q = self.cells.U.take(self._midpoints[0]).reshape(2, -1)
-        return np.stack((self._midpoint_pressure(A), q, A))
 
 
 #: rows of the sample buffer of ``run_1d`` that are made at its start, at most
@@ -1062,12 +888,12 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
     """Advance the network to t_end, sampling vessel midpoints.
 
     A sample copies (A, q) at the midpoint cells into a preallocated
-    buffer; the pressures of all samples are computed after the loop, by
-    the operations of ``Simulation1D.midpoint_samples``."""
+    buffer; the pressures of all samples are computed after the loop, with
+    the tube law at each vessel's midpoint cell."""
     check_run_times(t_end, T0, sample_interval)
     sim = Simulation1D(network, inflow, dx_max=dx_max, CFL=CFL)
     vids = list(network.vessels)
-    U, take = sim.cells.U, sim._midpoints[0]
+    U, (take, A0, K, P_ref) = sim.cells.U, sim._midpoints
     # at most one sample per interval: the buffer doubles if a run takes more
     rows = np.empty((int(min(t_end / sample_interval + 2.0, _SAMPLE_ROWS)),
                      take.size))
@@ -1090,7 +916,8 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
     t = np.array(times)
     A, q = rows[:len(t)].reshape(len(t), 2, -1).transpose(1, 0, 2)
     # (vessel, channel, sample), each series contiguous
-    series = np.stack((sim._midpoint_pressure(A), q, A)).transpose(2, 0, 1).copy()
+    P = K * (np.sqrt(A / A0) - 1.0) + P_ref
+    series = np.stack((P, q, A)).transpose(2, 0, 1).copy()
     vessels = {vid: {"P": series[k, 0], "Q": series[k, 1], "A": series[k, 2]}
                for k, vid in enumerate(vids)}
     cycles = t_end / T0

@@ -36,7 +36,7 @@ from hemoflow.solver0d import (
     rk4_integrate,
     run_0d,
 )
-from hemoflow.solver1d import Vessel1D, cfl_dt, reflective_flux
+from hemoflow.solver1d import Vessel1D, cfl_dt
 from hemoflow.vessel import (
     FluidProps,
     VesselSpec,
@@ -44,6 +44,7 @@ from hemoflow.vessel import (
     lumped_constants,
 )
 from oracle0d import PinQoutVessel, QinQoutVessel
+from oracle1d import OracleVessel, sealed_flux, transmissive_flux
 
 T0 = 1.1
 N_CYCLES = 27  # benchmark horizon t_end / T0
@@ -249,24 +250,23 @@ class TestDiscretizationOrders:
 
     @staticmethod
     def _pulse_solution(M, t_end=5e-3):
+        """Areas of a one-vessel stack of M cells after ``t_end``, from a
+        Gaussian pulse at rest."""
         wall = WallModel.arterial(A0=1.0, h0=0.05, E=2.0e6)
         spec = VesselSpec(vessel_id="pulse", length=10.0, wall=wall,
                           fluid=FluidProps(rho=1.06, mu=0.04, zeta=9.0))
-        ves = Vessel1D(spec, dx_max=spec.length / M)
-        assert ves.mesh.M == M
-        x = ves.mesh.centers
-        ves.A = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
+        ves = Vessel1D([spec], spec.length / M, [wall.A0])
+        oracle = OracleVessel(spec, spec.length / M)
+        assert list(ves.bounds) == [0, M]
+        x = (np.arange(M) + 0.5) * oracle.mesh.dx
+        ves.U[0] = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
         t = 0.0
         while t < t_end - 1e-14:
-            dt = min(cfl_dt([ves], 0.9), t_end - t)
+            dt = min(cfl_dt(ves, 0.9), t_end - t)
             prep = ves.prepare(dt)
-            # transmissive ends: physical flux of the evolved face states
-            lf = ves.flux(float(prep.AbL[0]), float(prep.qbL[0]))
-            rf = ves.flux(float(prep.AbR[-1]), float(prep.qbR[-1]))
-            ves.commit(dt, prep, (float(lf[0]), float(lf[1])),
-                       (float(rf[0]), float(rf[1])))
+            ves.commit(dt, prep, transmissive_flux(oracle, prep.Ub))
             t += dt
-        return ves
+        return ves.U[0]
 
     def test_muscl_hancock_second_order(self):
         sols = {M: self._pulse_solution(M) for M in (100, 200, 400)}
@@ -274,8 +274,8 @@ class TestDiscretizationOrders:
         def restrict(A):
             return 0.5 * (A[0::2] + A[1::2])
 
-        e_coarse = np.mean(np.abs(sols[100].A - restrict(sols[200].A)))
-        e_fine = np.mean(np.abs(sols[200].A - restrict(sols[400].A)))
+        e_coarse = np.mean(np.abs(sols[100] - restrict(sols[200])))
+        e_fine = np.mean(np.abs(sols[200] - restrict(sols[400])))
         order = math.log2(e_coarse / e_fine)
         assert 1.8 <= order <= 2.2, order
 
@@ -346,16 +346,17 @@ class TestConservation:
         wall = WallModel.arterial(A0=1.0, h0=0.05, E=2.0e6)
         spec = VesselSpec(vessel_id="sealed", length=10.0, wall=wall,
                           fluid=FluidProps(rho=1.06, mu=0.04, zeta=9.0))
-        ves = Vessel1D(spec, dx_max=0.1)
-        x = ves.mesh.centers
-        ves.A = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
-        mass = np.sum(ves.A) * ves.mesh.dx
+        ves = Vessel1D([spec], 0.1, [wall.A0])
+        oracle = OracleVessel(spec, 0.1)
+        dx = oracle.mesh.dx
+        x = (np.arange(oracle.mesh.M) + 0.5) * dx
+        ves.U[0] = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
+        mass = np.sum(ves.U[0]) * dx
         for _ in range(1000):
-            dt = cfl_dt([ves], 0.9)
+            dt = cfl_dt(ves, 0.9)
             prep = ves.prepare(dt)
-            lf = reflective_flux(ves, prep, "left")
-            rf = reflective_flux(ves, prep, "right")
-            ves.commit(dt, prep, lf, rf)
-            new_mass = np.sum(ves.A) * ves.mesh.dx
+            # sealed ends: the oracle's HLL flux against the mirrored state
+            ves.commit(dt, prep, sealed_flux(oracle, prep.Ub))
+            new_mass = np.sum(ves.U[0]) * dx
             assert abs(new_mass - mass) <= 1e-12 * mass
             mass = new_mass

@@ -138,6 +138,18 @@ class TestRun:
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("dx_max", ["nan", "inf", "0"])
+    def test_degenerate_cell_size_is_refused(self, tmp_path, capsys, dx_max):
+        # nan once failed converting to an integer, and inf gave two cells
+        # per vessel
+        code = main(["run", "--network", "aortic_bif", "--solver", "1d",
+                     "--dx-max", dx_max, "--t-end", "0.01", "--out",
+                     str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: dx_max must be positive and finite, got {float(dx_max)}")
+        assert not (tmp_path / "x").exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
         code = main(["run", "--network", "aortic_bif", "--solver", "0d",

@@ -1033,6 +1033,18 @@ class TestRK4:
                     run()
                 assert str(exc.value) == message
 
+    @pytest.mark.parametrize("every", [math.nan, math.inf, 0.0, -1.0])
+    def test_degenerate_sample_interval_is_refused(self, every):
+        # nan once failed converting to an integer, inf overflowed, and 0.0
+        # or -1.0 silently sampled every step
+        message = f"^sample_interval must be positive and finite, got {every}$"
+        for y0 in (np.array([1.0]), [1.0]):
+            with pytest.raises(ValueError, match=message):
+                rk4_integrate(lambda t, y: y, y0, 1e-3, 0.01, sample_interval=every)
+        model = assemble_network(two_vessel_network(), NL, synthetic_inflow())
+        with pytest.raises(ValueError, match=message):
+            model.integrate(1e-3, 0.01, every)
+
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
     def test_list_states_match_array_states(self, bifurcation, mode):
         # a list y0 combines the stages on Python floats, operation for
