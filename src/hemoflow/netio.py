@@ -41,10 +41,15 @@ class Windkessel:
     P_v: float = 0.0
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigurationError(f"Windkessel compliance must be positive, got {self.C}")
-        if self.R2 <= 0:
-            raise ConfigurationError(f"Windkessel distal resistance must be positive, got {self.R2}")
+        if not 0.0 < self.C < math.inf:
+            raise ConfigurationError(
+                f"Windkessel compliance must be positive and finite, got {self.C}")
+        if not 0.0 < self.R2 < math.inf:
+            raise ConfigurationError(
+                f"Windkessel distal resistance must be positive and finite, got {self.R2}")
+        if not (math.isfinite(self.R1) and math.isfinite(self.P_v)):
+            raise ConfigurationError(f"Windkessel R1 and P_v must be finite, "
+                                     f"got R1={self.R1}, P_v={self.P_v}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,11 @@ class SingleResistance:
 
     R: float
     P_v: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.R) and math.isfinite(self.P_v)):
+            raise ConfigurationError(f"terminal resistance R and P_v must be finite, "
+                                     f"got R={self.R}, P_v={self.P_v}")
 
 
 Terminal = Windkessel | SingleResistance
@@ -85,6 +95,9 @@ class Network:
         self._validate()
 
     def _validate(self):
+        if not math.isfinite(self.initial_pressure):
+            raise ConfigurationError(
+                f"initial pressure must be finite, got {self.initial_pressure}")
         if self.root not in self.vessels:
             raise ConfigurationError(f"inflow vessel {self.root!r} is not defined")
         parents = [j.parent for j in self.junctions]
@@ -151,6 +164,8 @@ class WaveformSeries:
     _ql: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"waveform period must be positive and finite, got {self.period}")
         t = np.asarray(self.t, dtype=float)
         q = np.asarray(self.q, dtype=float)
         if t.ndim != 1 or t.shape != q.shape or t.size < 2:

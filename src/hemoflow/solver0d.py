@@ -14,21 +14,22 @@ vessels (P_in, P_out), plus one capacitor pressure per RCR terminal) and
 advanced with classical RK4. Assembly builds the one description of that
 system, an evaluation plan of constant tuples, state offsets and
 junction/terminal coupling in tree order, straight from the vessel specs.
-The initial state, the volume indices, the boundary flows and ``observe``
-read the plan. From it the model also writes the network pass as
-straight-line Python source, each state a local and each constant a
-literal, and compiles it on first use (never at assembly): ``rhs`` runs one
-pass, and ``run_0d`` runs one compiled function for the whole run, whose
-loop keeps the states in locals from step to step and inlines the four
-passes of an RK4 step, their combination and the sampling. The inflow at
-every stage time of the run (t_n = n dt, t_n + dt/2, t_n + dt) is
-tabulated before the loop, in three calls of the waveform on arrays.
-Compiled code is cached by the plan it was written from (``_compiled``,
-``_plan_key``), so models of one network and mode neither write nor
-compile their source again, share one code object and each bind their own
-inflow. The compartment laws are written in ``_PassSource`` and, on arrays
-for ``observe``, in ``_pressure``; the tests keep the per-vessel
-configurations as classes, composed into the reference network.
+The initial state, the volume indices and the boundary flows read the
+plan. From it the model also writes the network pass as straight-line
+Python source, each state a local and each constant a literal, and
+compiles it on first use (never at assembly): ``rhs`` runs one pass, and
+``run_0d`` runs one compiled function for the whole run, whose loop keeps
+the states in locals from step to step and inlines the four passes of an
+RK4 step, their combination and the sampling. The module of that run loop
+also holds the compartment pressures on sampled columns, which ``observe``
+weighs into per-vessel series. The inflow at every stage time of the run
+(t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the loop, in three
+calls of the waveform on arrays. Compiled code is cached by the plan it
+was written from (``_compiled``, ``_plan_key``), so models of one network
+and mode neither write nor compile their source again, share one code
+object and each bind their own inflow. The compartment laws are written
+once, in ``_PassSource``; the tests keep the per-vessel configurations as
+classes, composed into the reference network.
 """
 
 from __future__ import annotations
@@ -120,18 +121,6 @@ def _compartment(spec: VesselSpec, fraction: float = 1.0) -> tuple[float, tuple]
                     rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
 
 
-def _pressure(c: tuple, V: np.ndarray, nonlinear: bool) -> np.ndarray:
-    """Compartment pressure at the sampled volumes V: the elastic tube law
-    at the mean area V/l, or its linearisation with the reference
-    compliance C0. The network pass writes the same law per state
-    (``_PassSource.pressure``)."""
-    V0, K, m, n, P_ref, C0 = c[:6]
-    if nonlinear:
-        x = V / V0  # = A_hat / A0
-        return K * (x ** m - x ** n) + P_ref
-    return P_ref + (V - V0) / C0
-
-
 # ---------------------------------------------------------------------------
 # Network assembly
 # ---------------------------------------------------------------------------
@@ -216,14 +205,15 @@ class _PassSource:
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
     def runner(self) -> str:
-        """``run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times,
-        samples) -> y_end``: classical RK4 steps n, n + 1, ... from the
-        state list ``y`` at ``t0 + n * dt``, one per entry of the inflow
-        tables, which hold the inflow at each step's t, t + dt/2 and t + dt.
-        The states stay locals from step to step; each step inlines the
-        four passes and their combination. After every ``stride``-th step
-        and after step ``last`` (counted from ``t0``) the state is checked
-        to be finite and appended to ``samples``, its time to ``times``."""
+        """The run module: ``pressures`` and ``run(y, t0, n, dt, q_t,
+        q_half, q_dt, stride, last, times, samples) -> y_end``, classical
+        RK4 steps n, n + 1, ... from the state list ``y`` at ``t0 + n * dt``,
+        one per entry of the inflow tables, which hold the inflow at each
+        step's t, t + dt/2 and t + dt. The states stay locals from step to
+        step; each step inlines the four passes and their combination.
+        After every ``stride``-th step and after step ``last`` (counted from
+        ``t0``) the state is checked to be finite and appended to
+        ``samples``, its time to ``times``."""
         y, u = self.names("y"), self.names("u")
         k = [self.names(prefix) for prefix in "abce"]
         state = ", ".join(y)
@@ -251,17 +241,36 @@ class _PassSource:
             f"    {state}, = y",
             "    for qa, qh, qe in zip(q_t, q_half, q_dt):",
             *(f"        {line}" for line in body),
-            f"    return [{state}]", ""])
+            f"    return [{state}]", "", self.pressures()])
+
+    def pressures(self) -> str:
+        """``pressures(Y)``: a generator of the pressure of each compartment
+        at the sampled volumes, the columns ``Y[:, o]`` of sampled states,
+        in plan order: the root's two halves, each interior vessel's two
+        halves, each leaf. Each is computed when it is drawn, so a caller
+        holds one at a time. The columns are not tested for collapse."""
+        model, out = self.model, []
+        o, c = model._root[:2]
+        volumes = [(o, c), (o + 2, c)]
+        for o, c, *_ in model._interior:
+            volumes += [(o, c), (o + 2, c)]
+        volumes += [(o, c) for o, c, *_ in model._leaves]
+        for o, c in volumes:
+            P = self.pressure(out, "P", f"Y[:, {o}]", c)
+            out.append(f"yield {P}")
+        return "\n".join(["def pressures(Y):", *(f"    {line}" for line in out), ""])
 
     # -- one pass --------------------------------------------------------
 
-    def pressure(self, out: list, name: str, V: str, c: tuple, where: str) -> str:
+    def pressure(self, out: list, name: str, V: str, c: tuple,
+                 where: str | None = None) -> str:
         """Pressure at volume ``V``: the elastic tube law at the mean area
-        V/l, or its linearisation with the reference compliance C0 (as
-        ``_pressure``). ``where`` is the source of the location arguments
-        of its collapse error."""
+        V/l, or its linearisation with the reference compliance C0.
+        ``where`` is the source of the location arguments of its collapse
+        error; without it, ``V`` is not tested for collapse."""
         V0, K, m, n, P_ref, C0 = c[:6]
-        out.append(f"if {V} <= 0.0: raise _volume_collapse({V}, {where})")
+        if where is not None:
+            out.append(f"if {V} <= 0.0: raise _volume_collapse({V}, {where})")
         if self.nl_p:
             x = f"({V} / {_lit(V0)})"
             if m != 0.0 and n != 0.0:
@@ -423,10 +432,11 @@ class NetworkModel0D:
     (``_root``, ``_interior``, ``_leaves``), the junctions numbered in tree
     order (parents before daughters) with the state indices of the flows
     they collect, and per terminal its element and capacitor index. The
-    network pass over that plan (``rhs``) and the RK4 run loop
-    (``integrate``, ``rk4_step``) are generated from it as Python source
-    and compiled the first time each is used; the initial state, the
-    volume indices, the boundary flows and ``observe`` read it too.
+    network pass over that plan (``rhs``), and the RK4 run loop
+    (``integrate``) with the compartment pressures that ``observe`` weighs,
+    are generated from it as Python source and compiled the first time each
+    is used; the initial state, the volume indices and the boundary flows
+    read it too.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -531,31 +541,18 @@ class NetworkModel0D:
 
     @cached_property
     def _run(self):
-        """The RK4 sampling loop (``_PassSource.runner``), compiled on
-        first use."""
+        """The RK4 sampling loop of the run module (``_PassSource.runner``),
+        compiled on first use; ``pressures`` is in its globals."""
         return self._compile("run", _PassSource.runner)
-
-    def rk4_step(self, dt: float):
-        """``step(t, y) -> y_next``: one classical RK4 step of the network
-        on lists of floats, a one-step call of the compiled run loop that
-        takes no sample. Its floating-point operations are those of
-        ``rk4_integrate`` on ``self.rhs`` and a list state."""
-        run, inflow, half = self._run, self.inflow, 0.5 * dt
-
-        def step(t, y):
-            # a stride of 2 and a last step of 0: the one step is no sample
-            return run(y, t, 0, dt, (float(inflow(t)),), (float(inflow(t + half)),),
-                       (float(inflow(t + dt)),), 2, 0, None, None)
-        return step
 
     def integrate(self, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
         """RK4 from the initial state to ``t_end`` with the compiled run
         loop, sampled as ``rk4_integrate`` samples and with its bits on
-        ``self.rhs`` and a list state. The inflow is tabulated at every
-        stage time, three calls on arrays for each block of ``_BLOCK_STEPS``
-        steps; the loop runs block by block, carrying the state and the step
-        count. The reported CPU time covers the tables and the loop."""
+        ``self.rhs``. The inflow is tabulated at every stage time, three
+        calls on arrays for each block of ``_BLOCK_STEPS`` steps; the loop
+        runs block by block, carrying the state and the step count. The
+        reported CPU time covers the tables and the loop."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
         run = self._run  # compiled, if it must be, before the clock starts
         y = self.initial_state().tolist()
@@ -593,11 +590,9 @@ class NetworkModel0D:
             y0[idx] = net.initial_pressure
         return y0
 
-    def rhs(self, t: float, y):
-        """dy/dt at (t, y): a list for a list of floats, else an array."""
-        if isinstance(y, list):
-            return self._evaluate(t, y)[0]
-        return np.array(self._evaluate(t, y.tolist())[0])
+    def rhs(self, t: float, y) -> np.ndarray:
+        """dy/dt at (t, y), an array for any sequence of floats."""
+        return np.array(self._evaluate(t, np.asarray(y, dtype=float).tolist())[0])
 
     def boundary_flows(self, t: float, y):
         """(inflow at the root, per-leaf outflow into the terminals);
@@ -613,25 +608,27 @@ class NetworkModel0D:
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,
         mid-vessel interface flow and mean area, from sampled states Y with
-        shape (n_samples, dim)."""
-        nl, vessels, vid_at = self.mode.nonlinear_pressure, self.network.vessels, self._vid_at
+        shape (n_samples, dim). The compartment pressures are those of the
+        run module's ``pressures``, in plan order."""
+        vessels, vid_at = self.network.vessels, self._vid_at
+        pressures = self._run.__globals__["pressures"](Y)
         out = {}
 
-        def halves(o, c, Q):
+        def halves(o, Q):
             V, Vd = Y[:, o], Y[:, o + 2]
-            P, Pd = _pressure(c, V, nl), _pressure(c, Vd, nl)
+            P, Pd = next(pressures), next(pressures)
             out[vid_at[o]] = {"P": (V * P + Vd * Pd) / (V + Vd), "Q": Q,
                               "A": (V + Vd) / vessels[vid_at[o]].length}
 
         o = self._root[0]
-        halves(o, self._root[1], Y[:, o + 1])
-        for o, c, *_ in self._interior:  # the flow into the second half
-            halves(o, c, Y[:, o + 3])
-        for o, c, *_ in self._leaves:
+        halves(o, Y[:, o + 1])
+        for o, *_ in self._interior:  # the flow into the second half
+            halves(o, Y[:, o + 3])
+        for o, *_ in self._leaves:
             # the capacitor node sits mid-vessel between the proximal and
             # distal flows, so their mean stands in for the midpoint flow
             V = Y[:, o]
-            out[vid_at[o]] = {"P": _pressure(c, V, nl),
+            out[vid_at[o]] = {"P": next(pressures),
                               "Q": 0.5 * (Y[:, o + 1] + Y[:, o + 2]),
                               "A": V / vessels[vid_at[o]].length}
         return {vid: out[vid] for vid in self.layout}
@@ -681,24 +678,19 @@ def _step_count(dt: float, t_end: float,
 
 def rk4_integrate(rhs, y0, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
-    """Classical fourth-order Runge-Kutta with fixed step.
+    """Classical fourth-order Runge-Kutta with fixed step, on arrays.
 
-    ``y0`` is an array, or a list of floats: then ``rhs`` maps (t, list) to
-    a list and the stages are combined on Python floats, by the same
-    operations element by element. Samples the state every
-    ``sample_interval`` (rounded to a whole number of steps; every step if
-    None) and after the last step, and checks the samples are finite. The
-    reported CPU time, of this thread, covers only the stepping loop. This
-    is the generic integrator and the reference of the 0D network's
-    generated run loop (``NetworkModel0D.integrate``, behind ``run_0d``),
-    which gives the same bits as this function on ``model.rhs`` and a list
-    state.
+    ``y0`` is any sequence of floats, taken as an array; ``rhs`` maps
+    (t, array) to an array. Samples the state every ``sample_interval``
+    (rounded to a whole number of steps; every step if None) and after the
+    last step, and checks the samples are finite. The reported CPU time, of
+    this thread, covers only the stepping loop. This is the generic
+    integrator and the reference of the 0D network's generated run loop
+    (``NetworkModel0D.integrate``, behind ``run_0d``), which gives the same
+    bits as this function on ``model.rhs``.
     """
     n_steps, stride = _step_count(dt, t_end, sample_interval)
-    if isinstance(y0, list):
-        y, step = [float(v) for v in y0], _rk4_list_step(rhs, dt)
-    else:
-        y, step = np.asarray(y0, dtype=float).copy(), _rk4_array_step(rhs, dt)
+    y, step = np.array(y0, dtype=float), _rk4_array_step(rhs, dt)
     # the samples go into one flat buffer of doubles: a list per sample
     # would hold every value as a float object, three times the memory
     times, samples = [0.0], array("d", y)
@@ -732,20 +724,6 @@ def _rk4_array_step(rhs, dt):
     return step
 
 
-def _rk4_list_step(rhs, dt):
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    def step(t, y):
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
-        return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return step
-
-
 def check_run_times(t_end: float, T0: float, sample_interval: float) -> None:
     """Raise ValueError unless the end time, the cardiac period and the
     sample interval of a run are positive and finite."""
@@ -769,9 +747,10 @@ def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
            dt: float = 1e-3, t_end: float = 29.7, T0: float = 1.1,
            sample_interval: float = 1e-3) -> RunResult:
     """Advance the assembled 0D network with its generated run loop
-    (``NetworkModel0D.integrate``) and return per-vessel series. The inflow
-    is evaluated on arrays, once per stage time of the run; the series are
-    those of ``rk4_integrate`` on ``model.rhs`` and a list state."""
+    (``NetworkModel0D.integrate``) and return per-vessel series
+    (``NetworkModel0D.observe``). The inflow is evaluated on arrays, once
+    per stage time of the run; the series are those of ``rk4_integrate`` on
+    ``model.rhs``."""
     check_run_times(t_end, T0, sample_interval)
     model = assemble_network(network, mode, inflow)
     integ = model.integrate(dt, t_end, sample_interval)

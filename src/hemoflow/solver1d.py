@@ -408,7 +408,13 @@ class Vessel1D:
 
         ``flux`` holds the boundary fluxes as one flat sequence: F_A, F_q at
         the left end of each segment, then at the right end of each, in
-        segment order. ``U`` is written only once every check has passed."""
+        segment order, 4 values per segment (ValueError otherwise). ``U``
+        is written only once every check has passed."""
+        slots = self._segs.fluxes
+        flux = np.asarray(flux, dtype=float)
+        if flux.shape != slots.shape:
+            raise ValueError(f"commit takes {slots.size} boundary flux values, 4 "
+                             f"for each of {slots.size // 4} segments, got {flux.size}")
         ws = self._ws
         U = self.U
         N = U.shape[1]
@@ -436,7 +442,7 @@ class Vessel1D:
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self._locate(bad)[0]!r}")
         np.copyto(ws.F_in, F_hll)
-        ws.F_flat[self._segs.fluxes] = flux
+        ws.F_flat[slots] = flux
         dU = np.subtract(F[1], F[0], out=ws.dv)
         np.multiply(np.divide(dt, ws.dx, out=ws.tmp), dU, out=dU)
         U_new = np.subtract(U, dU, out=ws.U_new)

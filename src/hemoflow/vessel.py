@@ -33,12 +33,12 @@ class FluidProps:
     zeta: float = 9.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"density must be positive, got {self.rho}")
-        if self.mu <= 0:
-            raise ValueError(f"viscosity must be positive, got {self.mu}")
-        if self.zeta <= 0:
-            raise ValueError(f"profile order must be positive, got {self.zeta}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"density must be positive and finite, got {self.rho}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"viscosity must be positive and finite, got {self.mu}")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError(f"profile order must be positive and finite, got {self.zeta}")
 
     @property
     def alpha(self) -> float:
@@ -89,12 +89,16 @@ class WallModel:
     nu: float = 0.5
 
     def __post_init__(self):
-        if self.A0 <= 0:
-            raise ValueError(f"reference area must be positive, got {self.A0}")
-        if self.K <= 0:
-            raise ValueError(f"stiffness must be positive, got {self.K}")
-        if self.m <= self.n:
-            raise ValueError(f"tube-law exponents require m > n, got m={self.m}, n={self.n}")
+        if not 0.0 < self.A0 < math.inf:
+            raise ValueError(f"reference area must be positive and finite, got {self.A0}")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"stiffness must be positive and finite, got {self.K}")
+        if not -math.inf < self.n < self.m < math.inf:
+            raise ValueError(f"tube-law exponents require finite m > n, "
+                             f"got m={self.m}, n={self.n}")
+        if not (math.isfinite(self.P0) and math.isfinite(self.p_ext)):
+            raise ValueError(f"reference and external pressures must be finite, "
+                             f"got P0={self.P0}, p_ext={self.p_ext}")
         if not 0.0 <= self.nu < 1.0:
             raise ValueError(f"Poisson ratio must be in [0, 1), got {self.nu}")
 
@@ -126,8 +130,8 @@ class VesselSpec:
     fluid: FluidProps
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"vessel length must be positive, got {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"vessel length must be positive and finite, got {self.length}")
 
 
 @dataclass(frozen=True)

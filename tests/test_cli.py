@@ -150,6 +150,26 @@ class TestRun:
             f"error: dx_max must be positive and finite, got {float(dx_max)}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, line, message", [
+        ("youngs_modulus", "youngs_modulus = 5.0e6",
+         "stiffness must be positive and finite, got nan"),
+        ("length", "length = 8.0", "vessel length must be positive and finite, got nan"),
+        ("rho", "rho = 1.06", "density must be positive and finite, got nan"),
+        ("c", "c = 3.6664e-5", "Windkessel compliance must be positive and finite, got nan"),
+    ])
+    @pytest.mark.parametrize("solver", ["0d", "1d"])
+    def test_non_finite_parameter_is_refused(self, tmp_path, capsys, key, line,
+                                             message, solver):
+        # a NaN once parsed, and the 0D run failed at t = 0.001 s with a
+        # non-finite state (exit 2)
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(NETWORK_TEXT.replace(line, f"{key} = nan"))
+        code = main(["run", "--network", str(net_file), "--solver", solver,
+                     "--t-end", "0.01", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "x").exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
         code = main(["run", "--network", "aortic_bif", "--solver", "0d",

@@ -142,6 +142,24 @@ youngs_modulus = 1e6
         assert not wall.is_arterial
 
 
+class TestTerminalValidation:
+    # NaN passed the old ``<= 0`` tests of the Windkessel, and nothing
+    # tested a single resistance
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["R1", "C", "R2", "P_v"])
+    def test_windkessel_field_must_be_finite(self, field, bad):
+        values = {"R1": 6.8e2, "C": 3.7e-5, "R2": 3.1e4, "P_v": 0.0, field: bad}
+        with pytest.raises(ConfigurationError, match=f"finite.*{field}={bad}|finite, got {bad}$"):
+            Windkessel(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["R", "P_v"])
+    def test_single_resistance_field_must_be_finite(self, field, bad):
+        values = {"R": 1.0e3, "P_v": 0.0, field: bad}
+        with pytest.raises(ConfigurationError, match=f"finite.*{field}={bad}"):
+            SingleResistance(**values)
+
+
 class TestTopologyValidation:
     @staticmethod
     def _spec(vid):
@@ -180,6 +198,15 @@ class TestTopologyValidation:
             self._net(["a", "b"], "a",
                       [Junction("a", ("b",)), Junction("b", ("a",))],
                       {"b": term})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_initial_pressure_must_be_finite(self, bad):
+        term = SingleResistance(R=1.0)
+        with pytest.raises(ConfigurationError,
+                           match=f"^initial pressure must be finite, got {bad}$"):
+            Network(fluid=FluidProps(rho=1.06, mu=0.04),
+                    vessels={"a": self._spec("a")}, root="a", junctions=(),
+                    terminals={"a": term}, initial_pressure=bad)
 
     def test_duplicate_outlet(self):
         term = SingleResistance(R=1.0)
@@ -276,6 +303,19 @@ class TestWaveforms:
         with pytest.raises(ValueError, match="past its period"):
             WaveformSeries(t=np.array([0.0, 2.0]), q=np.array([1.0, 2.0]),
                            period=1.0)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
+    def test_period_must_be_positive_and_finite(self, tmp_path, period):
+        # nan once made every inflow value NaN, and inf closed the waveform
+        # with a sample at t = inf
+        message = f"^waveform period must be positive and finite, got {period}$"
+        with pytest.raises(ValueError, match=message):
+            WaveformSeries(t=np.array([0.0, 0.5]), q=np.array([1.0, 2.0]),
+                           period=period)
+        path = tmp_path / "wave.csv"
+        path.write_text("t,Q\n0.0,0.0\n0.5,10.0\n")
+        with pytest.raises(ValueError, match=message):
+            load_waveform(path, period=period)
 
     def test_load_waveform(self, tmp_path):
         path = tmp_path / "wave.csv"

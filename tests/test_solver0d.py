@@ -552,6 +552,28 @@ def random_state(model, rng):
     return y
 
 
+def rk4_step(model, dt):
+    """``step(t, y) -> y_next``: one classical RK4 step of the network on
+    lists of floats, a one-step call of its compiled run loop that takes no
+    sample (a stride of 2 and a last step of 0)."""
+    run, inflow, half = model._run, model.inflow, 0.5 * dt
+
+    def step(t, y):
+        return run(y, t, 0, dt, (float(inflow(t)),), (float(inflow(t + half)),),
+                   (float(inflow(t + dt)),), 2, 0, None, None)
+    return step
+
+
+def numpy_pressure(c, V, nonlinear):
+    """Compartment pressure at the sampled volumes V, on the oracle's
+    compartment constants ``c``, by the tube law in numpy."""
+    V0, K, m, n, P_ref, C0 = c[:6]
+    if nonlinear:
+        x = V / V0
+        return K * (x ** m - x ** n) + P_ref
+    return P_ref + (V - V0) / C0
+
+
 EQUIVALENCE_MODES = {name: ModelMode.from_name(name)
                      for name in ("linear", "nonlinear", "nl-p", "nl-r", "nl-l")}
 EQUIVALENCE_MODES["frozen_area"] = ModelMode(True, True, True, frozen_area=True)
@@ -583,7 +605,10 @@ class TestAssembledPlan:
             for _ in range(10):
                 y = random_state(model, rng)
                 t = rng.uniform(0.0, 2.2)
-                assert np.array_equal(model.rhs(t, y), ref.rhs(t, y)), name
+                for state in (y, y.tolist()):  # an array for any sequence
+                    d = model.rhs(t, state)
+                    assert type(d) is np.ndarray, name
+                    assert np.array_equal(d, ref.rhs(t, y)), name
                 assert vessel_inputs(model, t, y) == ref.inputs(t, y), name
 
     @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
@@ -614,12 +639,27 @@ class TestAssembledPlan:
             series = model.observe(Y)
             rows = [ref.observe(y) for y in Y.tolist()]
             assert list(series) == list(ref.models), name
+            nl = mode.nonlinear_pressure
             for vid, values in series.items():
                 for ch in ("Q", "A"):
                     assert values[ch].tolist() == [r[vid][ch] for r in rows], (name, vid, ch)
                 # numpy's power may round apart from Python's
                 np.testing.assert_allclose(values["P"], [r[vid]["P"] for r in rows],
                                            rtol=1e-14, err_msg=f"{name} {vid}")
+                # and the tube law in numpy, on the oracle's constants, gives
+                # observe's bits
+                vessel, off = ref.models[vid], ref.layout[vid]
+                V = Y[:, off]
+                if isinstance(vessel, PinPoutVessel):
+                    P = numpy_pressure(vessel.comp.consts, V, nl)
+                else:
+                    first, second = ((vessel.half, vessel.half)
+                                     if isinstance(vessel, QinQoutVessel) else
+                                     (vessel.first.comp, vessel.second.comp))
+                    Vd = Y[:, off + 2]
+                    P = (V * numpy_pressure(first.consts, V, nl)
+                         + Vd * numpy_pressure(second.consts, Vd, nl)) / (V + Vd)
+                assert np.array_equal(values["P"], P), (name, vid)
 
     def test_tree_assembly(self):
         model = assemble_network(asymmetric_tree_network(), NL, synthetic_inflow())
@@ -644,7 +684,7 @@ class TestAssembledPlan:
 class TestCompiledStep:
     """``run_0d`` advances with the network's compiled RK4 run loop, and
     ``rk4_step`` is a one-step call of it; the generic integrator on
-    ``model.rhs`` with a list state is their reference."""
+    ``model.rhs`` is their reference."""
 
     @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
     def test_run_matches_generic_integration(self, bifurcation, mode_name):
@@ -655,7 +695,7 @@ class TestCompiledStep:
         for name, net in TestAssembledPlan().networks(bifurcation):
             res = run_0d(net, inflow, mode, dt=dt, t_end=300 * dt, sample_interval=dt)
             model = assemble_network(net, mode, inflow)
-            integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+            integ = rk4_integrate(model.rhs, model.initial_state(),
                                   dt, 300 * dt, sample_interval=dt)
             assert integ.n_steps == 300
             assert np.array_equal(res.t, integ.t), name
@@ -674,7 +714,7 @@ class TestCompiledStep:
         res = run_0d(bifurcation, inflow, mode, dt=dt, t_end=t_end,
                      sample_interval=every)
         model = assemble_network(bifurcation, mode, inflow)
-        integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+        integ = rk4_integrate(model.rhs, model.initial_state(),
                               dt, t_end, sample_interval=every)
         assert integ.n_steps == 1250 and integ.n_steps % 7 != 0
         assert integ.t[-1] == 1250 * dt and integ.t[-2] == 1246 * dt
@@ -692,7 +732,7 @@ class TestCompiledStep:
     def test_non_positive_volume_collapses(self, network, mode):
         model = assemble_network(TestAssembledPlan.NETWORKS[network](), mode,
                                  synthetic_inflow())
-        step = model.rk4_step(1e-3)
+        step = rk4_step(model, 1e-3)
         for i in model.volume_indices:
             for bad in (0.0, -1.0e-3):
                 y = model.initial_state().tolist()
@@ -706,7 +746,7 @@ class TestCompiledStep:
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
     def test_collapse_names_vessel_compartment_and_time(self, mode):
         model = assemble_network(asymmetric_tree_network(), mode, synthetic_inflow())
-        step = model.rk4_step(1e-3)
+        step = rk4_step(model, 1e-3)
         ref = Composition(model)
         offsets = sorted((off, vid) for vid, off in ref.layout.items())
         for i in ref.volume_indices:
@@ -736,20 +776,20 @@ class TestCompiledStep:
                            match=r"^compartment volume became non-positive in "
                                  r"vessel 'left_iliac' \(whole vessel\) at "
                                  r"t = 0\.2505 s: "):
-            model.rk4_step(1e-3)(0.25, y)
+            rk4_step(model, 1e-3)(0.25, y)
 
     def test_stages_raise_as_the_generic_step(self, bifurcation):
         # large steps drive volumes negative in later stages; the compiled
         # step must fail, or not, exactly where the generic one does
-        from hemoflow.solver0d import _rk4_list_step
+        from hemoflow.solver0d import _rk4_array_step
 
         rng = np.random.default_rng(5)
         outcomes = set()
         for mode in (NL, LIN):
             model = assemble_network(bifurcation, mode, synthetic_inflow())
             for dt in (1e-3, 2e-3, 5e-3, 1e-2, 3e-2):
-                compiled = model.rk4_step(dt)
-                generic = _rk4_list_step(model.rhs, dt)
+                compiled = rk4_step(model, dt)
+                generic = _rk4_array_step(model.rhs, dt)
                 for _ in range(20):
                     y = random_state(model, rng).tolist()
                     results = []
@@ -772,7 +812,7 @@ class TestCompiledStep:
         terminal = RCR_TERMINAL.replace("r1 = 6.8e2", f"r1 = {-0.5 * float(R_d)!r}")
         model = assemble_network(single_vessel_network(terminal), NL,
                                  synthetic_inflow())
-        step = model.rk4_step(1e-3)
+        step = rk4_step(model, 1e-3)
         step(0.0, y.tolist())
         y[2] *= 1.6
         for evaluate in (lambda: step(0.0, y.tolist()), lambda: model.rhs(0.0, y)):
@@ -800,7 +840,7 @@ class TestCompiledStep:
         dt, t_end, every = 1e-3, 1.25, 7e-3
         model = assemble_network(bifurcation, NL, inflow)
         direct = model.integrate(dt, t_end, every)
-        integ = rk4_integrate(model.rhs, model.initial_state().tolist(),
+        integ = rk4_integrate(model.rhs, model.initial_state(),
                               dt, t_end, sample_interval=every)
         assert direct.n_steps == integ.n_steps == 1250
         assert np.array_equal(direct.t, integ.t)
@@ -909,7 +949,7 @@ class TestCompiledStep:
             # (mode, each function's writes so far)
             for mode, writes in ((NL, 1), (NL, 1), (LIN, 2), (LIN, 2)):
                 model = assemble_network(net, mode, synthetic_inflow())
-                model.rk4_step(1e-4)
+                rk4_step(model, 1e-4)
                 model.rhs(0.0, model.initial_state())
                 assert len(written) == 2 * writes
                 assert written.count("evaluator") == written.count("runner")
@@ -922,7 +962,7 @@ class TestCompiledStep:
             synthetic_inflow()) for p_v in ("0.0", "-0.0")]
         assert models[0]._plan_key != models[1]._plan_key
         for model in models:
-            model.rk4_step(1e-3)
+            rk4_step(model, 1e-3)
         assert written == ["runner", "runner"]
 
     def test_assembly_compiles_nothing(self, bifurcation, compiled_names):
@@ -932,8 +972,8 @@ class TestCompiledStep:
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         y0 = model.initial_state()
         assert names == []
-        model.rk4_step(1e-3)
-        model.rk4_step(2e-3)
+        rk4_step(model, 1e-3)
+        rk4_step(model, 2e-3)
         model.rhs(0.0, y0)
         model.boundary_flows(0.0, y0)
         assert len(names) == 2
@@ -941,18 +981,18 @@ class TestCompiledStep:
     def test_models_of_one_network_share_compiled_code(self, bifurcation,
                                                        compiled_names):
         # a model built again compiles nothing, and each binds its own inflow
-        from hemoflow.solver0d import _rk4_list_step
+        from hemoflow.solver0d import _rk4_array_step
 
         names = compiled_names
         first = assemble_network(bifurcation, NL, synthetic_inflow())
         y = first.initial_state()
         y[1] = 3.0
         expected = first.rhs(0.1, y)
-        first.rk4_step(1e-3)
+        rk4_step(first, 1e-3)
         assert len(names) == 2
         second = assemble_network(bifurcation, NL, synthetic_inflow())
         assert np.array_equal(second.rhs(0.1, y), expected)
-        second.rk4_step(1e-3)
+        rk4_step(second, 1e-3)
         assert len(names) == 2
         # the inflow enters the root's first volume derivative only
         other = assemble_network(bifurcation, NL, synthetic_inflow(period=0.9))
@@ -962,9 +1002,9 @@ class TestCompiledStep:
         assert q_in != float(synthetic_inflow()(0.1))
         assert d[0] == q_in - y[1] and expected[0] != d[0]
         assert np.array_equal(d[1:], expected[1:])
-        step = other.rk4_step(1e-3)(0.1, y.tolist())
-        generic = _rk4_list_step(other.rhs, 1e-3)(0.1, y.tolist())
-        assert step == generic
+        step = rk4_step(other, 1e-3)(0.1, y.tolist())
+        generic = _rk4_array_step(other.rhs, 1e-3)(0.1, y)
+        assert step == generic.tolist()
 
 
 class TestRK4:
@@ -1045,23 +1085,11 @@ class TestRK4:
         with pytest.raises(ValueError, match=message):
             model.integrate(1e-3, 0.01, every)
 
-    @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
-    def test_list_states_match_array_states(self, bifurcation, mode):
-        # a list y0 combines the stages on Python floats, operation for
-        # operation as numpy does on arrays
-        for net in (bifurcation, three_level_network()):
-            model = assemble_network(net, mode, synthetic_inflow())
-            y0 = model.initial_state()
-            a = rk4_integrate(model.rhs, y0, 1e-3, 0.3, sample_interval=2e-3)
-            b = rk4_integrate(model.rhs, y0.tolist(), 1e-3, 0.3,
-                              sample_interval=2e-3)
-            np.testing.assert_array_equal(a.t, b.t)
-            np.testing.assert_array_equal(a.y, b.y)
-            assert isinstance(model.rhs(0.1, y0.tolist()), list)
-
     def test_list_states_nonfinite_abort(self):
-        with pytest.raises(ModelError, match="non-finite"):
-            rk4_integrate(lambda t, y: [v * v for v in y], [1.0], 0.05, 3.0)
+        # a list y0 is taken as an array
+        with np.errstate(over="ignore"), pytest.raises(ModelError,
+                                                       match="non-finite"):
+            rk4_integrate(lambda t, y: y * y, [1.0], 0.05, 3.0)
 
     def test_cpu_seconds_exclude_waiting(self):
         # CPU time of this thread: time spent asleep does not count

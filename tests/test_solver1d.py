@@ -1134,6 +1134,19 @@ class TestWorkspace:
             cells.commit(dt, prep, [0.0] * 4)
         assert np.array_equal(cells.U, before)
 
+    @pytest.mark.parametrize("flux", [[5.0], 5.0, [5.0] * 13, [[5.0] * 6] * 2])
+    def test_boundary_flux_is_not_broadcast(self, flux):
+        # one value once filled all 12 boundary slots of the bifurcation
+        cells = Simulation1D(aortic_bifurcation(), synthetic_inflow()).cells
+        dt = cfl_dt(cells, 0.9)
+        prep = cells.prepare(dt)
+        before = cells.U.copy()
+        got = np.size(flux)
+        with pytest.raises(ValueError, match=f"^commit takes 12 boundary flux values, "
+                                             f"4 for each of 3 segments, got {got}$"):
+            cells.commit(dt, prep, flux)
+        assert np.array_equal(cells.U, before)
+
     def test_non_finite_face_state_names_vessel(self):
         sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 5)
         cells = sim.cells

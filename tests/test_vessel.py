@@ -219,3 +219,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             VesselSpec(vessel_id="x", length=0.0, wall=aorta_spec().wall,
                        fluid=BLOOD)
+
+    # NaN passed the old ``<= 0`` tests, and a run then failed many steps
+    # later with a non-finite state
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rho", "mu", "zeta"])
+    def test_fluid_field_must_be_finite(self, field, bad):
+        values = {"rho": 1.06, "mu": 0.04, "zeta": 9.0, field: bad}
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}$"):
+            FluidProps(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["A0", "K", "m", "n", "P0", "p_ext"])
+    def test_wall_field_must_be_finite(self, field, bad):
+        values = {"A0": 0.8, "K": 3.0e4, "m": 10.0, "n": -1.5, "P0": 1.0e4,
+                  "p_ext": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"finite.*{field}={bad}|finite, got {bad}$"):
+            WallModel(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_vessel_length_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}$"):
+            VesselSpec(vessel_id="x", length=bad, wall=aorta_spec().wall,
+                       fluid=BLOOD)
