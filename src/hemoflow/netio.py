@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -63,6 +63,9 @@ class SingleResistance:
         if not (math.isfinite(self.R) and math.isfinite(self.P_v)):
             raise ConfigurationError(f"terminal resistance R and P_v must be finite, "
                                      f"got R={self.R}, P_v={self.P_v}")
+        if self.R < 0.0:
+            raise ConfigurationError(f"terminal resistance R must not be negative, "
+                                     f"got {self.R}")
 
 
 Terminal = Windkessel | SingleResistance
@@ -109,6 +112,9 @@ class Network:
         for vid in parents + daughters:
             if vid not in self.vessels:
                 raise ConfigurationError(f"junction references unknown vessel {vid!r}")
+        for vid in self.terminals:
+            if vid not in self.vessels:
+                raise ConfigurationError(f"terminal of unknown vessel {vid!r}")
         if self.root in daughters:
             raise ConfigurationError(f"inflow vessel {self.root!r} is also a junction daughter")
         for vid in self.vessels:
@@ -134,12 +140,6 @@ class Network:
                 raise ConfigurationError(f"leaf vessel {vid!r} has no terminal element")
             if has_term and not is_leaf:
                 raise ConfigurationError(f"vessel {vid!r} has both a junction and a terminal outlet")
-
-    def daughters_of(self, vessel_id: str) -> tuple[str, ...]:
-        for j in self.junctions:
-            if j.parent == vessel_id:
-                return j.daughters
-        return ()
 
     def initial_area(self, vessel_id: str) -> float:
         """Cross-sectional area at the prescribed initial pressure."""
@@ -262,161 +262,157 @@ def _is_float(token: str) -> bool:
 # Network file parsing
 # ---------------------------------------------------------------------------
 
-_FLUID_KEYS = {"rho", "mu", "zeta", "pressure_ref", "pressure_ext", "initial_pressure"}
-_VESSEL_KEYS = {"length", "radius", "area", "wall_thickness", "youngs_modulus",
-                "poisson", "m", "n", "pressure_ref"}
-
-
-class _ParseState:
-    def __init__(self):
-        self.fluid: dict[str, float] = {}
-        self.vessels: dict[str, dict] = {}
-        self.junctions: list[Junction] = []
-        self.inflow: dict | None = None
-        self.terminals: dict[str, dict] = {}
+#: the keys each section kind takes, as (required, optional); a terminal's
+#: depend on its ``type``, ``rcr`` when not given. A vessel gives exactly
+#: one of ``radius`` and ``area``.
+_KEYS = {
+    "fluid": ({"rho", "mu"},
+              {"zeta", "pressure_ref", "pressure_ext", "initial_pressure"}),
+    "vessel": ({"length", "wall_thickness", "youngs_modulus"},
+               {"radius", "area", "poisson", "m", "n", "pressure_ref"}),
+    "junction": ({"parent", "daughters"}, set()),
+    "inflow": ({"vessel"}, {"waveform"}),
+    "terminal": {
+        "rcr": ({"r1", "c", "r2"}, {"type", "p_out"}),
+        "r": ({"r"}, {"type", "p_out"}),
+        "resistance": ({"r"}, {"type", "p_out"}),
+    },
+}
 
 
 def parse_network(text: str) -> Network:
-    """Parse a network definition and return a validated Network."""
-    state = _ParseState()
-    section = None  # (kind, name, lineno)
-    body: dict[str, str] = {}
+    """Parse a network definition and return a validated Network.
 
-    def flush():
-        if section is not None:
-            _finish_section(state, section, body)
-
+    The text is first split into sections, each kept as its header line,
+    name and body of ``key = value`` pairs; then each section is checked
+    against ``_KEYS`` and built. An error of a build step is raised again
+    with its own type, after the header line and the section, as in
+    ``line 24: [vessel right_iliac] stiffness must be positive and finite,
+    got nan``."""
+    # per kind, (header line, body) by section name; junctions, which have
+    # no name, by header line
+    sections: dict[str, dict] = {kind: {} for kind in _KEYS}
+    body = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(f"line {lineno}: malformed section header {raw!r}")
-            flush()
             parts = line[1:-1].split()
-            kind = parts[0]
-            name = parts[1] if len(parts) > 1 else None
-            if kind not in {"fluid", "vessel", "junction", "inflow", "terminal"}:
+            if not line.endswith("]") or not 0 < len(parts) < 3:
+                raise ConfigurationError(f"line {lineno}: malformed section header {raw!r}")
+            kind, name = parts[0], (parts[1] if len(parts) == 2 else None)
+            named = sections.get(kind)
+            if named is None:
                 raise ConfigurationError(f"line {lineno}: unknown section {kind!r}")
-            if kind in {"vessel", "terminal"} and name is None:
-                raise ConfigurationError(f"line {lineno}: section [{kind}] needs a name")
-            if kind == "vessel" and name in state.vessels:
-                raise ConfigurationError(f"line {lineno}: duplicate vessel id {name!r}")
-            section = (kind, name, lineno)
+            if (name is None) == (kind in ("vessel", "terminal")):
+                raise ConfigurationError(f"line {lineno}: section [{kind}] " + (
+                    "needs a name" if name is None else f"takes no name, got {name!r}"))
+            key = lineno if kind == "junction" else name
+            if key in named:
+                raise ConfigurationError(f"line {lineno}: duplicate {kind} section {line}, "
+                                         f"first at line {named[key][0]}")
             body = {}
+            named[key] = (lineno, body)
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if section is None:
+        if body is None:
             raise ConfigurationError(f"line {lineno}: key outside of any section")
-        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.rstrip()
         if key in body:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        body[key] = value
-    flush()
+        body[key] = value.lstrip()
 
-    if not state.fluid:
+    fluid = sections["fluid"].get(None)
+    if fluid is None:
         raise ConfigurationError("missing [fluid] section")
-    if not state.vessels:
+    if not sections["vessel"]:
         raise ConfigurationError("no vessels defined")
-    if state.inflow is None:
+    inflow = sections["inflow"].get(None)
+    if inflow is None:
         raise ConfigurationError("missing [inflow] section")
 
-    fluid = FluidProps(rho=state.fluid["rho"], mu=state.fluid["mu"],
-                       zeta=state.fluid.get("zeta", 9.0))
-    p_ref = state.fluid.get("pressure_ref", 0.0)
-    p_ext = state.fluid.get("pressure_ext", 0.0)
-    vessels: dict[str, VesselSpec] = {}
-    for vid, rec in state.vessels.items():
-        vessels[vid] = _build_vessel(vid, rec, fluid, p_ref, p_ext)
-    terminals = {vid: _build_terminal(vid, rec) for vid, rec in state.terminals.items()}
-    return Network(
-        fluid=fluid,
-        vessels=vessels,
-        root=state.inflow["vessel"],
-        junctions=tuple(state.junctions),
-        terminals=terminals,
-        initial_pressure=state.fluid.get("initial_pressure", 0.0),
-        inflow_waveform_path=state.inflow.get("waveform"),
-    )
+    fluid, p_ref, p_ext, p_init = _build("fluid", None, *fluid, _fluid)
+    vessels = {vid: _build("vessel", vid, lineno, body, _vessel, vid, fluid, p_ref, p_ext)
+               for vid, (lineno, body) in sections["vessel"].items()}
+    junctions = tuple(_build("junction", None, lineno, body, _junction)
+                      for lineno, body in sections["junction"].values())
+    inflow = _build("inflow", None, *inflow, dict)
+    terminals = {vid: _build("terminal", vid, lineno, body, _terminal)
+                 for vid, (lineno, body) in sections["terminal"].items()}
+    return Network(fluid=fluid, vessels=vessels, root=inflow["vessel"],
+                   junctions=junctions, terminals=terminals,
+                   initial_pressure=p_init,
+                   inflow_waveform_path=inflow.get("waveform"))
 
 
-def _finish_section(state: _ParseState, section, body: dict[str, str]):
-    kind, name, lineno = section
-    if kind == "fluid":
-        for key, value in body.items():
-            if key not in _FLUID_KEYS:
-                raise ConfigurationError(f"line {lineno}: unknown fluid key {key!r}")
-            state.fluid[key] = float(value)
-    elif kind == "vessel":
-        rec = {}
-        for key, value in body.items():
-            if key not in _VESSEL_KEYS:
-                raise ConfigurationError(f"line {lineno}: unknown vessel key {key!r}")
-            rec[key] = value
-        for required in ("length", "youngs_modulus"):
-            if required not in rec:
-                raise ConfigurationError(f"line {lineno}: vessel {name!r} misses {required!r}")
-        if ("radius" in rec) == ("area" in rec):
-            raise ConfigurationError(
-                f"line {lineno}: vessel {name!r} needs exactly one of radius/area")
-        if "wall_thickness" not in rec:
-            raise ConfigurationError(f"line {lineno}: vessel {name!r} misses wall_thickness")
-        state.vessels[name] = rec
-    elif kind == "junction":
-        if "parent" not in body or "daughters" not in body:
-            raise ConfigurationError(f"line {lineno}: junction needs parent and daughters")
-        daughters = tuple(body["daughters"].replace(",", " ").split())
-        state.junctions.append(Junction(parent=body["parent"], daughters=daughters))
-    elif kind == "inflow":
-        if state.inflow is not None:
-            raise ConfigurationError(f"line {lineno}: more than one [inflow] section")
-        if "vessel" not in body:
-            raise ConfigurationError(f"line {lineno}: inflow needs a vessel id")
-        state.inflow = dict(body)
-    elif kind == "terminal":
-        if name in state.terminals:
-            raise ConfigurationError(f"line {lineno}: duplicate terminal for {name!r}")
-        body = dict(body)
-        body.setdefault("type", "rcr")
-        state.terminals[name] = (body, lineno)
+def _build(kind: str, name: str | None, lineno: int, body: dict, build, *args):
+    """``build(body, *args)`` for the section [kind name] of header line
+    ``lineno``, once its body has the keys ``_KEYS`` gives the kind. An
+    unknown or missing key, or an error of the build step, raises with the
+    line and the section before the message."""
+    try:
+        keys = _KEYS[kind]
+        if kind == "terminal":
+            keys = keys.get(body.get("type", "rcr").lower())
+            if keys is None:
+                raise ConfigurationError(f"unknown terminal type {body['type']!r}")
+        required, optional = keys
+        rest = body.keys() - required
+        if not rest <= optional:
+            raise ConfigurationError(f"unknown key {min(rest - optional)!r}")
+        if len(body) - len(rest) < len(required):
+            raise ConfigurationError(f"misses {min(required - body.keys())!r}")
+        return build(body, *args)
+    except (ConfigurationError, ValueError) as exc:
+        section = kind if name is None else f"{kind} {name}"
+        raise type(exc)(f"line {lineno}: [{section}] {exc}") from exc
 
 
-def _build_vessel(vid: str, rec: dict, fluid: FluidProps,
-                  p_ref: float, p_ext: float) -> VesselSpec:
-    length = float(rec["length"])
-    if "area" in rec:
-        A0 = float(rec["area"])
+def _fluid(body: dict) -> tuple[FluidProps, float, float, float]:
+    """The fluid, and the reference, external and initial pressures."""
+    fluid = FluidProps(rho=float(body["rho"]), mu=float(body["mu"]),
+                       zeta=float(body.get("zeta", 9.0)))
+    return fluid, *(float(body.get(key, 0.0))
+                    for key in ("pressure_ref", "pressure_ext", "initial_pressure"))
+
+
+def _vessel(body: dict, vid: str, fluid: FluidProps,
+            p_ref: float, p_ext: float) -> VesselSpec:
+    if ("radius" in body) == ("area" in body):
+        raise ConfigurationError("needs exactly one of radius and area")
+    length = float(body["length"])
+    if "area" in body:
+        A0 = float(body["area"])
         r0 = math.sqrt(A0 / math.pi)
     else:
-        r0 = float(rec["radius"])
+        r0 = float(body["radius"])
         A0 = math.pi * r0 * r0
-    thickness = rec["wall_thickness"].strip()
+    thickness = body["wall_thickness"]
     h0 = adan_wall_thickness(r0) if thickness == "adan" else float(thickness)
-    E = float(rec["youngs_modulus"])
-    nu = float(rec.get("poisson", 0.5))
+    E = float(body["youngs_modulus"])
+    nu = float(body.get("poisson", 0.5))
     wall = WallModel.arterial(A0=A0, h0=h0, E=E, nu=nu,
-                              P0=float(rec.get("pressure_ref", p_ref)), p_ext=p_ext)
-    if "m" in rec or "n" in rec:
-        wall = WallModel(A0=wall.A0, K=wall.K, m=float(rec.get("m", 0.5)),
-                         n=float(rec.get("n", 0.0)), P0=wall.P0, p_ext=wall.p_ext,
-                         h0=wall.h0, E=wall.E, nu=wall.nu)
+                              P0=float(body.get("pressure_ref", p_ref)), p_ext=p_ext)
+    if "m" in body or "n" in body:
+        wall = replace(wall, m=float(body.get("m", 0.5)), n=float(body.get("n", 0.0)))
     return VesselSpec(vessel_id=vid, length=length, wall=wall, fluid=fluid)
 
 
-def _build_terminal(vid: str, rec_lineno) -> Terminal:
-    rec, lineno = rec_lineno
-    kind = rec["type"].strip().lower()
-    try:
-        if kind == "rcr":
-            return Windkessel(R1=float(rec["r1"]), C=float(rec["c"]),
-                              R2=float(rec["r2"]), P_v=float(rec.get("p_out", 0.0)))
-        if kind in {"r", "resistance"}:
-            return SingleResistance(R=float(rec["r"]), P_v=float(rec.get("p_out", 0.0)))
-    except KeyError as exc:
-        raise ConfigurationError(f"line {lineno}: terminal {vid!r} misses {exc}") from exc
-    raise ConfigurationError(f"line {lineno}: unknown terminal type {kind!r}")
+def _junction(body: dict) -> Junction:
+    return Junction(parent=body["parent"],
+                    daughters=tuple(body["daughters"].replace(",", " ").split()))
+
+
+def _terminal(body: dict) -> Terminal:
+    """The terminal of a body holding the keys of its type."""
+    P_v = float(body.get("p_out", 0.0))
+    if "r" in body:
+        return SingleResistance(R=float(body["r"]), P_v=P_v)
+    return Windkessel(R1=float(body["r1"]), C=float(body["c"]),
+                      R2=float(body["r2"]), P_v=P_v)
 
 
 def load_network(path) -> Network:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CollapseError, ConfigurationError, ModelError
 from .netio import Network, WaveformSeries, Windkessel
-from .vessel import VesselSpec, tube_law_slope
+from .vessel import _compartment
 
 
 @dataclass(frozen=True)
@@ -100,25 +100,6 @@ def _volume_collapse(V: float, vid: str, part: str, t: float) -> CollapseError:
 def _area_collapse(A_hat: float, vid: str, part: str, t: float) -> CollapseError:
     return CollapseError(f"mean area became non-positive in vessel "
                          f"{vid!r} ({part}) at t = {t:.6g} s: {A_hat}")
-
-
-def _compartment(spec: VesselSpec, fraction: float = 1.0) -> tuple[float, tuple]:
-    """(length, consts) of a lumped piece of a vessel: ``fraction`` of its
-    length, with the reference volume and constants scaled accordingly.
-
-    ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l):
-    the reference volume, the tube law's K, m, n and reference pressure,
-    the reference compliance, resistance and inductance, and the
-    numerators of the resistance and inductance at a mean area A_hat,
-    rho k_R l / A_hat^2 and rho l / A_hat.
-    """
-    w, f = spec.wall, spec.fluid
-    length = fraction * spec.length
-    rho_kR_l = f.rho * f.k_R * length
-    rho_l = f.rho * length
-    return length, (w.A0 * length, w.K, w.m, w.n, w.P0 + w.p_ext,
-                    length / tube_law_slope(w.A0, w),
-                    rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
 
 
 # ---------------------------------------------------------------------------

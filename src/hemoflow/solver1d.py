@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
@@ -58,7 +58,7 @@ from .errors import (
     ConvergenceError,
     SupercriticalError,
 )
-from .netio import Network, WaveformSeries, Windkessel
+from .netio import Junction, Network, WaveformSeries, Windkessel
 from .solver0d import RunResult, _compiled, check_run_times
 
 #: m / (m + 1) of the arterial tube law, in the momentum flux
@@ -490,22 +490,6 @@ def cfl_dt(cells: Vessel1D, CFL: float, centre=None) -> float:
 # Junction and boundary solves, on Python floats
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JunctionNode:
-    """Vessels meeting at a junction: (vessel id, end) with end in
-    {'left', 'right'}; orientation sign +1 for a right end (flow leaves the
-    vessel into the junction), -1 for a left end."""
-
-    members: tuple[tuple[str, str], ...]
-    signs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.members) < 2:
-            raise ConfigurationError("a junction needs at least two vessel ends")
-        object.__setattr__(self, "signs", tuple(
-            1.0 if end == "right" else -1.0 for _, end in self.members))
-
-
 class _End(NamedTuple):
     """Constants of the closure at one vessel end, built once per
     simulation: the vessel, its ``law`` (A0, K, rho, K/rho, P0 + p_ext,
@@ -542,18 +526,20 @@ class _Junction(NamedTuple):
     slots: tuple
 
 
-def _junction(node: JunctionNode, ends) -> _Junction:
-    """The planned junction of ``node``, given per member its end as
-    (vessel, law, A index, q index, flux slot)."""
+def _junction(junction: Junction, ends) -> _Junction:
+    """The planned ``junction``, given per member its end as (vessel, law,
+    A index, q index, flux slot): the parent's right end, then each
+    daughter's left end."""
     consts, slots, p_refs = [], [], []
-    for (_, law, iA, iq, slot), s in zip(ends, node.signs):
+    for _, law, iA, iq, slot in ends:
         A0, K, rho, K_rho, P_ref, alpha = law
-        consts += (A0, K, K_rho, P_ref, s, 4.0 * s, alpha, rho, iA, iq)
+        consts += (A0, K, K_rho, P_ref, alpha, rho, iA, iq)
         slots.append(slot)
         p_refs.append(abs(P_ref))
+    members = ((junction.parent, "right"), *((d, "left") for d in junction.daughters))
     # the total pressures carry round-off of order eps * |P0 + p_ext|, so
     # their rows are scaled by at least that magnitude
-    consts += (ends[0][1][2], max(p_refs), node.members)
+    consts += (ends[0][1][2], max(p_refs), members)
     return _Junction(_junction_solver(len(ends)), tuple(consts), tuple(slots))
 
 
@@ -562,16 +548,20 @@ def _junction_source(n: int) -> str:
     members, written out member by member.
 
     ``e`` is the list of evolved end states and ``c`` holds, per member,
-    A0, K, K/rho, P0 + p_ext, orientation sign s, 4 s, alpha, rho and the
-    indices of its A and q in ``e``; then the junction's rho (member 0's),
-    max |P0 + p_ext| and the members. Unknowns (A_k*, q_k*) per member;
-    equations: (i) sum of oriented flows is zero, (ii) total pressure equal
-    across members, (iii) the outgoing Riemann invariant u + 4c (right end)
-    or u - 4c (left end) of each member keeps its value at the evolved
-    state. Each row is scaled: the mass row by max(1, |q|), the pressure
-    rows by max(1, |pt_0|, max |P0 + p_ext|), the invariant rows by
-    max(1, |W_k|); Newton stops below 1e-10 and halves its step up to ten
-    times until the scaled residual falls.
+    A0, K, K/rho, P0 + p_ext, alpha, rho and the indices of its A and q in
+    ``e``; then the junction's rho (member 0's), max |P0 + p_ext| and the
+    members. Member 0 is the parent's right end, where flow leaves the
+    vessel into the junction (orientation sign s = +1); the others are the
+    daughters' left ends (s = -1). The signs are written into the source as
+    operators, which gives the bits of multiplying by +-1.0. Unknowns
+    (A_k*, q_k*) per member; equations: (i) sum of oriented flows s_k q_k
+    is zero, (ii) total pressure equal across members, (iii) the outgoing
+    Riemann invariant u + 4c (member 0) or u - 4c (the others) of each
+    member keeps its value at the evolved state. Each row is scaled: the
+    mass row by max(1, |q|), the pressure rows by max(1, |pt_0|,
+    max |P0 + p_ext|), the invariant rows by max(1, |W_k|); Newton stops
+    below 1e-10 and halves its step up to ten times until the scaled
+    residual falls.
 
     The Newton system has an arrow structure: each invariant row involves
     one member, each total-pressure row one member and member 0.
@@ -584,11 +574,12 @@ def _junction_source(n: int) -> str:
     The code depends on n alone, never on a network's values, so it is
     compiled once per process for each member count."""
     K = range(n)
-    fields = ("A0", "K", "Kr", "Pr", "s", "fs", "al", "rh", "iA", "iq")
+    s = ["+", *["-"] * (n - 1)]  # the orientation sign of each member
+    fields = ("A0", "K", "Kr", "Pr", "al", "rh", "iA", "iq")
     out = [", ".join(f"{f}_{k}" for k in K for f in fields)
            + ", rho, p_ref, members = c"]
     out += [f"A_{k} = e[iA_{k}]; q_{k} = e[iq_{k}]" for k in K]
-    out += [f"W_{k} = q_{k} / A_{k} + fs_{k} * sqrt(Kr_{k} * (0.5 * sqrt(A_{k} / A0_{k})))"
+    out += [f"W_{k} = q_{k} / A_{k} {s[k]} 4.0 * sqrt(Kr_{k} * (0.5 * sqrt(A_{k} / A0_{k})))"
             for k in K]
     for k in K:
         out += [f"Ws_{k} = abs(W_{k})", f"if not Ws_{k} > 1.0: Ws_{k} = 1.0"]
@@ -607,13 +598,13 @@ def _junction_source(n: int) -> str:
                       f"u_{k} = {q}_{k} / {A}_{k}",
                       f"c_{k} = sqrt(Kr_{k} * (0.5 * sx_{k}))",
                       f"pt_{k} = K_{k} * (sx_{k} - 1.0) + Pr_{k} + 0.5 * rho * u_{k} * u_{k}"]
-        lines.append("mass = 0.0" + "".join(f" + s_{k} * {q}_{k}" for k in K))
+        lines.append("mass = 0.0" + "".join(f" {s[k]} {q}_{k}" for k in K))
         lines.append("qs = 1.0")
         for k in K:
             lines += [f"x = abs({q}_{k})", "if x > qs: qs = x"]
         lines.append(f"{norm} = 0.0")
         for k in K:
-            lines += [f"r_{k} = u_{k} + fs_{k} * c_{k} - W_{k}",
+            lines += [f"r_{k} = u_{k} {s[k]} 4.0 * c_{k} - W_{k}",
                       f"x = abs(r_{k}) / Ws_{k}", f"if x > {norm}: {norm} = x"]
         lines += ["ps = abs(pt_0)", "if not ps > 1.0: ps = 1.0",
                   "if p_ref > ps: ps = p_ref"]
@@ -632,12 +623,12 @@ def _junction_source(n: int) -> str:
     # the mass row, with s_k h_k / m_k = A_k / (rho c_k), fixes X.
     step = []
     for k in K:
-        step += [f"g_{k} = A_{k} * r_{k}; h_{k} = s_{k} * c_{k} - u_{k}",
-                 f"m_{k} = rho * c_{k} * (c_{k} - s_{k} * u_{k}) / A_{k}; "
+        step += [f"g_{k} = A_{k} * r_{k}; h_{k} = {'-' if k else ''}c_{k} - u_{k}",
+                 f"m_{k} = rho * c_{k} * (c_{k} {'+' if k else '-'} u_{k}) / A_{k}; "
                  f"n_{k} = rho * u_{k} * r_{k}",
                  f"w_{k} = A_{k} / (rho * c_{k})"]
     d = ["0.0", *(f"rp_{k}" for k in K[1:])]
-    step += ["sg = 0.0" + "".join(f" + s_{k} * g_{k}" for k in K),
+    step += ["sg = 0.0" + "".join(f" {s[k]} g_{k}" for k in K),
              "sw = 0.0" + "".join(f" + w_{k}" for k in K),
              "swd = 0.0" + "".join(f" + w_{k} * ({d[k]} - n_{k})" for k in K),
              "X = (sg - mass - swd) / sw",
@@ -788,10 +779,6 @@ class Simulation1D:
         self.CFL = CFL
         self.cells = Vessel1D(network.vessels.values(), dx_max,
                               [network.initial_area(vid) for vid in network.vessels])
-        self.junctions = [
-            JunctionNode(members=((j.parent, "right"),
-                                  *((d, "left") for d in j.daughters)))
-            for j in network.junctions]
         self.P_wk = {}
         for vid, term in network.terminals.items():
             if isinstance(term, Windkessel):
@@ -824,8 +811,9 @@ class Simulation1D:
             return vid, laws[k], k, n + k, 2 * k
 
         return (_End(*end(network.root, "left")),
-                [_junction(node, [end(*member) for member in node.members])
-                 for node in self.junctions],
+                [_junction(j, [end(j.parent, "right"),
+                               *(end(d, "left") for d in j.daughters)])
+                 for j in network.junctions],
                 [_terminal(term, *end(vid, "right"))
                  for vid, term in network.terminals.items()])
 

@@ -59,8 +59,8 @@ def arterial_stiffness(h0: float, E: float, nu: float, A0: float) -> float:
     """Wall stiffness of a thin elastic arterial wall (dyne/cm^2)."""
     if A0 <= 0:
         raise ValueError(f"reference area must be positive, got {A0}")
-    if nu >= 1.0:
-        raise ValueError(f"Poisson ratio must be < 1, got {nu}")
+    if not 0.0 <= nu < 1.0:
+        raise ValueError(f"Poisson ratio must be in [0, 1), got {nu}")
     return math.sqrt(math.pi) * h0 * E / ((1.0 - nu * nu) * math.sqrt(A0))
 
 
@@ -210,12 +210,28 @@ def wave_speed(A: float, wall: WallModel, fluid: FluidProps) -> float:
     return math.sqrt(radicand)
 
 
+def _compartment(spec: VesselSpec, fraction: float = 1.0) -> tuple[float, tuple]:
+    """(length, consts) of a lumped piece of a vessel: ``fraction`` of its
+    length, with the reference volume and constants scaled accordingly.
+
+    ``consts`` holds (V0, K, m, n, P0 + p_ext, C0, R0, L0, rho k_R l, rho l):
+    the reference volume, the tube law's K, m, n and reference pressure,
+    the reference compliance, resistance and inductance, and the
+    numerators of the resistance and inductance at a mean area A_hat,
+    rho k_R l / A_hat^2 and rho l / A_hat.
+    """
+    w, f = spec.wall, spec.fluid
+    length = fraction * spec.length
+    rho_kR_l = f.rho * f.k_R * length
+    rho_l = f.rho * length
+    return length, (w.A0 * length, w.K, w.m, w.n, w.P0 + w.p_ext,
+                    length / tube_law_slope(w.A0, w),
+                    rho_kR_l / (w.A0 * w.A0), rho_l / w.A0, rho_kR_l, rho_l)
+
+
 def lumped_constants(spec: VesselSpec) -> LumpedConstants:
     """Constant (R0, L0, C0) of a vessel evaluated at A = A0."""
-    w, f, l = spec.wall, spec.fluid, spec.length
-    R0 = f.rho * f.k_R * l / (w.A0 * w.A0)
-    L0 = f.rho * l / w.A0
-    C0 = l / tube_law_slope(w.A0, w)
+    C0, R0, L0 = _compartment(spec)[1][5:8]
     return LumpedConstants(R0=R0, L0=L0, C0=C0)
 
 
@@ -223,10 +239,8 @@ def lumped_nonlinear(spec: VesselSpec, A_hat: float) -> tuple[float, float]:
     """(R, L) evaluated at the instantaneous mean area A_hat."""
     if A_hat <= 0:
         raise CollapseError(f"mean area must be positive, got {A_hat}")
-    f, l = spec.fluid, spec.length
-    R = f.rho * f.k_R * l / (A_hat * A_hat)
-    L = f.rho * l / A_hat
-    return R, L
+    rho_kR_l, rho_l = _compartment(spec)[1][8:]
+    return rho_kR_l / (A_hat * A_hat), rho_l / A_hat
 
 
 def nonlinear_compliance(spec: VesselSpec, A_hat: float) -> float:

@@ -161,10 +161,41 @@ class TestRun:
     def test_non_finite_parameter_is_refused(self, tmp_path, capsys, key, line,
                                              message, solver):
         # a NaN once parsed, and the 0D run failed at t = 0.001 s with a
-        # non-finite state (exit 2)
+        # non-finite state (exit 2); the error names the section's header
+        # line and the section
         net_file = tmp_path / "net.txt"
         net_file.write_text(NETWORK_TEXT.replace(line, f"{key} = nan"))
         code = main(["run", "--network", str(net_file), "--solver", solver,
+                     "--t-end", "0.01", "--out", str(tmp_path / "x")])
+        assert code == 1
+        section = {"rho": "line 2: [fluid]",
+                   "c": "line 17: [terminal v]"}.get(key, "line 8: [vessel v]")
+        assert capsys.readouterr().err.strip() == f"error: {section} {message}"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("solver", ["0d", "1d"])
+    def test_terminal_of_unknown_vessel_is_refused(self, tmp_path, capsys, solver):
+        # the 0D run once failed with a NameError in its generated pass, and
+        # the 1D run with a KeyError
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(NETWORK_TEXT + "\n[terminal ghost]\nr1 = 1.0e3\nc = 1.0e-5\n"
+                            "r2 = 1.0e4\n")
+        code = main(["run", "--network", str(net_file), "--solver", solver,
+                     "--t-end", "0.01", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == "error: terminal of unknown vessel 'ghost'"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("rho = 1.06\n", "", "line 2: [fluid] misses 'rho'"),
+        ("[inflow]\nvessel = v", "[inflow]\nvessel = v\nwavefrom = q.csv",
+         "line 14: [inflow] unknown key 'wavefrom'")])
+    def test_bad_section_is_refused(self, tmp_path, capsys, old, new, message):
+        # a [fluid] without rho once ended in a KeyError traceback, and the
+        # misspelled waveform key ran the synthetic inflow
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(NETWORK_TEXT.replace(old, new))
+        code = main(["run", "--network", str(net_file), "--solver", "0d",
                      "--t-end", "0.01", "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"

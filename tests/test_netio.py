@@ -1,6 +1,9 @@
 """Network file parsing, waveforms, and results persistence."""
 
 import math
+import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hemoflow.errors import ConfigurationError
 from hemoflow.metrics import ErrorReport
 from hemoflow.netio import (
     _BLOCK_ROWS,
+    _KEYS,
     Junction,
     Network,
     SingleResistance,
@@ -48,6 +52,13 @@ r1 = 100.0
 c = 1e-5
 r2 = 1e4
 """
+
+#: the bundled network's file: [fluid] at line 4, [vessel aorta] at 12,
+#: [vessel right_iliac] at 24, [junction] at 30, [inflow] at 34 and
+#: [terminal left_iliac] at 37
+BUNDLED = resources.files("hemoflow.data").joinpath("aortic_bifurcation.txt").read_text()
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestBundledBenchmark:
@@ -141,6 +152,137 @@ youngs_modulus = 1e6
         assert (wall.m, wall.n) == (10.0, -1.5)
         assert not wall.is_arterial
 
+    @pytest.mark.parametrize("old, new, message", [
+        # each of these was once accepted: the key was ignored, a second
+        # [fluid] replaced the first, and the header's last word was dropped
+        ("daughters = left_iliac right_iliac",
+         "daughters = left_iliac right_iliac\nsplit = 0.5",
+         "line 30: [junction] unknown key 'split'"),
+        ("vessel = aorta", "vessel = aorta\nwavefrom = q.csv",
+         "line 34: [inflow] unknown key 'wavefrom'"),
+        ("p_out = 0.0", "p_ot = 5000.0", "line 37: [terminal left_iliac] unknown key 'p_ot'"),
+        ("[inflow]", "[fluid]\nrho = 1.0\nmu = 0.04\n\n[inflow]",
+         "line 34: duplicate fluid section [fluid], first at line 4"),
+        ("[vessel aorta]", "[vessel aorta extra]",
+         "line 12: malformed section header '[vessel aorta extra]'"),
+        ("[inflow]", "[inflow aorta]", "line 34: section [inflow] takes no name, got 'aorta'"),
+        ("[terminal left_iliac]", "[terminal]", "line 37: section [terminal] needs a name"),
+        # a [fluid] without rho or mu once raised KeyError
+        ("rho = 1.060\n", "", "line 4: [fluid] misses 'rho'"),
+        ("mu = 0.04\n", "", "line 4: [fluid] misses 'mu'"),
+        ("type = rcr\nr1", "type = rc\nr1",
+         "line 37: [terminal left_iliac] unknown terminal type 'rc'"),
+    ])
+    def test_bad_section_is_refused(self, old, new, message):
+        text = BUNDLED.replace(old, new, 1)
+        assert text != BUNDLED
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_network(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        # a build step's error once named neither the line nor the section
+        ("youngs_modulus = 7.0e6\n\n[junction]", "youngs_modulus = nan\n\n[junction]",
+         "line 24: [vessel right_iliac] stiffness must be positive and finite, got nan"),
+        ("youngs_modulus = 7.0e6\n\n[junction]",
+         "youngs_modulus = 7.0e6\npoisson = nan\n\n[junction]",
+         "line 24: [vessel right_iliac] Poisson ratio must be in [0, 1), got nan"),
+        # a Poisson ratio of -1 once divided by zero in the stiffness
+        ("youngs_modulus = 5.0e6", "youngs_modulus = 5.0e6\npoisson = -1.0",
+         "line 12: [vessel aorta] Poisson ratio must be in [0, 1), got -1.0"),
+        ("r1 = 6.8123e2", "r1 = x",
+         "line 37: [terminal left_iliac] could not convert string to float: 'x'"),
+        ("mu = 0.04", "mu = -0.04", "line 4: [fluid] viscosity must be positive and finite, "
+         "got -0.04"),
+    ])
+    def test_build_error_names_line_and_section(self, old, new, message):
+        text = BUNDLED.replace(old, new, 1)
+        assert text != BUNDLED
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_network(text)
+
+    def test_build_error_keeps_its_type(self):
+        text = BUNDLED.replace("c = 3.6664e-5", "c = 0.0", 1)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "line 37: [terminal left_iliac] Windkessel compliance must be positive")):
+            parse_network(text)
+
+
+@st.composite
+def mutated_bundled_network(draw):
+    """The bundled network's file with one to three mutations: a line
+    dropped or repeated, a section repeated, a value set to nan, x or
+    nothing, a key misspelled, or a terminal added for an unknown vessel."""
+    lines = BUNDLED.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "section", "value",
+                                     "misspell", "ghost"]))
+        key, sep, value = lines[i].partition("=")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "section":
+            heads = [k for k, line in enumerate(lines) if line.startswith("[")]
+            start = max((k for k in heads if k <= i), default=0)
+            stop = min((k for k in heads if k > i), default=len(lines))
+            lines += lines[start:stop]
+        elif kind == "value" and sep:
+            lines[i] = f"{key}= {draw(st.sampled_from(['nan', 'x', '']))}"
+        elif kind == "misspell" and sep:
+            key = key.strip()
+            j = draw(st.integers(0, len(key) - 1))
+            lines[i] = f"{key[:j]}{key[j + 1:]} ={value}"
+        elif kind == "ghost":
+            lines += ["[terminal ghost]", "type = r", "r = 1.0e3"]
+    return "\n".join(lines)
+
+
+class TestParserProperty:
+    @given(mutated_bundled_network())
+    @example(BUNDLED.replace("rho = 1.060\n", ""))
+    @example(BUNDLED + "[terminal ghost]\ntype = r\nr = 1.0e3\n")
+    def test_mutated_file_parses_or_raises_typed_error(self, text):
+        # the parser returns a network or refuses the file with a typed
+        # error: nothing else escapes it
+        try:
+            network = parse_network(text)
+        except (ConfigurationError, ValueError):
+            return
+        assert isinstance(network, Network)
+
+
+class TestReadme:
+    """The README's network file example and key table."""
+
+    @staticmethod
+    def _section() -> str:
+        text = README.read_text()
+        return text[text.index("## Network file format"):text.index("## Tests")]
+
+    def test_example_is_the_bundled_network(self):
+        example = self._section().split("```ini\n", 1)[1].split("```", 1)[0]
+        assert (serialize_network(parse_network(example))
+                == serialize_network(aortic_bifurcation()))
+
+    def test_key_table_matches_the_parser(self):
+        # every row of the README's table is a kind (and terminal type) of
+        # _KEYS with its required and optional keys, and every kind is a row
+        table = {}
+        for line in self._section().splitlines():
+            if not line.startswith("| `["):
+                continue
+            section, types, required, optional = line.split("|")[1:-1]
+            kind = re.search(r"\[(\w+)", section).group(1)
+            keys = tuple(set(re.findall(r"`(\w+)`", cell)) for cell in (required, optional))
+            for name in re.findall(r"`(\w+)`", types) or [None]:
+                table[kind, name] = keys
+        expected = {}
+        for kind, keys in _KEYS.items():
+            for name, entry in (keys.items() if kind == "terminal" else [(None, keys)]):
+                expected[kind, name] = entry
+        assert table == expected
+
 
 class TestTerminalValidation:
     # NaN passed the old ``<= 0`` tests of the Windkessel, and nothing
@@ -158,6 +300,14 @@ class TestTerminalValidation:
         values = {"R": 1.0e3, "P_v": 0.0, field: bad}
         with pytest.raises(ConfigurationError, match=f"finite.*{field}={bad}"):
             SingleResistance(**values)
+
+    def test_single_resistance_must_not_be_negative(self):
+        # a negative resistance once ran in 0D until a volume collapsed at
+        # t = 0.073 s; zero stays allowed
+        with pytest.raises(ConfigurationError,
+                           match=r"^terminal resistance R must not be negative, got -1000.0$"):
+            SingleResistance(R=-1000.0)
+        assert SingleResistance(R=0.0).R == 0.0
 
 
 class TestTopologyValidation:
@@ -191,6 +341,13 @@ class TestTopologyValidation:
     def test_unknown_junction_member(self):
         with pytest.raises(ConfigurationError, match="unknown vessel"):
             self._net(["a"], "a", [Junction("a", ("ghost",))], {})
+
+    def test_terminal_of_unknown_vessel(self):
+        # once accepted: the 0D run then failed with a NameError in its
+        # generated pass and the 1D run with a KeyError
+        term = SingleResistance(R=1.0)
+        with pytest.raises(ConfigurationError, match="^terminal of unknown vessel 'ghost'$"):
+            self._net(["a"], "a", [], {"a": term, "ghost": term})
 
     def test_root_cannot_be_daughter(self):
         term = SingleResistance(R=1.0)

@@ -13,6 +13,7 @@ from hemoflow.errors import (
     SupercriticalError,
 )
 from hemoflow.netio import (
+    Junction,
     SingleResistance,
     WaveformSeries,
     Windkessel,
@@ -22,7 +23,6 @@ from hemoflow.netio import (
 )
 from hemoflow import solver1d
 from hemoflow.solver1d import (
-    JunctionNode,
     Simulation1D,
     Vessel1D,
     _End,
@@ -107,12 +107,18 @@ def midpoint_samples(sim) -> np.ndarray:
     return np.array(out).T
 
 
+def junction_members(node):
+    """(vessel, end) of each member of the junction ``node``: the parent's
+    right end, then each daughter's left end."""
+    return ((node.parent, "right"), *((d, "left") for d in node.daughters))
+
+
 def solve_junction(node, specs, states):
     """``junction_solve`` of ``node`` planned over the vessels ``specs``
     (by id), at the evolved ``states`` given per member: per member
     (A*, q*, F_q*)."""
     ends = [(vid, law(specs[vid]), 2 * k, 2 * k + 1, 2 * k)
-            for k, (vid, _) in enumerate(node.members)]
+            for k, (vid, _) in enumerate(junction_members(node))]
     return junction_solve(_junction(node, ends),
                           [x for state in states for x in state])
 
@@ -304,15 +310,13 @@ class TestWellBalancedAndConservation:
 class TestJunctionSolve:
     def _bifurcation(self):
         vessels = {"p": aorta_spec(), "d1": iliac_spec("d1"), "d2": iliac_spec("d2")}
-        node = JunctionNode(members=(("p", "right"), ("d1", "left"),
-                                     ("d2", "left")))
-        return node, vessels
+        return Junction("p", ("d1", "d2")), vessels
 
     def test_rest_fixed_point(self):
         node, vessels = self._bifurcation()
-        states = [(vessels[v].wall.A0, 0.0) for v, _ in node.members]
+        states = [(vessels[v].wall.A0, 0.0) for v, _ in junction_members(node)]
         stars = solve_junction(node, vessels, states)
-        for (vid, _), (A_s, q_s, _) in zip(node.members, stars):
+        for (vid, _), (A_s, q_s, _) in zip(junction_members(node), stars):
             assert A_s == pytest.approx(vessels[vid].wall.A0, rel=1e-12)
             assert abs(q_s) < 1e-12
 
@@ -339,8 +343,7 @@ class TestJunctionSolve:
                                         P0=94666.66666666667),
                 fluid=BLOOD),
         }
-        node = JunctionNode(members=(("p", "right"), ("d1", "left"),
-                                     ("d2", "left")))
+        node = Junction("p", ("d1", "d2"))
         states = [(1.05 * vessels["p"].wall.A0, 35.0),
                   (0.98 * vessels["d1"].wall.A0, 12.0),
                   (1.02 * vessels["d2"].wall.A0, 9.0)]
@@ -353,8 +356,8 @@ class TestJunctionSolve:
         # total pressure continuity and invariant preservation
         sign = {"right": 1.0, "left": -1.0}
         pt_ref = None
-        for (vid, end), (A_b, q_b), (A_s, q_s, _) in zip(node.members, states,
-                                                         stars):
+        for (vid, end), (A_b, q_b), (A_s, q_s, _) in zip(junction_members(node),
+                                                         states, stars):
             v = OracleVessel(vessels[vid], 0.2)
             pt = float(v.pressure(A_s)) + 0.5 * rho * (q_s / A_s) ** 2
             if pt_ref is None:
@@ -423,7 +426,7 @@ r2 = 3.1013e4
 
     def test_too_few_members(self):
         with pytest.raises(ConfigurationError):
-            JunctionNode(members=(("p", "right"),))
+            Junction("p", ())
 
 
 class TestBoundaryConditions:
@@ -609,9 +612,10 @@ def _oracle_cfl_dt(vessels, CFL):
 
 
 def _oracle_junction_solve(node, vessels, states, tol=1e-10, max_iter=50):
-    N = len(node.members)
-    ves = [vessels[vid] for vid, _ in node.members]
-    sgn = np.array(node.signs)
+    members = junction_members(node)
+    N = len(members)
+    ves = [vessels[vid] for vid, _ in members]
+    sgn = np.array([1.0 if end == "right" else -1.0 for _, end in members])
     A = np.array([s[0] for s in states])
     q = np.array([s[1] for s in states])
     W = q / A + sgn * 4.0 * np.array([v.celerity(a) for v, a in zip(ves, A)])
@@ -727,10 +731,6 @@ class _OracleSimulation:
         self.network, self.inflow, self.CFL = network, inflow, CFL
         self.vessels = {vid: OracleVessel(spec, dx_max, network.initial_area(vid))
                         for vid, spec in network.vessels.items()}
-        self.junctions = [
-            JunctionNode(members=((j.parent, "right"),
-                                  *((d, "left") for d in j.daughters)))
-            for j in network.junctions]
         self.P_wk = {vid: network.initial_pressure
                      for vid, term in network.terminals.items()
                      if isinstance(term, Windkessel)}
@@ -744,15 +744,15 @@ class _OracleSimulation:
         A_s, q_s = _oracle_inflow_bc(ves, (float(p["AbL"][0]), float(p["qbL"][0])),
                                      float(self.inflow(self.t + 0.5 * dt)))
         left[root] = tuple(float(f) for f in ves.flux(A_s, q_s))
-        for node in self.junctions:
+        for node in self.network.junctions:
             states = []
-            for vid, end in node.members:
+            for vid, end in junction_members(node):
                 p = preps[vid]
                 states.append((float(p["AbR"][-1]), float(p["qbR"][-1]))
                               if end == "right"
                               else (float(p["AbL"][0]), float(p["qbL"][0])))
             stars = _oracle_junction_solve(node, self.vessels, states)
-            for (vid, end), (A_s, q_s) in zip(node.members, stars):
+            for (vid, end), (A_s, q_s) in zip(junction_members(node), stars):
                 F = tuple(float(f) for f in self.vessels[vid].flux(A_s, q_s))
                 (right if end == "right" else left)[vid] = F
         for vid, term in self.network.terminals.items():
@@ -1310,9 +1310,7 @@ def _random_junction(n_members, seed, mirrored=False):
                                 fluid=BLOOD))
         states.append((tube_law_area(p, wall) * rng.uniform(0.98, 1.02),
                        rng.uniform(-20.0, 40.0)))
-    node = JunctionNode(members=(("v0", "right"),
-                                 *((f"v{k}", "left") for k in range(1, n_members))))
-    return node, specs, states
+    return Junction("v0", tuple(f"v{k}" for k in range(1, n_members))), specs, states
 
 
 class TestFloatJunction:
@@ -1370,11 +1368,12 @@ def _loop_boundary_flux(law, A, q):
 
 
 def _loop_junction_solve(node, vessels, states, tol=1e-10, max_iter=50):
-    members = node.members
+    members = junction_members(node)
     N = len(members)
     sqrt = math.sqrt
     consts = []
-    for (vid, _), s in zip(members, node.signs):
+    for vid, end in members:
+        s = 1.0 if end == "right" else -1.0
         A0, K, _, K_rho, P_ref, _ = law(vessels[vid])
         consts.append((A0, K, K_rho, P_ref, s, 4.0 * s))
     rho = law(vessels[members[0][0]])[2]
@@ -1534,12 +1533,12 @@ def _loop_step(sim, dt=None, until=math.inf):
     A_s, q_s = _loop_inflow_bc(specs[k], (ends[k], ends[n + k]),
                                float(sim.inflow(sim.t + 0.5 * dt)))
     left[k] = _loop_boundary_flux(law(specs[k]), A_s, q_s)
-    for node in sim.junctions:
-        members = [(seg[vid], end == "right") for vid, end in node.members]
+    for node in sim.network.junctions:
+        sides = [(seg[vid], end == "right") for vid, end in junction_members(node)]
         states = [(ends[2 * n + k], ends[3 * n + k]) if is_right
-                  else (ends[k], ends[n + k]) for k, is_right in members]
+                  else (ends[k], ends[n + k]) for k, is_right in sides]
         stars = _loop_junction_solve(node, sim.network.vessels, states)
-        for (k, is_right), (A_s, q_s) in zip(members, stars):
+        for (k, is_right), (A_s, q_s) in zip(sides, stars):
             (right if is_right else left)[k] = _loop_boundary_flux(
                 law(specs[k]), A_s, q_s)
     for vid, term in sim.network.terminals.items():
@@ -1579,8 +1578,7 @@ def _extreme_junction(seed):
         specs.append(VesselSpec(vessel_id=f"v{k}", length=5.0, wall=wall, fluid=BLOOD))
         states.append((wall.A0 * 10.0 ** rng.uniform(-2.0, 2.0),
                        rng.normal() * 10.0 ** rng.uniform(0.0, 6.0)))
-    node = JunctionNode(members=(("v0", "right"),
-                                 *((f"v{k}", "left") for k in range(1, n))))
+    node = Junction("v0", tuple(f"v{k}" for k in range(1, n)))
     return node, {s.vessel_id: s for s in specs}, states
 
 
@@ -1597,7 +1595,7 @@ class TestPlannedClosures:
             assert got == ref
             return ref
         assert got[0] == "ok"
-        for (vid, _), star, (A, q) in zip(node.members, got[1], ref[1]):
+        for (vid, _), star, (A, q) in zip(junction_members(node), got[1], ref[1]):
             assert star == (A, q) + _loop_boundary_flux(law(vessels[vid]), A, q)[1:]
         return ref
 
