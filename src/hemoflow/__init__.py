@@ -10,7 +10,6 @@ from .vessel import (
     coriolis_alpha,
     lumped_constants,
     lumped_nonlinear,
-    nonlinear_compliance,
     tube_law_area,
     tube_law_pressure,
     wave_speed,
@@ -40,7 +39,6 @@ __all__ = [
     "load_network",
     "lumped_constants",
     "lumped_nonlinear",
-    "nonlinear_compliance",
     "parse_network",
     "synthetic_inflow",
     "tube_law_area",

@@ -2,8 +2,8 @@
 
 Closed-form eigenvalues of the linearized dynamics of each vessel
 configuration, the discriminant factors that fix the sign of the
-oscillatory/overdamped transition, the periodic forcing balance check and
-the convective/pressure/friction coefficient ratios of the 1D equations.
+oscillatory/overdamped transition and the convective/pressure/friction
+coefficient ratios of the 1D equations, reported by ``hemoflow analyze``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netio import WaveformSeries
-from .vessel import VesselSpec
+from .vessel import VesselSpec, wave_speed
 
 
 # ---------------------------------------------------------------------------
@@ -69,54 +68,20 @@ def eigenvalues_qin_qout(R0: float, L0: float, C0: float):
     return complex(0.0), l2, l3
 
 
-def matrix_pin_qout(R0: float, L0: float, C0: float) -> np.ndarray:
-    """Coefficient matrix of the linear (V, Q) system with frozen inputs."""
-    return np.array([[0.0, 1.0],
-                     [-1.0 / (C0 * L0), -R0 / L0]])
-
-
-def matrix_qin_pout(R0: float, L0: float, C0: float) -> np.ndarray:
-    """Coefficient matrix of the mirrored (V, Q) system."""
-    return np.array([[0.0, -1.0],
-                     [1.0 / (C0 * L0), -R0 / L0]])
-
-
-def matrix_pin_pout(R0: float, L0: float, C0: float) -> np.ndarray:
-    """Coefficient matrix of the (V, Q, Q_d) system: one capacitor C0
-    between half resistances R0/2 and half inductances L0/2."""
-    a = R0 / L0
-    b = 2.0 / (C0 * L0)
-    return np.array([[0.0, 1.0, -1.0],
-                     [-b, -a, 0.0],
-                     [b, 0.0, -a]])
-
-
-def matrix_qin_qout(R0: float, L0: float, C0: float) -> np.ndarray:
-    """Coefficient matrix of the (V, Q, V_d) system: two half capacitors
-    C0/2 around the interior resistance R0 and inductance L0."""
-    a = R0 / L0
-    b = 2.0 / (C0 * L0)
-    return np.array([[0.0, -1.0, 0.0],
-                     [b, -a, -b],
-                     [0.0, 1.0, 0.0]])
-
-
-def classify_eigenvalues(eigs, tol: float = 0.0) -> str:
+def classify_eigenvalues(eigs) -> str:
     """'asymptotically stable' (all Re < 0), 'marginal (zero eigenvalue)'
     or 'unstable'."""
     re = [ev.real for ev in eigs]
-    if all(r < -tol for r in re):
+    if all(r < 0.0 for r in re):
         return "asymptotically stable"
-    if any(r > tol for r in re):
+    if any(r > 0.0 for r in re):
         return "unstable"
     return "marginal (zero eigenvalue)"
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    config: str
     eigenvalues: tuple[complex, ...]
-    discriminant: float
     classification: str
 
 
@@ -130,18 +95,12 @@ _EIGEN_FNS = {
 
 def stability_report(config: str, R0: float, L0: float, C0: float) -> StabilityReport:
     eigs = _EIGEN_FNS[config](R0, L0, C0)
-    a = R0 / L0
-    if config in ("PinQout", "QinPout"):
-        delta = a * a - 4.0 / (C0 * L0)
-    else:
-        delta = a * a - 16.0 / (C0 * L0)
-    return StabilityReport(config=config, eigenvalues=tuple(eigs),
-                           discriminant=delta,
+    return StabilityReport(eigenvalues=tuple(eigs),
                            classification=classify_eigenvalues(eigs))
 
 
 # ---------------------------------------------------------------------------
-# Discriminant factors and forcing balance
+# Discriminant factors
 # ---------------------------------------------------------------------------
 
 def discriminant_factors(spec: VesselSpec) -> tuple[float, float, int]:
@@ -162,21 +121,6 @@ def discriminant_factors(spec: VesselSpec) -> tuple[float, float, int]:
     else:
         sign = 0
     return f1, f2, sign
-
-
-def flow_balance_check(q_in: WaveformSeries, q_out: WaveformSeries,
-                       T0: float) -> float:
-    """Residual of the periodic forcing balance: the integral of
-    Q_in - Q_out over one period (trapezoidal rule on the union grid).
-    A bounded-volume periodic regime requires this to vanish."""
-    for name, series in (("Q_in", q_in), ("Q_out", q_out)):
-        if abs(series.period - T0) > 1e-12 * max(1.0, T0):
-            raise ValueError(
-                f"{name} period {series.period} does not match T0 = {T0}")
-    grid = np.union1d(q_in._tp, q_out._tp)
-    grid = grid[(grid >= 0.0) & (grid <= T0)]
-    diff = q_in(grid) - q_out(grid)
-    return float(np.trapezoid(diff, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +188,6 @@ def format_network_report(network, lumped: dict, velocity: dict | None = None,
     ``lumped`` maps vessel id -> LumpedConstants; ``velocity`` optionally
     maps vessel id -> (U_mean, U_max) from a converged 1D run.
     """
-    from .vessel import wave_speed
-
     lines = []
     for vid, spec in network.vessels.items():
         cons = lumped[vid]

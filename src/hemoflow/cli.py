@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import format_network_report
+from .analysis import format_network_report, velocity_stats
 from .errors import (
     CollapseError,
     ConfigurationError,
@@ -20,7 +20,7 @@ from .errors import (
     ModelError,
     SupercriticalError,
 )
-from .metrics import error_metrics, first_periodic_cycle, sample_cycle, speedup
+from .metrics import error_metrics, first_periodic_cycle, sample_cycle
 from .netio import (
     aortic_bifurcation,
     load_network,
@@ -142,6 +142,14 @@ def cmd_compare(args) -> int:
                                  args.T0)
         test_cycle = sample_cycle(s["t"], {"P": s["P"], "Q": s["Q"], "A": s["A"]},
                                   args.T0)
+        # each cycle ends at its run's last sample: runs that end apart
+        # would compare phase-shifted cycles
+        ends = r["t"][-1], s["t"][-1]
+        half = 0.5 * max((t[-1] - t[0]) / (t.size - 1) for t in (r["t"], s["t"]))
+        if abs(ends[0] - ends[1]) > half:
+            raise ConfigurationError(
+                "the runs end at different times, so their last cycles are not aligned: "
+                "reference at t = {:.9g} s, test at t = {:.9g} s".format(*ends))
         for name, run, cycle in (("reference", r, ref_cycle),
                                  ("test", s, test_cycle)):
             k = first_periodic_cycle(run["t"], {"P": run["P"], "Q": run["Q"],
@@ -164,8 +172,6 @@ def cmd_analyze(args) -> int:
               for vid, spec in network.vessels.items()}
     velocity = None
     if args.run is not None:
-        from .analysis import velocity_stats
-
         runs = _load_run_dir(_out_root() / args.run)
         velocity = {}
         for vid, series in runs.items():

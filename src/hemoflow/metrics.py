@@ -1,5 +1,5 @@
-"""Waveform comparison: relative error metrics over one cardiac cycle,
-periodicity detection and CPU-time/speedup accounting."""
+"""Waveform comparison: relative error metrics over one cardiac cycle and
+periodicity detection."""
 
 from __future__ import annotations
 
@@ -175,10 +175,3 @@ def first_periodic_cycle(t, channels: dict, T0: float,
             return k
         prev = cyc
     return None
-
-
-def speedup(seconds_per_cycle_1d: float, seconds_per_cycle_0d: float) -> float:
-    """CPU-time ratio of the 1D reference over the 0D model."""
-    if seconds_per_cycle_1d <= 0 or seconds_per_cycle_0d <= 0:
-        raise ValueError("timings must be positive")
-    return seconds_per_cycle_1d / seconds_per_cycle_0d

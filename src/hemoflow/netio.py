@@ -95,9 +95,6 @@ class Network:
     inflow_waveform_path: str | None = None
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self):
         if not math.isfinite(self.initial_pressure):
             raise ConfigurationError(
                 f"initial pressure must be finite, got {self.initial_pressure}")
@@ -379,19 +376,27 @@ def _fluid(body: dict) -> tuple[FluidProps, float, float, float]:
                     for key in ("pressure_ref", "pressure_ext", "initial_pressure"))
 
 
+def _positive(body: dict, key: str) -> float:
+    """The value of ``key``, checked to be positive and finite."""
+    value = float(body[key])
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{key} must be positive and finite, got {value}")
+    return value
+
+
 def _vessel(body: dict, vid: str, fluid: FluidProps,
             p_ref: float, p_ext: float) -> VesselSpec:
     if ("radius" in body) == ("area" in body):
         raise ConfigurationError("needs exactly one of radius and area")
     length = float(body["length"])
     if "area" in body:
-        A0 = float(body["area"])
+        A0 = _positive(body, "area")
         r0 = math.sqrt(A0 / math.pi)
     else:
-        r0 = float(body["radius"])
+        r0 = _positive(body, "radius")
         A0 = math.pi * r0 * r0
-    thickness = body["wall_thickness"]
-    h0 = adan_wall_thickness(r0) if thickness == "adan" else float(thickness)
+    h0 = (adan_wall_thickness(r0) if body["wall_thickness"] == "adan"
+          else _positive(body, "wall_thickness"))
     E = float(body["youngs_modulus"])
     nu = float(body.get("poisson", 0.5))
     wall = WallModel.arterial(A0=A0, h0=h0, E=E, nu=nu,

@@ -14,15 +14,15 @@ vessels (P_in, P_out), plus one capacitor pressure per RCR terminal) and
 advanced with classical RK4. Assembly builds the one description of that
 system, an evaluation plan of constant tuples, state offsets and
 junction/terminal coupling in tree order, straight from the vessel specs.
-The initial state, the volume indices and the boundary flows read the
-plan. From it the model also writes the network pass as straight-line
-Python source, each state a local and each constant a literal, and
-compiles it on first use (never at assembly): ``rhs`` runs one pass, and
-``run_0d`` runs one compiled function for the whole run, whose loop keeps
-the states in locals from step to step and inlines the four passes of an
-RK4 step, their combination and the sampling. The module of that run loop
-also holds the compartment pressures on sampled columns, which ``observe``
-weighs into per-vessel series. The inflow at every stage time of the run
+The layout and the initial state read the plan. From it the model also
+writes the network pass as straight-line Python source, each state a local
+and each constant a literal, and compiles it on first use (never at
+assembly): ``rhs`` runs one pass, and ``run_0d`` runs one compiled
+function for the whole run, whose loop keeps the states in locals from
+step to step and inlines the four passes of an RK4 step, their combination
+and the sampling. The module of that run loop also holds the compartment
+pressures on sampled columns, which ``observe`` weighs into per-vessel
+series. The inflow at every stage time of the run
 (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the loop, in three
 calls of the waveform on arrays. Compiled code is cached by the plan it
 was written from (``_compiled``, ``_plan_key``), so models of one network
@@ -416,8 +416,7 @@ class NetworkModel0D:
     network pass over that plan (``rhs``), and the RK4 run loop
     (``integrate``) with the compartment pressures that ``observe`` weighs,
     are generated from it as Python source and compiled the first time each
-    is used; the initial state, the volume indices and the boundary flows
-    read it too.
+    is used; the initial state reads it too.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -487,11 +486,6 @@ class NetworkModel0D:
         """The vessel at each state offset."""
         return {off: vid for vid, off in self.layout.items()}
 
-    def _halves(self) -> list[int]:
-        """State offsets of the vessels of two compartments, (V, Q, V_d) or
-        (V1, Q1, V2, Q2): the root and the interior vessels."""
-        return [self._root[0], *(v[0] for v in self._interior)]
-
     @cached_property
     def _plan_key(self) -> str:
         """What the generated source is written from, as text: the mode's
@@ -546,22 +540,15 @@ class NetworkModel0D:
         cpu = time.thread_time() - start
         return Integration(t=np.array(times),
                            y=np.frombuffer(samples).reshape(len(times), -1),
-                           cpu_seconds=cpu, n_steps=n_steps)
-
-    @property
-    def volume_indices(self) -> list[int]:
-        """State indices holding compartment volumes (for mass audits), in
-        layout order."""
-        halves = self._halves()
-        return sorted([*halves, *(o + 2 for o in halves),
-                       *(v[0] for v in self._leaves)])
+                           cpu_seconds=cpu)
 
     def initial_state(self) -> np.ndarray:
         """All vessels at the area matching the initial pressure, zero flow,
         terminal capacitors at the initial pressure."""
         net, vid_at = self.network, self._vid_at
         y0 = np.zeros(self.dim)
-        for o in self._halves():
+        # the vessels of two compartments: the root and the interior ones
+        for o in (self._root[0], *(v[0] for v in self._interior)):
             vid = vid_at[o]
             y0[o] = y0[o + 2] = net.initial_area(vid) * net.vessels[vid].length / 2.0
         for o, *_ in self._leaves:
@@ -574,17 +561,6 @@ class NetworkModel0D:
     def rhs(self, t: float, y) -> np.ndarray:
         """dy/dt at (t, y), an array for any sequence of floats."""
         return np.array(self._evaluate(t, np.asarray(y, dtype=float).tolist())[0])
-
-    def boundary_flows(self, t: float, y):
-        """(inflow at the root, per-leaf outflow into the terminals);
-        used for mass-balance verification."""
-        _, q_in, _, _, t_out = self._evaluate(t, np.asarray(y, dtype=float).tolist())
-        # a leaf's outflow is its distal flow; a single vessel's is the flow
-        # its flow-typed terminal coupling gives (``t_out``)
-        for o, c, l, j_in, k, *_ in self._leaves:
-            t_out[k] = y[o + 2]
-        flows = dict(zip(self._terminals, t_out))
-        return q_in, {vid: flows[vid] for vid in self.network.terminals}
 
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,
@@ -632,7 +608,6 @@ class Integration:
     t: np.ndarray
     y: np.ndarray  # (n_samples, dim)
     cpu_seconds: float
-    n_steps: int
 
 
 def _step_count(dt: float, t_end: float,
@@ -689,7 +664,7 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
     cpu = time.thread_time() - start
     return Integration(t=np.array(times),
                        y=np.frombuffer(samples).reshape(len(times), -1),
-                       cpu_seconds=cpu, n_steps=n_steps)
+                       cpu_seconds=cpu)
 
 
 def _rk4_array_step(rhs, dt):

@@ -59,7 +59,7 @@ from .errors import (
     SupercriticalError,
 )
 from .netio import Junction, Network, WaveformSeries, Windkessel
-from .solver0d import RunResult, _compiled, check_run_times
+from .solver0d import RunResult, check_run_times
 
 #: m / (m + 1) of the arterial tube law, in the momentum flux
 _THIRD = 0.5 / 1.5
@@ -672,7 +672,7 @@ def _junction_solver(n: int):
     namespace = {"sqrt": math.sqrt, "CollapseError": CollapseError,
                  "ConvergenceError": ConvergenceError,
                  "SupercriticalError": SupercriticalError}
-    exec(_compiled(f"<1D junction of {n} members>", n, lambda: _junction_source(n)),
+    exec(compile(_junction_source(n), f"<1D junction of {n} members>", "exec"),
          namespace)
     return namespace["solve"]
 
@@ -683,8 +683,12 @@ def junction_solve(junction: _Junction, ends: list[float]):
     return junction.solve(ends, junction.consts)
 
 
-def inflow_bc(end: _End, ends: list[float], q_in: float,
-              tol: float = 1e-10, max_iter: int = 50):
+#: the boundary Newton solves stop where the invariant's residual is below
+#: _BC_TOL times max(1, |invariant|), and fail after their iteration limit
+_BC_TOL, _INFLOW_MAX_ITER, _TERMINAL_MAX_ITER = 1e-10, 50, 100
+
+
+def inflow_bc(end: _End, ends: list[float], q_in: float):
     """Left-end state with prescribed inflow rate, as (A*, q*, F_q*).
 
     q* = q_in and A* preserves the outgoing (left-running) invariant
@@ -694,8 +698,8 @@ def inflow_bc(end: _End, ends: list[float], q_in: float,
     A_i, q_i = ends[end.A], ends[end.q]
     W = q_i / A_i - 4.0 * math.sqrt(K_rho * (0.5 * math.sqrt(A_i / A0)))
     A = A_i
-    tol_abs = tol * max(1.0, abs(W))
-    for _ in range(max_iter):
+    tol_abs = _BC_TOL * max(1.0, abs(W))
+    for _ in range(_INFLOW_MAX_ITER):
         sx = math.sqrt(A / A0)
         c = math.sqrt(K_rho * (0.5 * sx))
         f = q_in / A - 4.0 * c - W
@@ -711,8 +715,7 @@ def inflow_bc(end: _End, ends: list[float], q_in: float,
         f"{end.vid!r} (q_in = {q_in:.6g})")
 
 
-def terminal_bc(end: _End, ends: list[float], P_wk: float, dt: float,
-                tol: float = 1e-10, max_iter: int = 100):
+def terminal_bc(end: _End, ends: list[float], P_wk: float, dt: float):
     """Right-end state coupled to a terminal element.
 
     The outgoing invariant u + 4c is preserved while the boundary flow
@@ -732,8 +735,8 @@ def terminal_bc(end: _End, ends: list[float], P_wk: float, dt: float,
         R_eff, P_c = end.R, end.P_v
 
     A = A_i
-    tol_abs = tol * max(1.0, abs(W))
-    for _ in range(max_iter):
+    tol_abs = _BC_TOL * max(1.0, abs(W))
+    for _ in range(_TERMINAL_MAX_ITER):
         sx = math.sqrt(A / A0)
         c = math.sqrt(K_rho * (0.5 * sx))
         q = (K * (sx - 1.0) + P_ref - P_c) / R_eff
@@ -881,9 +884,11 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
            sample_interval: float = 1e-3) -> RunResult:
     """Advance the network to t_end, sampling vessel midpoints.
 
-    A sample copies (A, q) at the midpoint cells into a preallocated
-    buffer; the pressures of all samples are computed after the loop, with
-    the tube law at each vessel's midpoint cell."""
+    The first step to reach k * sample_interval is sampled for each k, and
+    so is the step that ends at t_end. A sample copies (A, q) at the
+    midpoint cells into a preallocated buffer; the pressures of all samples
+    are computed after the loop, with the tube law at each vessel's
+    midpoint cell."""
     check_run_times(t_end, T0, sample_interval)
     sim = Simulation1D(network, inflow, dx_max=dx_max, CFL=CFL)
     vids = list(network.vessels)
@@ -893,18 +898,19 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
                      take.size))
     U.take(take, out=rows[0], mode="clip")
     times = [0.0]
-    next_sample = sample_interval
+    k, next_sample = 1, sample_interval
 
     start = time.thread_time()
     while sim.t < t_end - 1e-12:
         sim.step(until=t_end)
-        if sim.t >= next_sample - 1e-12:
+        if sim.t >= min(next_sample, t_end) - 1e-12:
             if len(times) == len(rows):
                 rows = np.concatenate((rows, np.empty_like(rows)))
             U.take(take, out=rows[len(times)], mode="clip")
             times.append(sim.t)
             while next_sample <= sim.t + 1e-12:
-                next_sample += sample_interval
+                k += 1
+                next_sample = k * sample_interval
     cpu = time.thread_time() - start
 
     t = np.array(times)

@@ -159,8 +159,12 @@ def tube_law_slope(A: float, wall: WallModel) -> float:
     return wall.K * (wall.m * x ** wall.m - wall.n * x ** wall.n) / A
 
 
-def tube_law_area(p: float, wall: WallModel, rtol: float = 1e-12,
-                  max_iter: int = 100) -> float:
+#: relative step at which the Newton inversion of a general tube law stops,
+#: and its iteration limit
+_AREA_RTOL, _AREA_MAX_ITER = 1e-12, 100
+
+
+def tube_law_area(p: float, wall: WallModel) -> float:
     """Invert the tube law: area at internal pressure p.
 
     For the arterial exponents (m = 1/2, n = 0) the quadratic closed form is
@@ -179,7 +183,7 @@ def tube_law_area(p: float, wall: WallModel, rtol: float = 1e-12,
     if tube_law_pressure(hi, wall) < target:
         raise ConvergenceError(f"pressure {p} exceeds tube law range at A = 1e6*A0")
     A = wall.A0
-    for _ in range(max_iter):
+    for _ in range(_AREA_MAX_ITER):
         f = tube_law_pressure(A, wall) - target
         if f > 0:
             hi = min(hi, A)
@@ -189,7 +193,7 @@ def tube_law_area(p: float, wall: WallModel, rtol: float = 1e-12,
         A_new = A - step
         # converged before the safeguard: at an exact root the zero step
         # leaves A on a bracket end, which the safeguard would bisect away
-        if abs(A_new - A) <= rtol * abs(A_new):
+        if abs(A_new - A) <= _AREA_RTOL * abs(A_new):
             return A_new
         if not (lo < A_new < hi):
             A_new = 0.5 * (lo + hi)
@@ -241,10 +245,3 @@ def lumped_nonlinear(spec: VesselSpec, A_hat: float) -> tuple[float, float]:
         raise CollapseError(f"mean area must be positive, got {A_hat}")
     rho_kR_l, rho_l = _compartment(spec)[1][8:]
     return rho_kR_l / (A_hat * A_hat), rho_l / A_hat
-
-
-def nonlinear_compliance(spec: VesselSpec, A_hat: float) -> float:
-    """Compliance l * (dA/dp) evaluated at A_hat (diagnostic only)."""
-    if A_hat <= 0:
-        raise CollapseError(f"mean area must be positive, got {A_hat}")
-    return spec.length / tube_law_slope(A_hat, spec.wall)

@@ -5,11 +5,15 @@ the compartment laws itself, and their composition into a network.
 which it writes the network pass; nothing here reads that plan. A
 ``Composition`` assigns the configurations, lays out the states and couples
 the vessels at the junctions and terminals on its own, so the tests can
-require the plan's pass, initial state, volume indices, boundary flows and
-``observe`` to equal it.
+require the plan's pass, layout, initial state and ``observe`` to equal it.
+Its volume indices and boundary flows are the mass audits' own. The
+linearised coefficient matrices of the configurations are the reference of
+the closed-form eigenvalues of ``hemoflow.analysis``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from hemoflow.errors import CollapseError, ConfigurationError
 from hemoflow.netio import Windkessel
@@ -227,6 +231,45 @@ class TwoSplitPinQout:
 
     def outlet_pressure(self, y, q_out: float, mode: ModelMode) -> float:
         return self.second.outlet_pressure(y[2:], q_out, mode)
+
+
+# ---------------------------------------------------------------------------
+# The linearised configurations
+# ---------------------------------------------------------------------------
+
+# Coefficient matrices of each configuration's linear dynamics with frozen
+# inputs, whose eigenvalues the closed forms of ``hemoflow.analysis`` give.
+
+def matrix_pin_qout(R0: float, L0: float, C0: float) -> np.ndarray:
+    """Coefficient matrix of the linear (V, Q) system with frozen inputs."""
+    return np.array([[0.0, 1.0],
+                     [-1.0 / (C0 * L0), -R0 / L0]])
+
+
+def matrix_qin_pout(R0: float, L0: float, C0: float) -> np.ndarray:
+    """Coefficient matrix of the mirrored (V, Q) system."""
+    return np.array([[0.0, -1.0],
+                     [1.0 / (C0 * L0), -R0 / L0]])
+
+
+def matrix_pin_pout(R0: float, L0: float, C0: float) -> np.ndarray:
+    """Coefficient matrix of the (V, Q, Q_d) system: one capacitor C0
+    between half resistances R0/2 and half inductances L0/2."""
+    a = R0 / L0
+    b = 2.0 / (C0 * L0)
+    return np.array([[0.0, 1.0, -1.0],
+                     [-b, -a, 0.0],
+                     [b, 0.0, -a]])
+
+
+def matrix_qin_qout(R0: float, L0: float, C0: float) -> np.ndarray:
+    """Coefficient matrix of the (V, Q, V_d) system: two half capacitors
+    C0/2 around the interior resistance R0 and inductance L0."""
+    a = R0 / L0
+    b = 2.0 / (C0 * L0)
+    return np.array([[0.0, -1.0, 0.0],
+                     [b, -a, -b],
+                     [0.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,21 @@ class TestCompare:
         assert code == 2
         assert "periodic" in capsys.readouterr().err
 
+    def test_runs_ending_apart_are_refused(self, periodic_run, tmp_path, capsys):
+        # the last cycles of runs to 22.0 s and to 22.55 s are half a period
+        # out of phase
+        later = tmp_path / "later"
+        assert main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--t-end", "22.55", "--out", str(later)]) == 0
+        capsys.readouterr()
+        code = main(["compare", str(periodic_run), str(later),
+                     "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "reference at t = 22 s" in err and "test at t = 22.55 s" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                      "--out", str(tmp_path / "e.csv")])

@@ -1,4 +1,4 @@
-"""Error metrics, periodicity detection and speedup accounting."""
+"""Error metrics and periodicity detection."""
 
 import math
 
@@ -12,7 +12,6 @@ from hemoflow.metrics import (
     first_periodic_cycle,
     periodicity_reached,
     sample_cycle,
-    speedup,
 )
 
 
@@ -258,20 +257,3 @@ class TestFirstPeriodicCycle:
         # the second cycle is the first with a predecessor to match
         t, channels = self._transient(0.0, 0.5)
         assert first_periodic_cycle(t, channels, self.T0) == 2
-
-
-class TestSpeedup:
-    def test_reference_ratio(self):
-        assert speedup(51.251, 0.400) == pytest.approx(51.251 / 0.400,
-                                                       rel=1e-12)
-        assert speedup(51.251, 0.400) == pytest.approx(128.1, rel=5e-3)
-
-    def test_simple_values(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert speedup(3.0, 3.0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            speedup(1.0, -2.0)

@@ -172,6 +172,18 @@ youngs_modulus = 1e6
         ("mu = 0.04\n", "", "line 4: [fluid] misses 'mu'"),
         ("type = rcr\nr1", "type = rc\nr1",
          "line 37: [terminal left_iliac] unknown terminal type 'rc'"),
+        # the geometry is checked by name first: a negative area once
+        # reached math.sqrt ("math domain error"), a negative radius was
+        # once squared into A0 = 2.3235, and a negative thickness was once
+        # reported as a negative stiffness
+        ("area = 2.3235", "area = -2.3235",
+         "line 12: [vessel aorta] area must be positive and finite, got -2.3235"),
+        ("area = 2.3235", "area = nan",
+         "line 12: [vessel aorta] area must be positive and finite, got nan"),
+        ("area = 2.3235", "radius = -0.86",
+         "line 12: [vessel aorta] radius must be positive and finite, got -0.86"),
+        ("wall_thickness = 0.1032", "wall_thickness = -0.1",
+         "line 12: [vessel aorta] wall_thickness must be positive and finite, got -0.1"),
     ])
     def test_bad_section_is_refused(self, old, new, message):
         text = BUNDLED.replace(old, new, 1)
@@ -229,7 +241,8 @@ def mutated_bundled_network(draw):
             lines += lines[start:stop]
         elif kind == "value" and sep:
             lines[i] = f"{key}= {draw(st.sampled_from(['nan', 'x', '']))}"
-        elif kind == "misspell" and sep:
+        elif kind == "misspell" and sep and key.strip():
+            # a key misspelled down to nothing has no character left to drop
             key = key.strip()
             j = draw(st.integers(0, len(key) - 1))
             lines[i] = f"{key[:j]}{key[j + 1:]} ={value}"

@@ -393,8 +393,9 @@ class TestAssembly:
 
     def test_mass_balance_at_random_states(self, bifurcation):
         model = assemble_network(bifurcation, NL, synthetic_inflow())
+        ref = Composition(model)
         rng = np.random.default_rng(42)
-        vol = model.volume_indices
+        vol = ref.volume_indices
         for trial in range(20):
             y = model.initial_state()
             y[vol] *= rng.uniform(0.8, 1.2, size=len(vol))
@@ -404,7 +405,7 @@ class TestAssembly:
                     y[i] = flows[i]
             t = rng.uniform(0.0, 1.1)
             dy = model.rhs(t, y)
-            q_in, outflows = model.boundary_flows(t, y)
+            q_in, outflows = ref.boundary_flows(t, y)
             balance = q_in - sum(outflows.values())
             scale = max(1.0, abs(q_in) + sum(abs(v) for v in outflows.values()))
             assert abs(np.sum(dy[vol]) - balance) < 1e-10 * scale
@@ -545,7 +546,7 @@ def random_state(model, rng):
     """Volumes within 30% of the initial state, random flows and
     capacitor pressures."""
     y = model.initial_state()
-    vol = model.volume_indices
+    vol = Composition(model).volume_indices
     y[vol] *= rng.uniform(0.7, 1.3, size=len(vol))
     for i in set(range(model.dim)) - set(vol):
         y[i] = rng.normal(scale=30.0) if y[i] == 0.0 else y[i] * rng.uniform(0.5, 1.5)
@@ -613,9 +614,8 @@ class TestAssembledPlan:
 
     @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
     def test_accessors_match_the_composition(self, bifurcation, mode_name):
-        # the layout, initial state, volume indices, boundary flows and
-        # observe read the plan; the composition lays out and couples the
-        # vessels on its own
+        # the layout, initial state and observe read the plan; the
+        # composition lays out and couples the vessels on its own
         mode = EQUIVALENCE_MODES[mode_name]
         rng = np.random.default_rng(77)
         for name, net in self.networks(bifurcation):
@@ -623,16 +623,8 @@ class TestAssembledPlan:
             ref = Composition(model)
             assert model.layout == ref.layout and list(model.layout) == list(net.vessels)
             assert (model.wk_index, model.dim) == (ref.wk_index, ref.dim), name
-            assert model.volume_indices == ref.volume_indices, name
             assert model.initial_state().tolist() == ref.initial_state(), name
             states = [random_state(model, rng) for _ in range(6)]
-            for y in states:
-                t = rng.uniform(0.0, 2.2)
-                for state in (y, y.tolist()):
-                    q_in, flows = model.boundary_flows(t, state)
-                    ref_q_in, ref_flows = ref.boundary_flows(t, state)
-                    assert q_in == ref_q_in and flows == ref_flows, name
-                    assert list(flows) == list(net.terminals), name
             # random states keep the pressures away from zero, where the
             # tube law cancels and a relative tolerance means nothing
             Y = np.array(states)
@@ -673,7 +665,7 @@ class TestAssembledPlan:
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
     def test_non_positive_volume_collapses(self, network, mode):
         model = assemble_network(self.NETWORKS[network](), mode, synthetic_inflow())
-        for i in model.volume_indices:
+        for i in Composition(model).volume_indices:
             for bad in (0.0, -1.0e-3):
                 y = model.initial_state()
                 y[i] = bad
@@ -697,7 +689,7 @@ class TestCompiledStep:
             model = assemble_network(net, mode, inflow)
             integ = rk4_integrate(model.rhs, model.initial_state(),
                                   dt, 300 * dt, sample_interval=dt)
-            assert integ.n_steps == 300
+            assert integ.t.size == 301
             assert np.array_equal(res.t, integ.t), name
             ref = model.observe(integ.y)
             for vid, series in ref.items():
@@ -716,11 +708,9 @@ class TestCompiledStep:
         model = assemble_network(bifurcation, mode, inflow)
         integ = rk4_integrate(model.rhs, model.initial_state(),
                               dt, t_end, sample_interval=every)
-        assert integ.n_steps == 1250 and integ.n_steps % 7 != 0
         assert integ.t[-1] == 1250 * dt and integ.t[-2] == 1246 * dt
         assert np.array_equal(res.t, integ.t)
         direct = model.integrate(dt, t_end, every)
-        assert direct.n_steps == integ.n_steps
         assert np.array_equal(direct.t, integ.t)
         assert np.array_equal(direct.y, integ.y)
         for vid, series in model.observe(integ.y).items():
@@ -733,7 +723,7 @@ class TestCompiledStep:
         model = assemble_network(TestAssembledPlan.NETWORKS[network](), mode,
                                  synthetic_inflow())
         step = rk4_step(model, 1e-3)
-        for i in model.volume_indices:
+        for i in Composition(model).volume_indices:
             for bad in (0.0, -1.0e-3):
                 y = model.initial_state().tolist()
                 y[i] = bad
@@ -842,7 +832,7 @@ class TestCompiledStep:
         direct = model.integrate(dt, t_end, every)
         integ = rk4_integrate(model.rhs, model.initial_state(),
                               dt, t_end, sample_interval=every)
-        assert direct.n_steps == integ.n_steps == 1250
+        assert integ.t[-1] == 1250 * dt
         assert np.array_equal(direct.t, integ.t)
         assert np.array_equal(direct.y, integ.y)
 
@@ -975,7 +965,7 @@ class TestCompiledStep:
         rk4_step(model, 1e-3)
         rk4_step(model, 2e-3)
         model.rhs(0.0, y0)
-        model.boundary_flows(0.0, y0)
+        model.rhs(0.1, y0)
         assert len(names) == 2
 
     def test_models_of_one_network_share_compiled_code(self, bifurcation,
@@ -1098,13 +1088,13 @@ class TestRK4:
             return -y
 
         integ = rk4_integrate(rhs, np.array([1.0]), 0.1, 0.5)
-        assert integ.n_steps == 5
+        assert integ.t.size == 6
         assert integ.cpu_seconds < 0.1
 
     def test_sampling_stride(self):
         integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.01, 1.0,
                               sample_interval=0.1)
-        assert integ.n_steps == 100
+        assert integ.t[-1] == 100 * 0.01
         assert integ.t.size == 11
         np.testing.assert_allclose(np.diff(integ.t), 0.1, rtol=1e-12)
 

@@ -778,16 +778,17 @@ def _oracle_run_1d(network, inflow, t_end, sample_interval=1e-3):
             out[vid] = (float(v.pressure(A)), float(v.q[v.mesh.M // 2]), A)
         return out
 
+    # the first step to reach each k * sample_interval, and the last step
     times, records = [0.0], [sample()]
-    next_sample = sample_interval
+    k = 1
     while sim.t < t_end - 1e-12:
         dt = min(_oracle_cfl_dt(sim.vessels.values(), sim.CFL), t_end - sim.t)
         sim.step(dt)
-        if sim.t >= next_sample - 1e-12:
+        if sim.t >= k * sample_interval - 1e-12 or sim.t >= t_end - 1e-12:
             times.append(sim.t)
             records.append(sample())
-            while next_sample <= sim.t + 1e-12:
-                next_sample += sample_interval
+            while k * sample_interval <= sim.t + 1e-12:
+                k += 1
     return np.array(times), {
         vid: {ch: np.array([rec[vid][i] for rec in records])
               for i, ch in enumerate("PQA")}
@@ -1264,14 +1265,14 @@ class TestStepPasses:
         res = run_1d(network, inflow, t_end=t_end, T0=1.1, sample_interval=every)
         sim = Simulation1D(network, inflow)
         times, samples = [0.0], [midpoint_samples(sim)]
-        next_sample = every
+        k = 1
         while sim.t < t_end - 1e-12:
             sim.step(until=t_end)
-            if sim.t >= next_sample - 1e-12:
+            if sim.t >= k * every - 1e-12 or sim.t >= t_end - 1e-12:
                 times.append(sim.t)
                 samples.append(midpoint_samples(sim))
-                while next_sample <= sim.t + 1e-12:
-                    next_sample += every
+                while k * every <= sim.t + 1e-12:
+                    k += 1
         samples = np.array(samples)
         assert np.array_equal(res.t, times)
         assert rows == 4096 or len(times) > 2 * rows

@@ -17,7 +17,6 @@ from hemoflow.vessel import (
     coriolis_alpha,
     lumped_constants,
     lumped_nonlinear,
-    nonlinear_compliance,
     tube_law_area,
     tube_law_pressure,
     tube_law_slope,
@@ -193,12 +192,6 @@ class TestLumpedConstants:
         R, L = lumped_nonlinear(spec, ratio * spec.wall.A0)
         assert R == pytest.approx(cons.R0 / ratio ** 2, rel=1e-12)
         assert L == pytest.approx(cons.L0 / ratio, rel=1e-12)
-
-    def test_compliance_from_slope(self):
-        spec = aorta_spec()
-        A_hat = 1.3 * spec.wall.A0
-        assert nonlinear_compliance(spec, A_hat) == pytest.approx(
-            spec.length / tube_law_slope(A_hat, spec.wall), rel=1e-14)
 
     def test_collapse_guard(self):
         spec = aorta_spec()
