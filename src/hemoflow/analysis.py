@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vessel import VesselSpec, wave_speed
+from .vessel import VesselSpec, lumped_constants, wave_speed
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +181,15 @@ def velocity_stats(t, q, a) -> tuple[float, float]:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def format_network_report(network, lumped: dict, velocity: dict | None = None,
+def format_network_report(network, velocity: dict | None = None,
                           T0: float = 1.1) -> str:
-    """Per-vessel stability/dimensional report as key = value lines.
-
-    ``lumped`` maps vessel id -> LumpedConstants; ``velocity`` optionally
-    maps vessel id -> (U_mean, U_max) from a converged 1D run.
+    """Per-vessel stability/dimensional report as key = value lines, from
+    each vessel's lumped constants. ``velocity`` optionally maps vessel id
+    -> (U_mean, U_max) from a converged 1D run.
     """
     lines = []
     for vid, spec in network.vessels.items():
-        cons = lumped[vid]
+        cons = lumped_constants(spec)
         f1, f2, sign = discriminant_factors(spec)
         lines.append(f"[vessel {vid}]")
         lines.append(f"f1 = {f1:.6g}")

@@ -32,7 +32,6 @@ from .netio import (
 )
 from .solver0d import ModelMode, run_0d
 from .solver1d import run_1d
-from .vessel import lumped_constants
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,8 +167,6 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     network = _resolve_network(args.network)
-    lumped = {vid: lumped_constants(spec)
-              for vid, spec in network.vessels.items()}
     velocity = None
     if args.run is not None:
         runs = _load_run_dir(_out_root() / args.run)
@@ -180,7 +177,7 @@ def cmd_analyze(args) -> int:
             cyc = sample_cycle(series["t"], {"P": series["P"], "Q": series["Q"],
                                              "A": series["A"]}, args.T0)
             velocity[vid] = velocity_stats(cyc.t, cyc.Q, cyc.A)
-    report = format_network_report(network, lumped, velocity, T0=args.T0)
+    report = format_network_report(network, velocity, T0=args.T0)
     if args.out is not None:
         out = _out_root() / args.out
         out.write_text(report)

@@ -284,8 +284,8 @@ def parse_network(text: str) -> Network:
     name and body of ``key = value`` pairs; then each section is checked
     against ``_KEYS`` and built. An error of a build step is raised again
     with its own type, after the header line and the section, as in
-    ``line 24: [vessel right_iliac] stiffness must be positive and finite,
-    got nan``."""
+    ``line 24: [vessel right_iliac] youngs_modulus must be positive and
+    finite, got nan``."""
     # per kind, (header line, body) by section name; junctions, which have
     # no name, by header line
     sections: dict[str, dict] = {kind: {} for kind in _KEYS}
@@ -397,7 +397,7 @@ def _vessel(body: dict, vid: str, fluid: FluidProps,
         A0 = math.pi * r0 * r0
     h0 = (adan_wall_thickness(r0) if body["wall_thickness"] == "adan"
           else _positive(body, "wall_thickness"))
-    E = float(body["youngs_modulus"])
+    E = _positive(body, "youngs_modulus")
     nu = float(body.get("poisson", 0.5))
     wall = WallModel.arterial(A0=A0, h0=h0, E=E, nu=nu,
                               P0=float(body.get("pressure_ref", p_ref)), p_ext=p_ext)

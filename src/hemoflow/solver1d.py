@@ -33,8 +33,10 @@ return the boundary flux at their solution. All vessels advance with one
 global CFL-limited time step.
 
 ``Simulation1D`` plans the closures once, at its first step: each vessel
-end holds its constants and the positions of its end state and flux, so a
-step reads no per-vessel view. The junction Newton solve is generated source, one
+end holds its constants, read from the stack's table, and one index
+(``Vessel1D.end_index``) that places both its state in ``end_states`` and
+its flux in ``commit``'s list, which share one order, so a step reads no
+per-vessel view. The junction Newton solve is generated source, one
 function per member count with the members' unknowns as locals, compiled
 once per process. Its code depends on the member count alone, so it is not
 compiled again per network: with the constants as literals, every junction
@@ -205,8 +207,7 @@ class _Segments(NamedTuple):
     """Index arrays of a stack's segment ends (N cells in all)."""
 
     breaks: np.ndarray  # segment starts in the flattened (A, q), and 2N
-    ends: np.ndarray  # flat indices of the end face states in _Prep.Ub
-    fluxes: np.ndarray  # flat indices of the boundary fluxes in commit
+    ends: np.ndarray  # flat indices of each end's A and q in _Prep.Ub and F
 
 
 class _Workspace:
@@ -247,12 +248,13 @@ class _Workspace:
         self.FfL, self.FfR = X[1:, 0], X[1:, 1]
         self.dv_b = self.dv[:, None]
         # commit: face velocity and celerity, fluxes (q, F_q) of the evolved
-        # face states, and the interface fluxes F[face, var, cell]
+        # face states, and the face fluxes F[var, face, cell], laid out as
+        # Ub so that an end's flat index in Ub is that of its flux in F
         self.u_f, self.c_f = np.empty((2, 2, N))
         self.Fb = np.empty((2, 2, N))
         self.FbL, self.FbR = self.Fb[:, 1, :-1], self.Fb[:, 0, 1:]
         self.F = np.empty((2, 2, N))
-        self.F_hll, self.F_in = self.F[1, :, :-1], self.F[0, :, 1:]
+        self.F_hll, self.F_in = self.F[:, 1, :-1], self.F[:, 0, 1:]
         self.F_flat = self.F.reshape(-1)
         self.finite = np.empty((2, N - 1), dtype=bool)
         self.hll = _HLLScratch(N)
@@ -299,7 +301,7 @@ class Vessel1D:
         self.U = np.zeros((2, N))
         self.U[0] = cells[_A_INIT]
         self.ids = tuple(spec.vessel_id for spec in specs)
-        self._params, self._starts = rows, starts
+        self._starts = starts
 
     @cached_property
     def bounds(self) -> np.ndarray:
@@ -311,12 +313,17 @@ class Vessel1D:
         firsts = self.bounds[:-1]
         lasts = self.bounds[1:] - 1
         N = int(self.bounds[-1])
-        left = np.stack((firsts, N + firsts), axis=1).ravel()
-        right = np.stack((2 * N + lasts, 3 * N + lasts), axis=1).ravel()
-        return _Segments(
-            breaks=np.concatenate((firsts, N + self.bounds)),
-            ends=np.concatenate((firsts, 2 * N + firsts, N + lasts, 3 * N + lasts)),
-            fluxes=np.concatenate((left, right)))
+        # per segment: A and q of the left face of its first cell, then of
+        # the right face of its last cell
+        ends = np.stack((firsts, 2 * N + firsts, N + lasts, 3 * N + lasts), axis=1)
+        return _Segments(breaks=np.concatenate((firsts, N + self.bounds)),
+                         ends=ends.ravel())
+
+    @staticmethod
+    def end_index(k: int, side: str) -> int:
+        """Position of segment k's left or right end in ``end_states`` and
+        in ``commit``'s flux list: A and F_A sit there, q and F_q next."""
+        return 4 * k + (2 if side == "right" else 0)
 
     @cached_property
     def _ws(self) -> _Workspace:
@@ -398,23 +405,23 @@ class Vessel1D:
         return _Prep(Ub=Ub, S_q=np.divide(S_q, A_pred, out=S_q))
 
     def end_states(self, prep: "_Prep") -> list[float]:
-        """Evolved face states at the segment ends as floats: left-end
-        areas, left-end flows, right-end areas, right-end flows, each in
-        segment order."""
+        """Evolved face states at the segment ends as floats: A and q at the
+        left end of each segment, then at its right end, in segment order
+        (see ``end_index``)."""
         return prep.Ub.take(self._segs.ends).tolist()
 
     def commit(self, dt: float, prep: "_Prep", flux) -> None:
         """Interior Riemann problems, conservative update and sanity checks.
 
-        ``flux`` holds the boundary fluxes as one flat sequence: F_A, F_q at
-        the left end of each segment, then at the right end of each, in
-        segment order, 4 values per segment (ValueError otherwise). ``U``
-        is written only once every check has passed."""
-        slots = self._segs.fluxes
+        ``flux`` holds the boundary fluxes as one flat sequence in the order
+        of ``end_states``: F_A, F_q at the left end of each segment, then at
+        its right end, 4 values per segment (ValueError otherwise). ``U`` is
+        written only once every check has passed."""
+        ends = self._segs.ends
         flux = np.asarray(flux, dtype=float)
-        if flux.shape != slots.shape:
-            raise ValueError(f"commit takes {slots.size} boundary flux values, 4 "
-                             f"for each of {slots.size // 4} segments, got {flux.size}")
+        if flux.shape != ends.shape:
+            raise ValueError(f"commit takes {ends.size} boundary flux values, 4 "
+                             f"for each of {ends.size // 4} segments, got {flux.size}")
         ws = self._ws
         U = self.U
         N = U.shape[1]
@@ -426,7 +433,7 @@ class Vessel1D:
         Fb = ws.Fb
         np.copyto(Fb[0], qb)
         _momentum_flux(Ab, qb, sx, ws.alpha, ws.K, ws.rho, out=Fb[1], tmp=ws.tmp)
-        # face fluxes F[face, var, cell]. Interface i + 1/2 is the right
+        # face fluxes F[var, face, cell]. Interface i + 1/2 is the right
         # face of cell i against the left face of cell i + 1; the pairs that
         # straddle two segments are then replaced by the boundary fluxes
         F = ws.F
@@ -442,8 +449,8 @@ class Vessel1D:
             raise ConvergenceError(
                 f"wave-speed estimate failure in vessel {self._locate(bad)[0]!r}")
         np.copyto(ws.F_in, F_hll)
-        ws.F_flat[slots] = flux
-        dU = np.subtract(F[1], F[0], out=ws.dv)
+        ws.F_flat[ends] = flux
+        dU = np.subtract(F[:, 1], F[:, 0], out=ws.dv)
         np.multiply(np.divide(dt, ws.dx, out=ws.tmp), dU, out=dU)
         U_new = np.subtract(U, dU, out=ws.U_new)
         np.add(U_new[1], np.multiply(dt, prep.S_q, out=ws.t_c), out=U_new[1])
@@ -493,54 +500,51 @@ def cfl_dt(cells: Vessel1D, CFL: float, centre=None) -> float:
 class _End(NamedTuple):
     """Constants of the closure at one vessel end, built once per
     simulation: the vessel, its ``law`` (A0, K, rho, K/rho, P0 + p_ext,
-    alpha), the indices of the end's evolved A and q in ``end_states``, and
-    the index of its F_A in the flat flux list (F_q follows). A terminal
-    end also holds R1 of an RCR or R of a single resistance, R2 C (None
-    for a single resistance), C and P_v."""
+    alpha) and its index ``i`` (``Vessel1D.end_index``): the end's evolved
+    A and its F_A sit at i in ``end_states`` and in the flux list, q and
+    F_q at i + 1. A terminal end also holds R1 of an RCR or R of a single
+    resistance, R2 C (None for a single resistance), C and P_v."""
 
     vid: str
     law: tuple
-    A: int
-    q: int
-    slot: int
+    i: int
     R: float = 0.0
     RC: float | None = None
     C: float = 0.0
     P_v: float = 0.0
 
 
-def _terminal(term, vid: str, law: tuple, A: int, q: int, slot: int) -> _End:
+def _terminal(term, vid: str, law: tuple, i: int) -> _End:
     """The planned end of vessel ``vid`` at the terminal ``term`` (a single
     resistance is checked to be positive by ``Simulation1D``)."""
     if isinstance(term, Windkessel):
-        return _End(vid, law, A, q, slot, term.R1, term.R2 * term.C, term.C, term.P_v)
-    return _End(vid, law, A, q, slot, term.R, None, 0.0, term.P_v)
+        return _End(vid, law, i, term.R1, term.R2 * term.C, term.C, term.P_v)
+    return _End(vid, law, i, term.R, None, 0.0, term.P_v)
 
 
 class _Junction(NamedTuple):
     """A junction's Newton solve for its member count, the constants it
-    reads (see ``_junction_source``) and the flux slot of each member."""
+    reads (see ``_junction_source``) and the end index of each member."""
 
     solve: Callable
     consts: tuple
-    slots: tuple
+    ends: tuple
 
 
 def _junction(junction: Junction, ends) -> _Junction:
     """The planned ``junction``, given per member its end as (vessel, law,
-    A index, q index, flux slot): the parent's right end, then each
-    daughter's left end."""
-    consts, slots, p_refs = [], [], []
-    for _, law, iA, iq, slot in ends:
+    end index): the parent's right end, then each daughter's left end."""
+    consts, p_refs = [], []
+    for _, law, i in ends:
         A0, K, rho, K_rho, P_ref, alpha = law
-        consts += (A0, K, K_rho, P_ref, alpha, rho, iA, iq)
-        slots.append(slot)
+        consts += (A0, K, K_rho, P_ref, alpha, rho, i)
         p_refs.append(abs(P_ref))
     members = ((junction.parent, "right"), *((d, "left") for d in junction.daughters))
     # the total pressures carry round-off of order eps * |P0 + p_ext|, so
     # their rows are scaled by at least that magnitude
     consts += (ends[0][1][2], max(p_refs), members)
-    return _Junction(_junction_solver(len(ends)), tuple(consts), tuple(slots))
+    return _Junction(_junction_solver(len(ends)), tuple(consts),
+                     tuple(i for _, _, i in ends))
 
 
 def _junction_source(n: int) -> str:
@@ -548,9 +552,9 @@ def _junction_source(n: int) -> str:
     members, written out member by member.
 
     ``e`` is the list of evolved end states and ``c`` holds, per member,
-    A0, K, K/rho, P0 + p_ext, alpha, rho and the indices of its A and q in
-    ``e``; then the junction's rho (member 0's), max |P0 + p_ext| and the
-    members. Member 0 is the parent's right end, where flow leaves the
+    A0, K, K/rho, P0 + p_ext, alpha, rho and the index i of its A in ``e``
+    (q follows); then the junction's rho (member 0's), max |P0 + p_ext| and
+    the members. Member 0 is the parent's right end, where flow leaves the
     vessel into the junction (orientation sign s = +1); the others are the
     daughters' left ends (s = -1). The signs are written into the source as
     operators, which gives the bits of multiplying by +-1.0. Unknowns
@@ -575,10 +579,10 @@ def _junction_source(n: int) -> str:
     compiled once per process for each member count."""
     K = range(n)
     s = ["+", *["-"] * (n - 1)]  # the orientation sign of each member
-    fields = ("A0", "K", "Kr", "Pr", "al", "rh", "iA", "iq")
+    fields = ("A0", "K", "Kr", "Pr", "al", "rh", "i")
     out = [", ".join(f"{f}_{k}" for k in K for f in fields)
            + ", rho, p_ref, members = c"]
-    out += [f"A_{k} = e[iA_{k}]; q_{k} = e[iq_{k}]" for k in K]
+    out += [f"A_{k} = e[i_{k}]; q_{k} = e[i_{k} + 1]" for k in K]
     out += [f"W_{k} = q_{k} / A_{k} {s[k]} 4.0 * sqrt(Kr_{k} * (0.5 * sqrt(A_{k} / A0_{k})))"
             for k in K]
     for k in K:
@@ -695,7 +699,7 @@ def inflow_bc(end: _End, ends: list[float], q_in: float):
     u - 4c of the evolved state.
     """
     A0, K, rho, K_rho, _, alpha = end.law
-    A_i, q_i = ends[end.A], ends[end.q]
+    A_i, q_i = ends[end.i], ends[end.i + 1]
     W = q_i / A_i - 4.0 * math.sqrt(K_rho * (0.5 * math.sqrt(A_i / A0)))
     A = A_i
     tol_abs = _BC_TOL * max(1.0, abs(W))
@@ -724,7 +728,7 @@ def terminal_bc(end: _End, ends: list[float], P_wk: float, dt: float):
     ((A*, q*, F_q*), updated P_wk); a single resistance keeps ``P_wk``.
     """
     A0, K, rho, K_rho, P_ref, alpha = end.law
-    A_i, q_i = ends[end.A], ends[end.q]
+    A_i, q_i = ends[end.i], ends[end.i + 1]
     W = q_i / A_i + 4.0 * math.sqrt(K_rho * (0.5 * math.sqrt(A_i / A0)))
     RC = end.RC
     if RC is not None:
@@ -770,8 +774,8 @@ class Simulation1D:
     maps each vessel id to its (A, q) of shape (2, M), a view of
     ``cells.U``, made on first use. The inflow, junction and terminal
     closures are planned once, at the first step: each holds its constants
-    as floats and the positions of its end states and fluxes, so a step
-    reads no view."""
+    as floats and the index of its end states and fluxes, so a step reads
+    no view."""
 
     def __init__(self, network: Network, inflow: WaveformSeries,
                  dx_max: float = 0.2, CFL: float = 0.9):
@@ -795,23 +799,16 @@ class Simulation1D:
         """The planned inflow end, junctions and terminal ends. Built at
         the first step rather than here: a simulation that is only set up
         pays nothing for it, and the junction code compiles when needed."""
-        network = self.network
-        vids = list(network.vessels)
-        n = len(vids)
-        seg = {vid: k for k, vid in enumerate(vids)}
+        network, cells = self.network, self.cells
+        seg = {vid: k for k, vid in enumerate(network.vessels)}
         # (A0, K, rho, K/rho, P0 + p_ext, alpha) of each vessel, as floats
-        laws = [(row[_A0], row[_K], row[_RHO], row[_K_RHO], row[_P_REF], row[_ALPHA])
-                for row in self.cells._params]
+        laws = cells._table[[_A0, _K, _RHO, _K_RHO, _P_REF, _ALPHA], 0][
+            :, cells.bounds[:-1]].T.tolist()
 
         def end(vid, side):
-            """(vessel, law, A index, q index, flux slot) of a vessel end:
-            ``end_states`` holds left areas, left flows, right areas and
-            right flows, the flux list (F_A, F_q) of left ends then of
-            right ends, each in segment order."""
+            """(vessel, law, end index) of a vessel end."""
             k = seg[vid]
-            if side == "right":
-                return vid, laws[k], 2 * n + k, 3 * n + k, 2 * n + 2 * k
-            return vid, laws[k], k, n + k, 2 * k
+            return vid, tuple(laws[k]), cells.end_index(k, side)
 
         return (_End(*end(network.root, "left")),
                 [_junction(j, [end(j.parent, "right"),
@@ -827,15 +824,13 @@ class Simulation1D:
         U, starts = self.cells.U, self.cells._starts
         return {vid: U[:, s:e] for vid, s, e in zip(self.cells.ids, starts, starts[1:])}
 
-    def step(self, dt: float | None = None, until: float = math.inf) -> float:
-        """Advance by ``dt``, or by the CFL step cut to end no later than
-        ``until``; returns the step taken. The CFL step and ``prepare`` read
-        the cell-centre velocity and celerity of one pass."""
+    def step(self, until: float = math.inf) -> float:
+        """Advance by the CFL step cut to end no later than ``until``;
+        returns the step taken. The CFL step and ``prepare`` read the
+        cell-centre velocity and celerity of one pass."""
         cells = self.cells
-        centre = None
-        if dt is None:
-            centre = cells.centre_values()
-            dt = min(cfl_dt(cells, self.CFL, centre), until - self.t)
+        centre = cells.centre_values()
+        dt = min(cfl_dt(cells, self.CFL, centre), until - self.t)
         prep = cells.prepare(dt, centre)
         ends = cells.end_states(prep)
         flux = [0.0] * len(ends)
@@ -843,19 +838,19 @@ class Simulation1D:
         root, junctions, terminals = self._plan
         # inflow at the network root (half-step time for second order)
         _, q, F = inflow_bc(root, ends, float(self.inflow(self.t + 0.5 * dt)))
-        flux[root.slot] = q
-        flux[root.slot + 1] = F
+        flux[root.i] = q
+        flux[root.i + 1] = F
 
         for junction in junctions:
-            for i, (_, q, F) in zip(junction.slots, junction_solve(junction, ends)):
+            for i, (_, q, F) in zip(junction.ends, junction_solve(junction, ends)):
                 flux[i] = q
                 flux[i + 1] = F
 
         P_wk = self.P_wk
         for term in terminals:
             (_, q, F), P_new = terminal_bc(term, ends, P_wk.get(term.vid, 0.0), dt)
-            flux[term.slot] = q
-            flux[term.slot + 1] = F
+            flux[term.i] = q
+            flux[term.i + 1] = F
             if term.RC is not None:
                 P_wk[term.vid] = P_new
 

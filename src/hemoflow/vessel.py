@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 from .errors import CollapseError, ConvergenceError
 
-#: 1 mmHg in dyne/cm^2, for presentation-layer conversions only.
-MMHG = 1333.22
-
 
 def coriolis_alpha(zeta: float) -> float:
     """Momentum correction factor for a power-law axial velocity profile."""

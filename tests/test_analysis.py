@@ -226,9 +226,7 @@ class TestVelocityStats:
 
 class TestReport:
     def test_contains_per_vessel_sections(self, bifurcation):
-        lumped = {vid: lumped_constants(spec)
-                  for vid, spec in bifurcation.vessels.items()}
-        text = format_network_report(bifurcation, lumped)
+        text = format_network_report(bifurcation)
         for vid in bifurcation.vessels:
             assert f"[vessel {vid}]" in text
         assert "f1 = 2.4695" in text
@@ -237,10 +235,7 @@ class TestReport:
         assert "unavailable" in text
 
     def test_velocity_section(self, bifurcation):
-        lumped = {vid: lumped_constants(spec)
-                  for vid, spec in bifurcation.vessels.items()}
-        text = format_network_report(bifurcation, lumped,
-                                     velocity={"aorta": (11.0, 60.0)})
+        text = format_network_report(bifurcation, velocity={"aorta": (11.0, 60.0)})
         assert "U_mean = 11" in text
         assert "gamma_C_over_gamma_P" in text
         # vessels without velocity data still flag the missing ratios

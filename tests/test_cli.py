@@ -152,7 +152,7 @@ class TestRun:
 
     @pytest.mark.parametrize("key, line, message", [
         ("youngs_modulus", "youngs_modulus = 5.0e6",
-         "stiffness must be positive and finite, got nan"),
+         "youngs_modulus must be positive and finite, got nan"),
         ("length", "length = 8.0", "vessel length must be positive and finite, got nan"),
         ("rho", "rho = 1.06", "density must be positive and finite, got nan"),
         ("c", "c = 3.6664e-5", "Windkessel compliance must be positive and finite, got nan"),

@@ -172,10 +172,10 @@ youngs_modulus = 1e6
         ("mu = 0.04\n", "", "line 4: [fluid] misses 'mu'"),
         ("type = rcr\nr1", "type = rc\nr1",
          "line 37: [terminal left_iliac] unknown terminal type 'rc'"),
-        # the geometry is checked by name first: a negative area once
-        # reached math.sqrt ("math domain error"), a negative radius was
-        # once squared into A0 = 2.3235, and a negative thickness was once
-        # reported as a negative stiffness
+        # the geometry and the wall are checked by name first: a negative
+        # area once reached math.sqrt ("math domain error"), a negative
+        # radius was once squared into A0 = 2.3235, and a negative thickness
+        # or Young's modulus was once reported as a negative stiffness
         ("area = 2.3235", "area = -2.3235",
          "line 12: [vessel aorta] area must be positive and finite, got -2.3235"),
         ("area = 2.3235", "area = nan",
@@ -184,6 +184,14 @@ youngs_modulus = 1e6
          "line 12: [vessel aorta] radius must be positive and finite, got -0.86"),
         ("wall_thickness = 0.1032", "wall_thickness = -0.1",
          "line 12: [vessel aorta] wall_thickness must be positive and finite, got -0.1"),
+        ("youngs_modulus = 5.0e6", "youngs_modulus = -5.0e6",
+         "line 12: [vessel aorta] youngs_modulus must be positive and finite, "
+         "got -5000000.0"),
+        ("youngs_modulus = 5.0e6", "youngs_modulus = 0",
+         "line 12: [vessel aorta] youngs_modulus must be positive and finite, got 0.0"),
+        ("youngs_modulus = 7.0e6\n\n[junction]", "youngs_modulus = nan\n\n[junction]",
+         "line 24: [vessel right_iliac] youngs_modulus must be positive and finite, "
+         "got nan"),
     ])
     def test_bad_section_is_refused(self, old, new, message):
         text = BUNDLED.replace(old, new, 1)
@@ -193,8 +201,6 @@ youngs_modulus = 1e6
 
     @pytest.mark.parametrize("old, new, message", [
         # a build step's error once named neither the line nor the section
-        ("youngs_modulus = 7.0e6\n\n[junction]", "youngs_modulus = nan\n\n[junction]",
-         "line 24: [vessel right_iliac] stiffness must be positive and finite, got nan"),
         ("youngs_modulus = 7.0e6\n\n[junction]",
          "youngs_modulus = 7.0e6\npoisson = nan\n\n[junction]",
          "line 24: [vessel right_iliac] Poisson ratio must be in [0, 1), got nan"),

@@ -87,8 +87,9 @@ def law(spec) -> tuple:
 
 def flat(left, right) -> list[float]:
     """The flat boundary flux list ``commit`` takes, from the (F_A, F_q)
-    pairs at the left and at the right end of each segment."""
-    return [f for pair in (*left, *right) for f in pair]
+    pairs at the left and at the right end of each segment: per segment,
+    its left pair, then its right pair."""
+    return [f for ends in zip(left, right) for pair in ends for f in pair]
 
 
 #: positions of the evolved face states of the oracle's ``prepare`` in
@@ -117,7 +118,7 @@ def solve_junction(node, specs, states):
     """``junction_solve`` of ``node`` planned over the vessels ``specs``
     (by id), at the evolved ``states`` given per member: per member
     (A*, q*, F_q*)."""
-    ends = [(vid, law(specs[vid]), 2 * k, 2 * k + 1, 2 * k)
+    ends = [(vid, law(specs[vid]), 2 * k)
             for k, (vid, _) in enumerate(junction_members(node))]
     return junction_solve(_junction(node, ends),
                           [x for state in states for x in state])
@@ -126,13 +127,13 @@ def solve_junction(node, specs, states):
 def inflow_star(spec, state, q_in):
     """``inflow_bc`` at the left end of the vessel ``spec`` in the evolved
     ``state``: (A*, q*, F_q*)."""
-    return inflow_bc(_End(spec.vessel_id, law(spec), 0, 1, 0), list(state), q_in)
+    return inflow_bc(_End(spec.vessel_id, law(spec), 0), list(state), q_in)
 
 
 def terminal_star(spec, state, term, P_wk, dt):
     """``terminal_bc`` at the right end of the vessel ``spec`` in the
     evolved ``state``: ((A*, q*, F_q*), P_wk)."""
-    return terminal_bc(_terminal(term, spec.vessel_id, law(spec), 0, 1, 0),
+    return terminal_bc(_terminal(term, spec.vessel_id, law(spec), 0),
                        list(state), P_wk, dt)
 
 
@@ -928,14 +929,38 @@ class TestStackedCells:
         sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 2)
         prep = sim.cells.prepare(cfl_dt(sim.cells, 0.9))
         ends = sim.cells.end_states(prep)
-        n = len(sim.vessels)
         (AbL, AbR), (qbL, qbR) = prep.Ub
         for k, spec in enumerate(sim.network.vessels.values()):
             s, e = sim.cells.bounds[k], sim.cells.bounds[k + 1]
-            assert ends[k] == AbL[s] and ends[n + k] == qbL[s]
-            assert ends[2 * n + k] == AbR[e - 1]
-            assert ends[3 * n + k] == qbR[e - 1]
+            i, j = Vessel1D.end_index(k, "left"), Vessel1D.end_index(k, "right")
+            assert ends[i] == AbL[s] and ends[i + 1] == qbL[s]
+            assert ends[j] == AbR[e - 1] and ends[j + 1] == qbR[e - 1]
             assert e - s == build_mesh(spec.length, 0.2).M
+
+    def test_flux_at_an_end_state_position_enters_that_cell(self):
+        # position i of commit's flux list belongs to the end whose evolved
+        # state end_states reports at position i
+        sim, _ = _disturbed_pair(parse_network(ASYMMETRIC_TREE), 7)
+        cells = sim.cells
+        dt = cfl_dt(cells, 0.9)
+        prep = cells.prepare(dt)
+        ends = cells.end_states(prep)
+        before = cells.U.copy()
+        zero = [0.0] * len(ends)
+        cells.commit(dt, prep, zero)
+        base = cells.U.copy()
+        for i, value in enumerate(ends):
+            # the disturbed face states are distinct: one cell holds each
+            [(var, face, cell)] = np.argwhere(prep.Ub == value).tolist()
+            cells.U[:] = before
+            flux = list(zero)
+            flux[i] = 1.0
+            cells.commit(dt, prep, flux)
+            changed = np.argwhere(cells.U != base)
+            assert changed.tolist() == [[var, cell]], i
+            # an inflow through the left face adds, through the right removes
+            sign = 1.0 if face == 0 else -1.0
+            assert sign * (cells.U[var, cell] - base[var, cell]) > 0.0, i
 
     def test_vessel_arrays_are_views_updated_in_place(self):
         sim = Simulation1D(parse_network(ASYMMETRIC_TREE), synthetic_inflow())
@@ -1518,26 +1543,31 @@ def _loop_terminal_bc(spec, boundary_state, terminal, P_wk, dt, tol=1e-10,
     return (A, q_star), P_wk
 
 
-def _loop_step(sim, dt=None, until=math.inf):
+def _loop_step(sim, until=math.inf):
     """``Simulation1D.step`` with the loop-form closures, reading each
     vessel's constants from its specification."""
     cells = sim.cells
-    if dt is None:
-        dt = min(cfl_dt(cells, sim.CFL), until - sim.t)
+    dt = min(cfl_dt(cells, sim.CFL), until - sim.t)
     prep = cells.prepare(dt)
     ends = cells.end_states(prep)
     specs = list(sim.network.vessels.values())
     n = len(specs)
     seg = {vid: k for k, vid in enumerate(sim.network.vessels)}
     left, right = [None] * n, [None] * n
+
+    def state(k, is_right):
+        """(A, q) at segment k's right or left end: the stack's end states
+        hold per segment A, q of its left end, then of its right end."""
+        i = 4 * k + 2 * is_right
+        return ends[i], ends[i + 1]
+
     k = seg[sim.network.root]
-    A_s, q_s = _loop_inflow_bc(specs[k], (ends[k], ends[n + k]),
+    A_s, q_s = _loop_inflow_bc(specs[k], state(k, False),
                                float(sim.inflow(sim.t + 0.5 * dt)))
     left[k] = _loop_boundary_flux(law(specs[k]), A_s, q_s)
     for node in sim.network.junctions:
         sides = [(seg[vid], end == "right") for vid, end in junction_members(node)]
-        states = [(ends[2 * n + k], ends[3 * n + k]) if is_right
-                  else (ends[k], ends[n + k]) for k, is_right in sides]
+        states = [state(k, is_right) for k, is_right in sides]
         stars = _loop_junction_solve(node, sim.network.vessels, states)
         for (k, is_right), (A_s, q_s) in zip(sides, stars):
             (right if is_right else left)[k] = _loop_boundary_flux(
@@ -1545,7 +1575,7 @@ def _loop_step(sim, dt=None, until=math.inf):
     for vid, term in sim.network.terminals.items():
         k = seg[vid]
         (A_s, q_s), P_new = _loop_terminal_bc(
-            specs[k], (ends[2 * n + k], ends[3 * n + k]), term,
+            specs[k], state(k, True), term,
             sim.P_wk.get(vid, 0.0), dt)
         right[k] = _loop_boundary_flux(law(specs[k]), A_s, q_s)
         if vid in sim.P_wk:

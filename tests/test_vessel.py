@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hemoflow.errors import CollapseError
 from hemoflow.vessel import (
-    MMHG,
     FluidProps,
     VesselSpec,
     WallModel,
@@ -79,9 +78,6 @@ class TestStiffness:
         for r0 in (0.05, 0.2, 0.5, 1.0, 1.5):
             h = adan_wall_thickness(r0)
             assert 0.0 < h < r0
-
-    def test_mmhg_constant(self):
-        assert MMHG == pytest.approx(1333.22)
 
 
 class TestTubeLaw:
