@@ -22,7 +22,8 @@ function for the whole run, whose loop keeps the states in locals from
 step to step and inlines the four passes of an RK4 step, their combination
 and the sampling. The module of that run loop also holds the compartment
 pressures on sampled columns, which ``observe`` weighs into per-vessel
-series. The inflow at every stage time of the run
+series (the linear mode, which runs no loop, compiles them on their
+own). The inflow at every stage time of the run
 (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the loop, in three
 calls of the waveform on arrays. Compiled code is cached by the plan it
 was written from (``_compiled``, ``_plan_key``), so models of one network
@@ -30,6 +31,15 @@ and mode neither write nor compile their source again, share one code
 object and each bind their own inflow. The compartment laws are written
 once, in ``_PassSource``; the tests keep the per-vessel configurations as
 classes, composed into the reference network.
+
+The linear mode (every flag off) does not run that loop: its pass is
+affine and time-invariant, so its RK4 step is one affine map of the state
+and the step's inflow, which ``_StepMap`` reads off the compiled pass and
+the generic RK4 step and applies with one matrix-vector product per step.
+Its states agree with ``rk4_integrate`` on ``rhs`` within round-off, not
+bit for bit; its times, failures and messages are those of the loop.
+Before stepping, it refuses a ``dt`` outside RK4's stability region for
+the eigenvalues of the pass.
 """
 
 from __future__ import annotations
@@ -230,14 +240,9 @@ class _PassSource:
         in plan order: the root's two halves, each interior vessel's two
         halves, each leaf. Each is computed when it is drawn, so a caller
         holds one at a time. The columns are not tested for collapse."""
-        model, out = self.model, []
-        o, c = model._root[:2]
-        volumes = [(o, c), (o + 2, c)]
-        for o, c, *_ in model._interior:
-            volumes += [(o, c), (o + 2, c)]
-        volumes += [(o, c) for o, c, *_ in model._leaves]
-        for o, c in volumes:
-            P = self.pressure(out, "P", f"Y[:, {o}]", c)
+        out = []
+        for i, c, *_ in self.model._compartments:
+            P = self.pressure(out, "P", f"Y[:, {i}]", c)
             out.append(f"yield {P}")
         return "\n".join(["def pressures(Y):", *(f"    {line}" for line in out), ""])
 
@@ -487,6 +492,17 @@ class NetworkModel0D:
         return {off: vid for vid, off in self.layout.items()}
 
     @cached_property
+    def _compartments(self) -> list[tuple[int, tuple, str, str]]:
+        """(state index of its volume, constants, vessel, part) of each
+        compartment, in plan order: the root's two halves, each interior
+        vessel's two halves, each leaf."""
+        vid_at, out = self._vid_at, []
+        for o, c, *_ in (self._root, *self._interior):
+            out += [(o, c, vid_at[o], _PROXIMAL), (o + 2, c, vid_at[o], _DISTAL)]
+        out += [(o, c, vid_at[o], _WHOLE) for o, c, *_ in self._leaves]
+        return out
+
+    @cached_property
     def _plan_key(self) -> str:
         """What the generated source is written from, as text: the mode's
         flags, the layout and the plan tuples, each float as its ``repr``
@@ -494,8 +510,11 @@ class NetworkModel0D:
         return repr((self.mode.flags, self.dim, tuple(self.layout.items()),
                      self._root, tuple(self._interior), tuple(self._leaves)))
 
-    def _compile(self, name: str, write):
-        namespace = {"inflow": self.inflow, "_inf": math.inf, "_nan": math.nan,
+    def _compile(self, name: str, write, inflow=None):
+        """The generated function ``name``, bound to ``inflow`` (the
+        model's own if None)."""
+        namespace = {"inflow": self.inflow if inflow is None else inflow,
+                     "_inf": math.inf, "_nan": math.nan,
                      "_volume_collapse": _volume_collapse,
                      "_area_collapse": _area_collapse,
                      "ConfigurationError": ConfigurationError,
@@ -520,27 +539,60 @@ class NetworkModel0D:
         compiled on first use; ``pressures`` is in its globals."""
         return self._compile("run", _PassSource.runner)
 
+    @cached_property
+    def _pressures(self):
+        """``pressures(Y)`` (``_PassSource.pressures``): the run module's,
+        or, in the linear mode, which runs no loop, compiled on its own."""
+        if any(self.mode.flags):
+            return self._run.__globals__["pressures"]
+        return self._compile("pressures", _PassSource.pressures)
+
     def integrate(self, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
-        """RK4 from the initial state to ``t_end`` with the compiled run
-        loop, sampled as ``rk4_integrate`` samples and with its bits on
-        ``self.rhs``. The inflow is tabulated at every stage time, three
-        calls on arrays for each block of ``_BLOCK_STEPS`` steps; the loop
-        runs block by block, carrying the state and the step count. The
-        reported CPU time covers the tables and the loop."""
+        """RK4 from the initial state to ``t_end``, sampled as
+        ``rk4_integrate`` samples. The inflow is tabulated at every stage
+        time, three calls on arrays per block of steps; the run goes block
+        by block, carrying the state and the step count.
+
+        A mode with every flag off is linear and time-invariant: it is
+        advanced by its exact RK4 step map (``_StepMap``), within round-off
+        of ``rk4_integrate`` on ``self.rhs`` and with its times bit for bit,
+        after a step-size check that refuses an unstable ``dt`` with a
+        ``ConfigurationError``. Every other mode runs the compiled run loop,
+        in blocks of ``_BLOCK_STEPS``, with the bits of ``rk4_integrate``
+        on ``self.rhs``. The reported CPU time covers the tables, the loop,
+        and the building of a step map."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
-        run = self._run  # compiled, if it must be, before the clock starts
-        y = self.initial_state().tolist()
+        y = self.initial_state()
         times, samples = [0.0], array("d", y)
-        start = time.thread_time()
-        for first in range(0, n_steps, _BLOCK_STEPS):
-            stop = min(first + _BLOCK_STEPS, n_steps)
-            y = run(y, 0.0, first, dt, *_inflow_tables(self.inflow, first, stop, dt),
-                    stride, n_steps, times, samples)
+        if not any(self.mode.flags):
+            # the pass bound to the identity inflow, which evaluates it at
+            # the root inflow q = t; compiled, if it must be, before the
+            # clock starts
+            probe = self._compile("evaluate", _PassSource.evaluator, float)
+            start = time.thread_time()
+            _StepMap(self, probe, y, dt).run(n_steps, stride, times, samples)
+        else:
+            run = self._run  # compiled, if it must be, before the clock starts
+            y = y.tolist()
+            start = time.thread_time()
+            for first in range(0, n_steps, _BLOCK_STEPS):
+                stop = min(first + _BLOCK_STEPS, n_steps)
+                y = run(y, 0.0, first, dt,
+                        *_inflow_tables(self.inflow, first, stop, dt),
+                        stride, n_steps, times, samples)
         cpu = time.thread_time() - start
         return Integration(t=np.array(times),
                            y=np.frombuffer(samples).reshape(len(times), -1),
                            cpu_seconds=cpu)
+
+    def _vessel_of(self, i: int) -> str:
+        """The vessel state ``i`` belongs to; a terminal's capacitor
+        pressure belongs to its vessel."""
+        for vid, k in self.wk_index.items():
+            if k == i:
+                return vid
+        return max((o, vid) for vid, o in self.layout.items() if o <= i)[1]
 
     def initial_state(self) -> np.ndarray:
         """All vessels at the area matching the initial pressure, zero flow,
@@ -565,10 +617,10 @@ class NetworkModel0D:
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,
         mid-vessel interface flow and mean area, from sampled states Y with
-        shape (n_samples, dim). The compartment pressures are those of the
-        run module's ``pressures``, in plan order."""
+        shape (n_samples, dim). The compartment pressures are those of
+        ``_pressures``, in plan order."""
         vessels, vid_at = self.network.vessels, self._vid_at
-        pressures = self._run.__globals__["pressures"](Y)
+        pressures = self._pressures(Y)
         out = {}
 
         def halves(o, Q):
@@ -641,9 +693,10 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
     (rounded to a whole number of steps; every step if None) and after the
     last step, and checks the samples are finite. The reported CPU time, of
     this thread, covers only the stepping loop. This is the generic
-    integrator and the reference of the 0D network's generated run loop
-    (``NetworkModel0D.integrate``, behind ``run_0d``), which gives the same
-    bits as this function on ``model.rhs``.
+    integrator and the reference of ``NetworkModel0D.integrate`` (behind
+    ``run_0d``), which gives the same bits as this function on
+    ``model.rhs`` in every mode but the linear one, and agrees with it
+    within round-off in that one.
     """
     n_steps, stride = _step_count(dt, t_end, sample_interval)
     y, step = np.array(y0, dtype=float), _rk4_array_step(rhs, dt)
@@ -680,6 +733,247 @@ def _rk4_array_step(rhs, dt):
     return step
 
 
+#: the state and inflow steps of the probes that read the affine pass off
+#: the compiled one: a power of two, so that dividing by it is exact, and
+#: large enough that the pass's value at the probed state is lost in the
+#: rounding of the probe's
+_PROBE = 2.0 ** 30
+
+#: bytes of the largest per-block array of a step map run: small enough
+#: that the blocks add little to the largest resident size of a run, whose
+#: samples take more; larger blocks are no faster
+_BLOCK_BYTES = 1 << 18
+
+#: the largest |R(dt λ)| the step-size check accepts, where R is RK4's
+#: stability polynomial. The eigenvalues of a mode that neither grows nor
+#: decays (|R| = 1) come out of the eigenvalue solver a few ulps off the
+#: imaginary axis; a mode growing by 1e-9 a step grows by 1% in 1e7 steps
+_GROWTH_TOL = 1e-9
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, each entry the dot product of a row of A and a column of B
+    on its own. ``np.vecdot`` does not thread a dot product of fewer than
+    10 000 terms, as a BLAS matrix product may, so the bits depend neither
+    on BLAS's threads nor on the shapes."""
+    return np.vecdot(A[:, None], np.ascontiguousarray(B.T))
+
+
+def _rk4_growth(z: np.ndarray) -> np.ndarray:
+    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: RK4's amplification
+    of a linear mode over one step, z being dt times its eigenvalue."""
+    return np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+
+
+class _StepMap:
+    """The RK4 step of a network whose mode has every flag off, as one
+    affine map of the state and the step's inflow.
+
+    Such a pass is dy/dt = A y + b q_in(t) + c, and an RK4 step is
+    y <- M y + W g with g = (q(t), q(t + dt/2), q(t + dt), 1). (A, b, c) is
+    read off the compiled pass in dim + 2 probes. The step's change
+    [M - I | W] and the changes of the stage states are
+    ``_rk4_array_step`` applied, from zero, to the change Z of the state
+    over the step, whose pass is A Z + [A | b e_q(t) | c e_4] as a map of
+    (y, g); so no law and no RK4 formula is written twice, and the change
+    is not rounded to the state's scale before it is added. Each step is
+    one product of that map with the state, a dot product per row
+    (``np.vecdot``), plus the forcing, which is computed element by element
+    for a whole block of steps, plus the state. No BLAS matrix product
+    enters the map or the step, so the bits of the run depend neither on
+    the block's size nor on BLAS's threads.
+
+    The states of identical sibling subtrees are equal on every step of
+    RK4; the map computes those of the first subtree only and copies them
+    to the others, so that they stay equal bit for bit, as in the run loop.
+    """
+
+    def __init__(self, model: NetworkModel0D, probe, y0: np.ndarray, dt: float):
+        """The map of ``model`` at the step ``dt``, from its pass
+        ``probe(q, y)`` at the root inflow q and its initial state ``y0``."""
+        self.model, self.dt = model, dt
+        A, b, c = self.affine_pass(model, probe, y0)
+        self.check_step_size(model, A, dt)
+        src = self.copies(model, y0)
+        keep = np.flatnonzero(src == np.arange(model.dim))
+        pos = np.zeros(model.dim, dtype=int)
+        pos[keep] = np.arange(keep.size)
+        #: the position in the computed states of each state
+        self.expand = pos[src]
+        n = self.n = keep.size
+        A = _product(A[keep], np.eye(n)[self.expand])
+        b, c = b[keep], c[keep]
+        self.y0 = y0[keep]
+        #: the computed state of each compartment's volume, in plan order
+        self.volumes = pos[[i for i, *_ in model._compartments]]
+
+        column = {0.0: n, 0.5 * dt: n + 1, dt: n + 2}
+        stages = []
+
+        def rhs(t, Z):
+            stages.append(Z)
+            F = _product(A, Z)
+            F[:, :n] += A
+            F[:, column[t]] += b
+            F[:, n + 3] += c
+            return F
+
+        step = _rk4_array_step(rhs, dt)(0.0, np.zeros((n, n + 4)))
+        # [M - I | W] and the changes of the volumes in the last three stages
+        # (the first is the state itself): one row each, with their forcing
+        # in the last columns
+        G = np.vstack([step, *(S[self.volumes] for S in stages[1:])])
+        self.G, self.W = np.ascontiguousarray(G[:, :n]), G[:, n:]
+
+    @staticmethod
+    def affine_pass(model: NetworkModel0D, probe, y0: np.ndarray):
+        """(A, b, c) of the pass, from the pass ``probe(q, y)`` at the root
+        inflow q: at the state ``y0``, and after a step ``_PROBE`` in each
+        state and in the inflow. A pass of such a mode reads the time only
+        through the inflow."""
+
+        def f(q, y):
+            return np.array(probe(q, y.tolist())[0])
+
+        f0 = f(0.0, y0)
+        A = np.empty((model.dim, model.dim))
+        for i in range(model.dim):
+            y = y0.copy()
+            y[i] += _PROBE
+            A[:, i] = f(0.0, y) - f0
+        A /= _PROBE
+        return A, (f(_PROBE, y0) - f0) / _PROBE, f0 - np.vecdot(A, y0)
+
+    @staticmethod
+    def check_step_size(model: NetworkModel0D, A: np.ndarray, dt: float) -> None:
+        """Refuse a ``dt`` at which RK4 amplifies a mode of the pass
+        dy/dt = A y + ... by more than 1 + ``_GROWTH_TOL`` a step, with the
+        largest step it accepts (by bisection) and the vessel of the largest
+        component of the mode that grows fastest at ``dt``."""
+        lam = np.linalg.eigvals(A)
+        if _rk4_growth(dt * lam).max() <= 1.0 + _GROWTH_TOL:
+            return
+        stable, unstable = 0.0, dt
+        for _ in range(60):
+            h = 0.5 * (stable + unstable)
+            if _rk4_growth(h * lam).max() <= 1.0 + _GROWTH_TOL:
+                stable = h
+            else:
+                unstable = h
+        lam, modes = np.linalg.eig(A)
+        size = np.abs(modes[:, np.argmax(_rk4_growth(dt * lam))])
+        # the first state within 0.1% of the largest: of a mode shared by
+        # identical vessels, the first of them in the layout
+        vid = model._vessel_of(int(np.argmax(size >= 0.999 * size.max())))
+        raise ConfigurationError(
+            f"time step dt = {dt:g} s is outside RK4's stability region for this "
+            f"linear 0D network: the largest stable step is {stable:.4g} s, and "
+            f"the fastest-growing mode is dominated by vessel {vid!r}")
+
+    @staticmethod
+    def copies(model: NetworkModel0D, y0: np.ndarray) -> np.ndarray:
+        """For each state, the state whose values it takes on every step:
+        the same state of the first of the identical sibling subtrees it
+        lies in, or itself. Sibling subtrees are identical when their
+        shapes, plan constants, terminals and initial states ``y0`` are."""
+        # per vessel offset: what its pass reads, its states, and its
+        # daughters' offsets (a proximal flow follows its vessel's volume)
+        vessels = {o: ((c, l), [*range(o, o + 4)], [f - 1 for f in flows])
+                   for o, c, l, _, _, flows in model._interior}
+        for o, c, l, _, _, term, wk in model._leaves:
+            vessels[o] = ((c, l, term), [o, o + 1, o + 2, *([wk] if wk >= 0 else [])], [])
+        trees = {}
+
+        def tree(o):
+            """(signature, states) of the subtree of the vessel at ``o``."""
+            if o not in trees:
+                key, states, daughters = vessels[o]
+                subtrees = [tree(d) for d in daughters]
+                trees[o] = (repr((key, y0[states].tolist(), [k for k, _ in subtrees])),
+                            [*states, *(i for _, s in subtrees for i in s)])
+            return trees[o]
+
+        src = np.arange(model.dim)
+        siblings = [[f - 1 for f in model._root[-3]]]
+        for daughters in siblings:
+            first = {}
+            for d in daughters:
+                key, states = tree(d)
+                if key in first:
+                    src[states] = first[key]
+                else:
+                    first[key] = states
+                    siblings.append(vessels[d][2])
+        while (src[src] != src).any():  # a copy of a copy
+            src = src[src]
+        return src
+
+    def run(self, n_steps: int, stride: int, times: list, samples: array) -> None:
+        """Steps 1 to ``n_steps`` from the initial state, appending every
+        ``stride``-th state and the last, and their times, to ``samples``
+        and ``times``. Raises the run loop's errors at its first failure:
+        a stage volume that is not positive, as ``_volume_collapse`` of its
+        vessel and compartment at the stage's time, and a sampled state
+        that is not finite."""
+        y = self.y0
+        block = min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // (8 * self.G.shape[0])))
+        for first in range(0, n_steps, block):
+            y = self.block(y, first, min(first + block, n_steps), n_steps, stride,
+                           times, samples)
+
+    def block(self, y: np.ndarray, first: int, stop: int, last: int, stride: int,
+              times: list, samples: array) -> np.ndarray:
+        """Steps ``first`` + 1 to ``stop`` from the state ``y``, sampled as
+        ``run`` samples them; returns the last state. The block's arrays
+        are freed on return."""
+        dt, n, W, volumes = self.dt, self.n, self.W, self.volumes
+        G, vecdot = self.G, np.vecdot
+        qa, qh, qe = (np.frombuffer(q)[:, None]
+                      for q in _inflow_tables(self.model.inflow, first, stop, dt))
+        F = qa * W[:, 0]
+        F += qh * W[:, 1]
+        F += qe * W[:, 2]
+        F += W[:, 3]
+        start = y
+        for row in F:
+            row += vecdot(G, y)
+            z = row[:n]
+            z += y
+            y = z
+        Y = F[:, :n]
+        # the volumes of each step's stages, (step, stage, compartment): the
+        # state's, and the state's plus their change
+        V = np.empty((len(F), 4, len(volumes)))
+        V[0, 0], V[1:, 0] = start[volumes], Y[:-1, volumes]
+        V[:, 1:] = F[:, n:].reshape(len(F), 3, -1)
+        V[:, 1:] += V[:, :1]
+        steps = np.arange(first + 1, stop + 1)
+        sampled = (steps % stride == 0) | (steps == last)
+        S = Y[sampled]
+        collapsed = V <= 0.0  # NaN is no collapse, as in the run loop
+        infinite = ~np.isfinite(S).all(axis=1)
+        if collapsed.any() or infinite.any():
+            self.fail(first, V, collapsed, steps[sampled][infinite])
+        times.extend((steps[sampled] * dt).tolist())
+        samples.frombytes(S[:, self.expand].tobytes())
+        return y.copy()
+
+    def fail(self, first: int, V: np.ndarray, collapsed: np.ndarray,
+             infinite: np.ndarray):
+        """Raise the first failure of a block of steps from ``first``: a
+        collapse in (step, stage, plan) order, or a non-finite sample at
+        one of the steps ``infinite``, which step n's collapse precedes."""
+        dt = self.dt
+        if collapsed.any():
+            i, stage, k = np.unravel_index(np.argmax(collapsed), collapsed.shape)
+            if not infinite.size or first + i + 1 <= infinite[0]:
+                t = int(first + i) * dt
+                t = t + (0.0, 0.5 * dt, 0.5 * dt, dt)[stage]
+                _, _, vid, part = self.model._compartments[k]
+                raise _volume_collapse(float(V[i, stage, k]), vid, part, t)
+        raise ModelError(f"non-finite state at t = {infinite[0] * dt:.6g} s")
+
+
 def check_run_times(t_end: float, T0: float, sample_interval: float) -> None:
     """Raise ValueError unless the end time, the cardiac period and the
     sample interval of a run are positive and finite."""
@@ -702,11 +996,13 @@ class RunResult:
 def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
            dt: float = 1e-3, t_end: float = 29.7, T0: float = 1.1,
            sample_interval: float = 1e-3) -> RunResult:
-    """Advance the assembled 0D network with its generated run loop
-    (``NetworkModel0D.integrate``) and return per-vessel series
-    (``NetworkModel0D.observe``). The inflow is evaluated on arrays, once
-    per stage time of the run; the series are those of ``rk4_integrate`` on
-    ``model.rhs``."""
+    """Advance the assembled 0D network (``NetworkModel0D.integrate``)
+    and return per-vessel series (``NetworkModel0D.observe``). The inflow
+    is evaluated on arrays, once per stage time of the run. The series are
+    those of ``rk4_integrate`` on ``model.rhs``: bit for bit from the
+    generated run loop of a nonlinear mode, within round-off from the step
+    map of the linear mode, which refuses an unstable ``dt`` with a
+    ``ConfigurationError`` before its first step."""
     check_run_times(t_end, T0, sample_interval)
     model = assemble_network(network, mode, inflow)
     integ = model.integrate(dt, t_end, sample_interval)

@@ -113,6 +113,19 @@ class TestRun:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_unstable_linear_time_step_is_refused(self, tmp_path, capsys):
+        # a linear run checks its step against RK4's stability region
+        # before stepping
+        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--mode", "linear", "--dt", "0.05", "--t-end", "20.0",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: time step dt = 0.05 s is outside RK4's "
+                              "stability region"), err
+        assert "the largest stable step is 0.01352 s" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("solver", ["0d", "1d"])
     @pytest.mark.parametrize("option, value, message", [
         ("--t-end", "0", "error: t_end must be positive and finite, got 0.0"),

@@ -673,13 +673,34 @@ class TestAssembledPlan:
                     model.rhs(0.1, y)
 
 
+#: the largest deviation of a run of a linear mode (its step map) from the
+#: generic integrator, relative to the largest magnitude of each series:
+#: 2.1e-12 at most on the networks of these tests, 300 steps of 1e-4 s
+#: or 1250 of 1e-3 s
+STEP_MAP_RTOL = 1e-11
+
+
+def assert_same_run(mode, values, reference, where):
+    """``values`` of a run in ``mode`` are those of the generic
+    integrator: the same bits, or within ``STEP_MAP_RTOL`` in a mode with
+    every flag off."""
+    if any(mode.flags):
+        assert np.array_equal(values, reference), where
+    else:
+        scale = np.abs(reference).max(axis=0)
+        assert (np.abs(values - reference) <= STEP_MAP_RTOL * scale).all(), where
+
+
 class TestCompiledStep:
-    """``run_0d`` advances with the network's compiled RK4 run loop, and
-    ``rk4_step`` is a one-step call of it; the generic integrator on
-    ``model.rhs`` is their reference."""
+    """``run_0d`` advances with the network's compiled RK4 run loop (or,
+    in the linear mode, its step map), and ``rk4_step`` is a one-step call
+    of the loop; the generic integrator on ``model.rhs`` is their
+    reference."""
 
     @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
     def test_run_matches_generic_integration(self, bifurcation, mode_name):
+        # a linear mode runs its step map, which rounds apart from the
+        # generic step; every other mode runs the loop, with its bits
         mode = EQUIVALENCE_MODES[mode_name]
         inflow = synthetic_inflow()
         # 300 steps; the small test vessels need a step below 2e-4 s
@@ -694,7 +715,7 @@ class TestCompiledStep:
             ref = model.observe(integ.y)
             for vid, series in ref.items():
                 for ch in ("P", "Q", "A"):
-                    assert np.array_equal(res.vessels[vid][ch], series[ch]), (name, vid, ch)
+                    assert_same_run(mode, res.vessels[vid][ch], series[ch], (name, vid, ch))
 
     @pytest.mark.parametrize("mode_name", ["linear", "nonlinear", "frozen_area"])
     def test_run_across_a_period_with_a_stride(self, bifurcation, mode_name):
@@ -712,10 +733,10 @@ class TestCompiledStep:
         assert np.array_equal(res.t, integ.t)
         direct = model.integrate(dt, t_end, every)
         assert np.array_equal(direct.t, integ.t)
-        assert np.array_equal(direct.y, integ.y)
+        assert_same_run(mode, direct.y, integ.y, "states")
         for vid, series in model.observe(integ.y).items():
             for ch in ("P", "Q", "A"):
-                assert np.array_equal(res.vessels[vid][ch], series[ch]), (vid, ch)
+                assert_same_run(mode, res.vessels[vid][ch], series[ch], (vid, ch))
 
     @pytest.mark.parametrize("network", sorted(TestAssembledPlan.NETWORKS))
     @pytest.mark.parametrize("mode", [NL, LIN], ids=["nonlinear", "linear"])
@@ -995,6 +1016,186 @@ class TestCompiledStep:
         step = rk4_step(other, 1e-3)(0.1, y.tolist())
         generic = _rk4_array_step(other.rhs, 1e-3)(0.1, y)
         assert step == generic.tolist()
+
+
+def symmetric_tree_network():
+    """A root, two identical daughters, each with two identical leaves."""
+    lines = ["[fluid]", "rho = 1.06", "mu = 0.04", "pressure_ref = 1.0e4",
+             "initial_pressure = 1.3e4", ""]
+    for vid, depth in (("v0", 0), ("v1", 1), ("v2", 1), ("v3", 2), ("v4", 2),
+                       ("v5", 2), ("v6", 2)):
+        lines += [f"[vessel {vid}]", f"length = {8.0 - 2.0 * depth}",
+                  f"area = {2.4 * 0.6 ** depth}", f"wall_thickness = {0.1 * 0.85 ** depth}",
+                  f"youngs_modulus = {5.0e6 + 1.0e6 * depth}", ""]
+    for parent, daughters in (("v0", "v1 v2"), ("v1", "v3 v4"), ("v2", "v5 v6")):
+        lines += ["[junction]", f"parent = {parent}", f"daughters = {daughters}", ""]
+    lines += ["[inflow]", "vessel = v0", ""]
+    for vid in ("v3", "v4", "v5", "v6"):
+        lines += [f"[terminal {vid}]", RCR_TERMINAL, ""]
+    return parse_network("\n".join(lines))
+
+
+class TestStepMap:
+    """A mode with every flag off runs its RK4 step map (``_StepMap``);
+    its agreement with the generic integrator is checked in
+    ``TestCompiledStep``."""
+
+    @pytest.mark.parametrize("network, dt, pairs, computed", [
+        ("bifurcation", 1e-3, [("left_iliac", "right_iliac")], 11 - 4),
+        ("symmetric_tree", 1e-4, [("v1", "v2"), ("v3", "v4"), ("v3", "v5"),
+                                  ("v3", "v6")], 27 - 16)])
+    def test_identical_subtrees_stay_equal(self, bifurcation, network, dt, pairs,
+                                           computed):
+        # a dense product rounds identical vessels apart; the map computes
+        # the states of the first of identical sibling subtrees only, and
+        # copies them
+        from hemoflow.solver0d import _StepMap
+
+        net = bifurcation if network == "bifurcation" else symmetric_tree_network()
+        inflow = synthetic_inflow()
+        res = run_0d(net, inflow, LIN, dt=dt, t_end=2000 * dt, sample_interval=dt)
+        for a, b in pairs:
+            for ch in ("P", "Q", "A"):
+                assert np.array_equal(res.vessels[a][ch], res.vessels[b][ch]), (a, b, ch)
+        model = assemble_network(net, LIN, inflow)
+        assert len(set(_StepMap.copies(model, model.initial_state()))) == computed
+
+    def test_frozen_area_with_linear_pressure_is_the_linear_run(self, bifurcation):
+        frozen = ModelMode(nonlinear_pressure=False, nonlinear_resistance=True,
+                           nonlinear_inductance=True, frozen_area=True)
+        inflow = synthetic_inflow()
+        a = run_0d(bifurcation, inflow, frozen, dt=1e-3, t_end=1.1)
+        b = run_0d(bifurcation, inflow, LIN, dt=1e-3, t_end=1.1)
+        assert np.array_equal(a.t, b.t)
+        for vid in a.vessels:
+            for ch in ("P", "Q", "A"):
+                assert np.array_equal(a.vessels[vid][ch], b.vessels[vid][ch]), (vid, ch)
+
+    @pytest.mark.parametrize("block", [7, 100, 1249])
+    def test_blocks_keep_the_bits(self, bifurcation, block, monkeypatch):
+        # blocks of the stride, of a size the stride does not divide, and a
+        # last block of one step; the last step falls inside a block
+        import hemoflow.solver0d as solver0d
+
+        for net, dt in ((bifurcation, 1e-3), (asymmetric_tree_network(), 1e-4)):
+            t_end, every = 1250 * dt, 7 * dt
+            model = assemble_network(net, LIN, synthetic_inflow())
+            whole = model.integrate(dt, t_end, every)
+            monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
+            part = model.integrate(dt, t_end, every)
+            monkeypatch.undo()
+            assert whole.t[-1] == t_end and whole.t.size == 180
+            assert np.array_equal(part.t, whole.t)
+            assert np.array_equal(part.y, whole.y)
+
+    @pytest.mark.parametrize("network, dt, q, message", [
+        ("bifurcation", 1e-3, -400.0,
+         "compartment volume became non-positive in vessel 'aorta' (distal half) "
+         "at t = 0.1085 s"),
+        ("asymmetric_tree", 1e-4, -1000.0,
+         "compartment volume became non-positive in vessel 'v0' (proximal half) "
+         "at t = 0.00505 s")])
+    def test_collapse_names_vessel_compartment_and_stage_time(
+            self, bifurcation, network, dt, q, message, monkeypatch):
+        # a strongly negative inflow drains the root in a middle stage
+        import hemoflow.solver0d as solver0d
+
+        net = bifurcation if network == "bifurcation" else asymmetric_tree_network()
+        model = assemble_network(net, LIN, lambda t: q + 0.0 * np.asarray(t))
+        with pytest.raises(CollapseError) as generic:
+            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+        failures = []
+        for block in (solver0d._BLOCK_STEPS, 9):
+            monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
+            with pytest.raises(CollapseError) as mapped:
+                model.integrate(dt, 2.0)
+            failures.append(str(mapped.value))
+        assert failures[0] == failures[1]
+        where, V = failures[0].rsplit(": ", 1)
+        expected, V_generic = str(generic.value).rsplit(": ", 1)
+        assert where == expected == message
+        assert float(V) == pytest.approx(float(V_generic), rel=1e-9)
+
+    @pytest.mark.parametrize("block", [None, 9])
+    def test_nonfinite_state_aborts_run(self, bifurcation, block, monkeypatch):
+        import hemoflow.solver0d as solver0d
+
+        def inflow(t):
+            return np.where(t > 0.05, np.nan, 0.0)
+
+        if block is not None:
+            monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
+        with pytest.raises(ModelError, match=r"^non-finite state at t = 0\.06 s$"):
+            run_0d(bifurcation, inflow, LIN, dt=1e-3, t_end=0.2, sample_interval=0.01)
+
+    def test_blocks_are_bounded_on_a_long_run(self, bifurcation):
+        # 200 000 steps, whose forcing would take 29 MiB in one array; the
+        # run's peak is 0.9 MiB, blocks of 256 KiB arrays and the samples
+        import tracemalloc
+
+        model = assemble_network(bifurcation, LIN, synthetic_inflow())
+        model.integrate(1e-3, 0.01)  # compiled before tracing
+        tracemalloc.start()
+        try:
+            integ = model.integrate(1e-5, 2.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert integ.t.size == 2001
+        assert peak < 2 * 2**20
+
+
+class TestStepSizeCheck:
+    """A linear run refuses, before its first step, a time step outside
+    RK4's stability region for the eigenvalues of its pass."""
+
+    @staticmethod
+    def refused(net, dt) -> tuple[float, str]:
+        """(the largest stable step, the vessel) that a run at ``dt``
+        reports; the run takes no step."""
+        import re
+
+        model = assemble_network(net, LIN, synthetic_inflow())
+        with pytest.raises(ConfigurationError) as exc:
+            model.integrate(dt, 100 * dt)
+        found = re.fullmatch(
+            rf"time step dt = {dt:g} s is outside RK4's stability region for this "
+            r"linear 0D network: the largest stable step is (\S+) s, and the "
+            r"fastest-growing mode is dominated by vessel '(\w+)'", str(exc.value))
+        assert found, str(exc.value)
+        return float(found[1]), found[2]
+
+    @pytest.mark.parametrize("network, dt, stable, vessel", [
+        ("bifurcation", 0.05, (0.0134, 0.0137), "left_iliac"),
+        ("asymmetric_tree", 1e-3, (1.40e-4, 1.45e-4), "v5"),
+        ("asymmetric_tree", 2e-4, (1.40e-4, 1.45e-4), "v5")])
+    def test_unstable_step_is_refused(self, bifurcation, network, dt, stable, vessel,
+                                      monkeypatch):
+        import hemoflow.solver0d as solver0d
+
+        net = bifurcation if network == "bifurcation" else asymmetric_tree_network()
+        # refused before the inflow is tabulated for the first block
+        monkeypatch.setattr(solver0d, "_inflow_tables", None)
+        h, vid = self.refused(net, dt)
+        assert stable[0] < h < stable[1] and vid == vessel
+        monkeypatch.undo()
+        model = assemble_network(net, LIN, synthetic_inflow())
+        integ = model.integrate(0.9 * h, 200 * 0.9 * h)
+        assert integ.t.size == 201
+        self.refused(net, 1.01 * h)
+
+    def test_benchmark_networks_pass_at_the_default_step(self, bifurcation):
+        from test_solver1d import _netgen
+
+        for net in (bifurcation, *(parse_network(_netgen().make_tree(seed, leaves).to_text())
+                                   for seed, leaves in ((1, 8), (3, 32)))):
+            res = run_0d(net, synthetic_inflow(), LIN, dt=1e-3, t_end=0.05)
+            assert res.t[-1] == 0.05
+
+    def test_nonlinear_modes_are_not_checked(self, bifurcation):
+        # an unstable step of a nonlinear mode still fails as a collapse
+        with pytest.raises(CollapseError):
+            run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0)
 
 
 class TestRK4:
