@@ -25,19 +25,25 @@ pressures on sampled columns, which ``observe`` weighs into per-vessel
 series (the linear mode, which runs no loop, compiles them on their
 own). The inflow at every stage time of the run
 (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the loop, in three
-calls of the waveform on arrays. Compiled code is cached by the plan it
-was written from (``_compiled``, ``_plan_key``), so models of one network
-and mode neither write nor compile their source again, share one code
-object and each bind their own inflow. The compartment laws are written
-once, in ``_PassSource``; the tests keep the per-vessel configurations as
-classes, composed into the reference network.
+calls of the waveform on arrays. Identical sibling subtrees (same shape,
+plan constants, terminals and initial states; ``NetworkModel0D._copies``)
+carry equal states on every RK4 step, so the loop computes the first of
+them only and names its locals for the others; the pass behind ``rhs``
+and the pressures compute every state. Compiled code is cached by the
+plan and the copies map it was written from (``_compiled``,
+``_plan_key``), so models of one network and mode neither write nor
+compile their source again, share one code object and each bind their
+own inflow. The compartment laws are written once, in ``_PassSource``;
+the tests keep the per-vessel configurations as classes, composed into
+the reference network.
 
 The linear mode (every flag off) does not run that loop: its pass is
 affine and time-invariant, so its RK4 step is one affine map of the state
 and the step's inflow, which ``_StepMap`` reads off the compiled pass and
-the generic RK4 step and applies with one matrix-vector product per step.
-Its states agree with ``rk4_integrate`` on ``rhs`` within round-off, not
-bit for bit; its times, failures and messages are those of the loop.
+the generic RK4 step and applies with one matrix-vector product per step,
+sharing identical subtrees through the same copies map. Its states agree
+with ``rk4_integrate`` on ``rhs`` within round-off, not bit for bit; its
+times, failures and messages are those of the loop.
 Before stepping, it refuses a ``dt`` outside RK4's stability region for
 the eigenvalues of the pass.
 """
@@ -112,6 +118,15 @@ def _area_collapse(A_hat: float, vid: str, part: str, t: float) -> CollapseError
                          f"{vid!r} ({part}) at t = {t:.6g} s: {A_hat}")
 
 
+def _collapse(V: float, A_hat: float, vid: str, part: str, t: float) -> CollapseError:
+    """The collapse of a compartment whose mean area ``A_hat`` = V / l is
+    not positive: of its volume ``V`` if that is not positive either, else
+    of its area."""
+    if V <= 0.0:
+        return _volume_collapse(V, vid, part, t)
+    return _area_collapse(A_hat, vid, part, t)
+
+
 # ---------------------------------------------------------------------------
 # Network assembly
 # ---------------------------------------------------------------------------
@@ -150,6 +165,14 @@ def _lit(v) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+def _minus(a: str, b: float) -> str:
+    """Source text of ``a - b``: ``a`` alone where ``b`` is +0.0, since
+    x - (+0.0) is x for every x (x + (+0.0) is not, for x = -0.0)."""
+    if b == 0.0 and math.copysign(1.0, b) > 0.0:
+        return a
+    return f"({a} - {_lit(b)})"
+
+
 #: the compartments a collapse error names: a half of a two-compartment
 #: vessel, or a whole vessel (a leaf, or the root's mean area)
 _PROXIMAL, _DISTAL, _WHOLE = "proximal half", "distal half", "whole vessel"
@@ -159,10 +182,10 @@ class _PassSource:
     """Python source of the network pass, written from the evaluation plan
     of a ``NetworkModel0D``: each state a local, each compartment constant a
     literal, and the mode's flags resolved while writing. This is where
-    the compartment laws (``pressure``, ``flow``) and the junction and
-    terminal couplings (``stage``) are written, in plan order; the tests
-    compose the per-vessel configurations from the same laws, operation for
-    operation, and require the same bits and the same errors.
+    the compartment laws (``pressure``, ``compartment``, ``flow``) and the
+    junction and terminal couplings (``stage``) are written, in plan order;
+    the tests compose the per-vessel configurations from the same laws,
+    operation for operation, and require the same bits and the same errors.
 
     While writing, a value is a local name (str) or a constant (float); a
     product of two constants is folded, as Python would fold it. A collapse
@@ -204,18 +227,32 @@ class _PassSource:
         step; each step inlines the four passes and their combination.
         After every ``stride``-th step and after step ``last`` (counted from
         ``t0``) the state is checked to be finite and appended to
-        ``samples``, its time to ``times``."""
-        y, u = self.names("y"), self.names("u")
-        k = [self.names(prefix) for prefix in "abce"]
+        ``samples``, its time to ``times``.
+
+        Only the states that are their own source in the model's copies map
+        (``NetworkModel0D._copies``) are computed: a copied vessel gets no
+        statement, and every reference to one of its states, in a junction
+        sum, the sample or the returned list, names its source's local. So
+        ``y`` must hold equal values at a state and its source, as the
+        initial state does; RK4 keeps them equal bit for bit."""
+        src = self.model._copies
+        computed = [i for i in range(self.dim) if src[i] == i]
+        copied = {o for o in self.model._vid_at if src[o] != o}
+
+        def sources(prefix):
+            return [f"{prefix}{i}" for i in src]
+
+        y, u = sources("y"), sources("u")
+        k = [sources(prefix) for prefix in "abce"]
         state = ", ".join(y)
-        body = ["t = t0 + n * dt", "n += 1", *self.stage(y, k[0], "t", "qa")]
+        body = ["t = t0 + n * dt", "n += 1", *self.stage(y, k[0], "t", "qa", copied)]
         for i, (h, t_stage, q) in enumerate((("half", "t + half", "qh"),
                                              ("half", "t + half", "qh"),
                                              ("dt", "t + dt", "qe"))):
-            body += [f"{a} = {b} + {h} * {c}" for a, b, c in zip(u, y, k[i])]
-            body += self.stage(u, k[i + 1], t_stage, q)
-        body += [f"{b} = {b} + sixth * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"
-                 for b, k1, k2, k3, k4 in zip(y, *k)]
+            body += [f"{u[j]} = {y[j]} + {h} * {k[i][j]}" for j in computed]
+            body += self.stage(u, k[i + 1], t_stage, q, copied)
+        body += [f"{y[j]} = {y[j]} + sixth * ({k[0][j]} + 2.0 * ({k[1][j]} + "
+                 f"{k[2][j]}) + {k[3][j]})" for j in computed]
         # a sum is finite only if every term is: the exact test runs only
         # on a sum that is not
         body += ["if n % stride == 0 or n == last:",
@@ -225,11 +262,12 @@ class _PassSource:
                  "        raise ModelError(f'non-finite state at t = {t:.6g} s')",
                  "    times.append(t)",
                  "    samples.extend(s)"]
+        unpack = ", ".join(name if src[i] == i else "_" for i, name in enumerate(y))
         return "\n".join([
             "def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):",
             "    half = 0.5 * dt",
             "    sixth = dt / 6.0",
-            f"    {state}, = y",
+            f"    {unpack}, = y",
             "    for qa, qh, qe in zip(q_t, q_half, q_dt):",
             *(f"        {line}" for line in body),
             f"    return [{state}]", "", self.pressures()])
@@ -269,23 +307,41 @@ class _PassSource:
             out.append(f"{name} = {_lit(P_ref)} + ({V} - {_lit(V0)}) / {_lit(C0)}")
         return name
 
+    def compartment(self, out: list, tag: str, V: str, c: tuple, l: float,
+                    where: str):
+        """(P, R, L) of a compartment of length ``l`` at volume ``V``: a
+        leaf or a half of an interior vessel. With a mean area A = V / l,
+        one test ``A <= 0`` stands for the volume's and the area's, since
+        A > 0 implies V > 0; ``_collapse`` tells them apart. Without one,
+        the volume is tested."""
+        A = None
+        if self.nl_r or self.nl_l:
+            A = f"A_{tag}"
+            out += [f"{A} = {V} / {_lit(l)}",
+                    f"if {A} <= 0.0: raise _collapse({V}, {A}, {where})"]
+        P = self.pressure(out, f"P_{tag}", V, c, where if A is None else None)
+        return (P, *self.flow(out, tag, A, c, self.nl_r, self.nl_l))
+
     @staticmethod
-    def flow(out: list, tag: str, A_hat: str, c: tuple, nl_r: bool, nl_l: bool,
-             where: str):
-        """(R, L) at the mean area ``A_hat``, rho k_R l / A_hat^2 and
-        rho l / A_hat, or the reference values R0 and L0."""
+    def area(out: list, tag: str, A_hat: str, where: str) -> str:
+        """The local of the mean area ``A_hat``, tested for collapse."""
+        A = f"A_{tag}"
+        out += [f"{A} = {A_hat}",
+                f"if {A} <= 0.0: raise _area_collapse({A}, {where})"]
+        return A
+
+    @staticmethod
+    def flow(out: list, tag: str, A: str | None, c: tuple, nl_r: bool, nl_l: bool):
+        """(R, L) at the mean area in the local ``A``, rho k_R l / A^2 and
+        rho l / A, or the reference values R0 and L0."""
         R0, L0, rho_kR_l, rho_l = c[6:]
         R, L = float(R0), float(L0)
-        if nl_r or nl_l:
-            A = f"A_{tag}"
-            out.append(f"{A} = {A_hat}")
-            out.append(f"if {A} <= 0.0: raise _area_collapse({A}, {where})")
-            if nl_r:
-                R = f"R_{tag}"
-                out.append(f"{R} = {_lit(rho_kR_l)} / ({A} * {A})")
-            if nl_l:
-                L = f"L_{tag}"
-                out.append(f"{L} = {_lit(rho_l)} / {A}")
+        if nl_r:
+            R = f"R_{tag}"
+            out.append(f"{R} = {_lit(rho_kR_l)} / ({A} * {A})")
+        if nl_l:
+            L = f"L_{tag}"
+            out.append(f"{L} = {_lit(rho_l)} / {A}")
         return R, L
 
     @staticmethod
@@ -295,16 +351,20 @@ class _PassSource:
         out.append(f"{name} = {_lit(a)} * {_lit(b)}")
         return name
 
-    def stage(self, s: list[str], d: list[str], t: str, q_in: str) -> list[str]:
+    def stage(self, s: list[str], d: list[str], t: str, q_in: str,
+              copied: set[int] = frozenset()) -> list[str]:
         """Statements of one pass over the states named ``s`` at the time
         expression ``t``, with the root inflow in ``q_in``, in plan order
         (root, interior vessels, leaves): they assign the derivative of
         state i to ``d[i]``, the junction values to ``p_if``/``q_if`` and
-        the terminal values to ``t_out``."""
+        the terminal values to ``t_out``. The vessels at the offsets
+        ``copied`` get no statement; only they read the values of their
+        own junctions and terminals."""
         model, out = self.model, []
         nl_r, nl_l = self.nl_r, self.nl_l
         p_if, q_if, t_out = self.p_if, self.q_if, self.t_out
-        pressure, flow, mul = self.pressure, self.flow, self.mul
+        pressure, compartment, flow, mul = (self.pressure, self.compartment,
+                                            self.flow, self.mul)
 
         def at(o, part):
             """Location arguments of a collapse in vessel at offset ``o``."""
@@ -313,16 +373,21 @@ class _PassSource:
         def inflows(name, flows):
             out.append(f"{name} = 0.0" + "".join(f" + {s[i]}" for i in flows))
 
+        # the root keeps its four tests in their order: merged, they would
+        # raise another of them first where an area underflows
         o, hc, hl, fc, fl, r_frac, rd_frac, j, flows, term, wk = model._root
         V, Q, Vd = s[o:o + 3]
         P = pressure(out, f"P_{o}", V, hc, at(o, _PROXIMAL))
         Pd = pressure(out, f"P_{o + 2}", Vd, hc, at(o, _DISTAL))
-        R, L = flow(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", fc, nl_r, nl_l,
-                    at(o, _WHOLE))
+        A = None
+        if nl_r or nl_l:
+            A = self.area(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", at(o, _WHOLE))
+        R, L = flow(out, f"{o}", A, fc, nl_r, nl_l)
         R = mul(out, r_frac, R, f"Rr_{o}")
         # the distal end resistance sits at the distal half's mean area
-        R_d = flow(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", fc, nl_r, False,
-                   at(o, _DISTAL))[0]
+        if nl_r:
+            A = self.area(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", at(o, _DISTAL))
+        R_d = flow(out, f"{o + 2}", A, fc, nl_r, False)[0]
         R_d = mul(out, rd_frac, R_d, f"Rd_{o}")
         if term is None:
             q_out = q_if[j]
@@ -336,22 +401,20 @@ class _PassSource:
                        f"'terminal coupling has zero total resistance')")
             if rcr:
                 out += [f"{q_out} = ({Pd} - {s[wk]}) / Rt_{o}",
-                        f"{d[wk]} = ({q_out} - ({s[wk]} - {_lit(term.P_v)}) / "
+                        f"{d[wk]} = ({q_out} - {_minus(s[wk], term.P_v)} / "
                         f"{_lit(term.R2)}) / {_lit(term.C)}"]
             else:
-                out.append(f"{q_out} = ({Pd} - {_lit(term.P_v)}) / Rt_{o}")
+                out.append(f"{q_out} = {_minus(Pd, term.P_v)} / Rt_{o}")
         out += [f"{d[o]} = {q_in} - {Q}",
                 f"{d[o + 1]} = ({P} - {_lit(R)} * {Q} - {Pd}) / {_lit(L)}",
                 f"{d[o + 2]} = {Q} - {q_out}"]
 
         for o, c, l, j_in, j, flows in model._interior:
+            if o in copied:
+                continue
             V1, Q1, V2, Q2 = s[o:o + 4]
-            P1 = pressure(out, f"P_{o}", V1, c, at(o, _PROXIMAL))
-            R1, L1 = flow(out, f"{o}", f"{V1} / {_lit(l)}", c, nl_r, nl_l,
-                          at(o, _PROXIMAL))
-            P2 = pressure(out, f"P_{o + 2}", V2, c, at(o, _DISTAL))
-            R2, L2 = flow(out, f"{o + 2}", f"{V2} / {_lit(l)}", c, nl_r, nl_l,
-                          at(o, _DISTAL))
+            P1, R1, L1 = compartment(out, f"{o}", V1, c, l, at(o, _PROXIMAL))
+            P2, R2, L2 = compartment(out, f"{o + 2}", V2, c, l, at(o, _DISTAL))
             inflows(q_if[j], flows)
             hR2 = mul(out, 0.5, R2, f"hR_{o + 2}")
             out.append(f"{p_if[j]} = {P2} - {_lit(hR2)} * {q_if[j]}")
@@ -364,15 +427,16 @@ class _PassSource:
                     f"{d[o + 3]} = (pm_{o} - {_lit(R2)} * {Q2} - {P2}) / {_lit(L2)}"]
 
         for o, c, l, j_in, k, term, wk in model._leaves:
+            if o in copied:
+                continue
             V, Q, Qd = s[o:o + 3]
-            P = pressure(out, f"P_{o}", V, c, at(o, _WHOLE))
-            R, L = flow(out, f"{o}", f"{V} / {_lit(l)}", c, nl_r, nl_l, at(o, _WHOLE))
+            P, R, L = compartment(out, f"{o}", V, c, l, at(o, _WHOLE))
             Rh = mul(out, 0.5, R, f"hR_{o}")
             Lh = mul(out, 0.5, L, f"hL_{o}")
             # pressure-typed terminal coupling: the distal flow enters it
             if isinstance(term, Windkessel):
                 out += [f"{t_out[k]} = {s[wk]} + {_lit(term.R1)} * {Qd}",
-                        f"{d[wk]} = ({Qd} - ({s[wk]} - {_lit(term.P_v)}) / "
+                        f"{d[wk]} = ({Qd} - {_minus(s[wk], term.P_v)} / "
                         f"{_lit(term.R2)}) / {_lit(term.C)}"]
             else:
                 out.append(f"{t_out[k]} = {_lit(term.P_v)} + {_lit(term.R)} * {Qd}")
@@ -503,12 +567,55 @@ class NetworkModel0D:
         return out
 
     @cached_property
+    def _copies(self) -> np.ndarray:
+        """For each state, the state whose values it takes on every RK4
+        step: the same state of the first of the identical sibling subtrees
+        it lies in, or itself. Sibling subtrees are identical when their
+        shapes, plan constants, terminals and initial states are; a source
+        comes before its copies in plan order. Found at the first use (the
+        first integration or pass), from the plan and the initial state."""
+        y0 = self.initial_state()
+        # per vessel offset: what its pass reads, its states, and its
+        # daughters' offsets (a proximal flow follows its vessel's volume)
+        vessels = {o: ((c, l), [*range(o, o + 4)], [f - 1 for f in flows])
+                   for o, c, l, _, _, flows in self._interior}
+        for o, c, l, _, _, term, wk in self._leaves:
+            vessels[o] = ((c, l, term), [o, o + 1, o + 2, *([wk] if wk >= 0 else [])], [])
+        trees = {}
+
+        def tree(o):
+            """(signature, states) of the subtree of the vessel at ``o``."""
+            if o not in trees:
+                key, states, daughters = vessels[o]
+                subtrees = [tree(d) for d in daughters]
+                trees[o] = (repr((key, y0[states].tolist(), [k for k, _ in subtrees])),
+                            [*states, *(i for _, s in subtrees for i in s)])
+            return trees[o]
+
+        src = np.arange(self.dim)
+        siblings = [[f - 1 for f in self._root[-3]]]
+        for daughters in siblings:
+            first = {}
+            for d in daughters:
+                key, states = tree(d)
+                if key in first:
+                    src[states] = first[key]
+                else:
+                    first[key] = states
+                    siblings.append(vessels[d][2])
+        while (src[src] != src).any():  # a copy of a copy
+            src = src[src]
+        return src
+
+    @cached_property
     def _plan_key(self) -> str:
         """What the generated source is written from, as text: the mode's
-        flags, the layout and the plan tuples, each float as its ``repr``
-        (so that -0.0 and 0.0 differ, as they do in the source)."""
+        flags, the layout, the plan tuples and the copies map, each float
+        as its ``repr`` (so that -0.0 and 0.0 differ, as they do in the
+        source)."""
         return repr((self.mode.flags, self.dim, tuple(self.layout.items()),
-                     self._root, tuple(self._interior), tuple(self._leaves)))
+                     self._root, tuple(self._interior), tuple(self._leaves),
+                     self._copies.tolist()))
 
     def _compile(self, name: str, write, inflow=None):
         """The generated function ``name``, bound to ``inflow`` (the
@@ -516,7 +623,7 @@ class NetworkModel0D:
         namespace = {"inflow": self.inflow if inflow is None else inflow,
                      "_inf": math.inf, "_nan": math.nan,
                      "_volume_collapse": _volume_collapse,
-                     "_area_collapse": _area_collapse,
+                     "_area_collapse": _area_collapse, "_collapse": _collapse,
                      "ConfigurationError": ConfigurationError,
                      "ModelError": ModelError, "isfinite": math.isfinite}
         exec(_compiled(f"<0D network {name}>", self._plan_key,
@@ -560,8 +667,10 @@ class NetworkModel0D:
         after a step-size check that refuses an unstable ``dt`` with a
         ``ConfigurationError``. Every other mode runs the compiled run loop,
         in blocks of ``_BLOCK_STEPS``, with the bits of ``rk4_integrate``
-        on ``self.rhs``. The reported CPU time covers the tables, the loop,
-        and the building of a step map."""
+        on ``self.rhs``. Both compute the states of identical sibling
+        subtrees once (``_copies``, found here at the first integration),
+        which the initial state holds equal. The reported CPU time covers
+        the tables, the loop, and the building of a step map."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
         y = self.initial_state()
         times, samples = [0.0], array("d", y)
@@ -784,8 +893,9 @@ class _StepMap:
     the block's size nor on BLAS's threads.
 
     The states of identical sibling subtrees are equal on every step of
-    RK4; the map computes those of the first subtree only and copies them
-    to the others, so that they stay equal bit for bit, as in the run loop.
+    RK4; the map computes those of the first subtree only, by the model's
+    copies map (``NetworkModel0D._copies``), which the run loop reads too,
+    and copies them to the others, so that they stay equal bit for bit.
     """
 
     def __init__(self, model: NetworkModel0D, probe, y0: np.ndarray, dt: float):
@@ -794,7 +904,7 @@ class _StepMap:
         self.model, self.dt = model, dt
         A, b, c = self.affine_pass(model, probe, y0)
         self.check_step_size(model, A, dt)
-        src = self.copies(model, y0)
+        src = model._copies
         keep = np.flatnonzero(src == np.arange(model.dim))
         pos = np.zeros(model.dim, dtype=int)
         pos[keep] = np.arange(keep.size)
@@ -869,44 +979,6 @@ class _StepMap:
             f"time step dt = {dt:g} s is outside RK4's stability region for this "
             f"linear 0D network: the largest stable step is {stable:.4g} s, and "
             f"the fastest-growing mode is dominated by vessel {vid!r}")
-
-    @staticmethod
-    def copies(model: NetworkModel0D, y0: np.ndarray) -> np.ndarray:
-        """For each state, the state whose values it takes on every step:
-        the same state of the first of the identical sibling subtrees it
-        lies in, or itself. Sibling subtrees are identical when their
-        shapes, plan constants, terminals and initial states ``y0`` are."""
-        # per vessel offset: what its pass reads, its states, and its
-        # daughters' offsets (a proximal flow follows its vessel's volume)
-        vessels = {o: ((c, l), [*range(o, o + 4)], [f - 1 for f in flows])
-                   for o, c, l, _, _, flows in model._interior}
-        for o, c, l, _, _, term, wk in model._leaves:
-            vessels[o] = ((c, l, term), [o, o + 1, o + 2, *([wk] if wk >= 0 else [])], [])
-        trees = {}
-
-        def tree(o):
-            """(signature, states) of the subtree of the vessel at ``o``."""
-            if o not in trees:
-                key, states, daughters = vessels[o]
-                subtrees = [tree(d) for d in daughters]
-                trees[o] = (repr((key, y0[states].tolist(), [k for k, _ in subtrees])),
-                            [*states, *(i for _, s in subtrees for i in s)])
-            return trees[o]
-
-        src = np.arange(model.dim)
-        siblings = [[f - 1 for f in model._root[-3]]]
-        for daughters in siblings:
-            first = {}
-            for d in daughters:
-                key, states = tree(d)
-                if key in first:
-                    src[states] = first[key]
-                else:
-                    first[key] = states
-                    siblings.append(vessels[d][2])
-        while (src[src] != src).any():  # a copy of a copy
-            src = src[src]
-        return src
 
     def run(self, n_steps: int, stride: int, times: list, samples: array) -> None:
         """Steps 1 to ``n_steps`` from the initial state, appending every
@@ -1002,7 +1074,8 @@ def run_0d(network: Network, inflow: WaveformSeries, mode: ModelMode,
     those of ``rk4_integrate`` on ``model.rhs``: bit for bit from the
     generated run loop of a nonlinear mode, within round-off from the step
     map of the linear mode, which refuses an unstable ``dt`` with a
-    ``ConfigurationError`` before its first step."""
+    ``ConfigurationError`` before its first step. Both compute identical
+    sibling subtrees once, and their series are equal bit for bit."""
     check_run_times(t_end, T0, sample_interval)
     model = assemble_network(network, mode, inflow)
     integ = model.integrate(dt, t_end, sample_interval)

@@ -1,6 +1,7 @@
 """Lumped-parameter vessel models, network assembly and RK4 integration."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -556,8 +557,12 @@ def random_state(model, rng):
 def rk4_step(model, dt):
     """``step(t, y) -> y_next``: one classical RK4 step of the network on
     lists of floats, a one-step call of its compiled run loop that takes no
-    sample (a stride of 2 and a last step of 0)."""
-    run, inflow, half = model._run, model.inflow, 0.5 * dt
+    sample (a stride of 2 and a last step of 0). The loop is written with
+    no copies, each state its own source: an arbitrary state, unlike the
+    initial one, differs between identical sibling subtrees."""
+    alone = NetworkModel0D(model.network, model.mode, model.inflow)
+    alone._copies = np.arange(alone.dim)
+    run, inflow, half = alone._run, model.inflow, 0.5 * dt
 
     def step(t, y):
         return run(y, t, 0, dt, (float(inflow(t)),), (float(inflow(t + half)),),
@@ -978,16 +983,21 @@ class TestCompiledStep:
 
     def test_assembly_compiles_nothing(self, bifurcation, compiled_names):
         # compiling the step costs far more than assembling the network,
-        # so it waits for the first integration or evaluation
+        # so it waits for the first integration or evaluation, and so does
+        # finding the copies
         names = compiled_names
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         y0 = model.initial_state()
-        assert names == []
-        rk4_step(model, 1e-3)
-        rk4_step(model, 2e-3)
+        assert names == [] and "_copies" not in vars(model)
+        model.integrate(1e-3, 0.01)
+        model.integrate(2e-3, 0.01)
         model.rhs(0.0, y0)
         model.rhs(0.1, y0)
-        assert len(names) == 2
+        assert names == ["<0D network run>", "<0D network evaluate>"]
+        # the loop with no copies is other code, compiled once
+        rk4_step(model, 1e-3)
+        rk4_step(model, 2e-3)
+        assert names[2:] == ["<0D network run>"]
 
     def test_models_of_one_network_share_compiled_code(self, bifurcation,
                                                        compiled_names):
@@ -1000,15 +1010,18 @@ class TestCompiledStep:
         y[1] = 3.0
         expected = first.rhs(0.1, y)
         rk4_step(first, 1e-3)
-        assert len(names) == 2
+        run = first.integrate(1e-3, 0.01)
+        assert len(names) == 3
         second = assemble_network(bifurcation, NL, synthetic_inflow())
         assert np.array_equal(second.rhs(0.1, y), expected)
         rk4_step(second, 1e-3)
-        assert len(names) == 2
+        assert np.array_equal(second.integrate(1e-3, 0.01).y, run.y)
+        assert len(names) == 3
         # the inflow enters the root's first volume derivative only
         other = assemble_network(bifurcation, NL, synthetic_inflow(period=0.9))
         d = other.rhs(0.1, y)
-        assert len(names) == 2
+        other.integrate(1e-3, 0.01)
+        assert len(names) == 3
         q_in = float(synthetic_inflow(period=0.9)(0.1))
         assert q_in != float(synthetic_inflow()(0.1))
         assert d[0] == q_in - y[1] and expected[0] != d[0]
@@ -1049,8 +1062,6 @@ class TestStepMap:
         # a dense product rounds identical vessels apart; the map computes
         # the states of the first of identical sibling subtrees only, and
         # copies them
-        from hemoflow.solver0d import _StepMap
-
         net = bifurcation if network == "bifurcation" else symmetric_tree_network()
         inflow = synthetic_inflow()
         res = run_0d(net, inflow, LIN, dt=dt, t_end=2000 * dt, sample_interval=dt)
@@ -1058,7 +1069,7 @@ class TestStepMap:
             for ch in ("P", "Q", "A"):
                 assert np.array_equal(res.vessels[a][ch], res.vessels[b][ch]), (a, b, ch)
         model = assemble_network(net, LIN, inflow)
-        assert len(set(_StepMap.copies(model, model.initial_state()))) == computed
+        assert len(set(model._copies)) == computed
 
     def test_frozen_area_with_linear_pressure_is_the_linear_run(self, bifurcation):
         frozen = ModelMode(nonlinear_pressure=False, nonlinear_resistance=True,
@@ -1143,6 +1154,160 @@ class TestStepMap:
             tracemalloc.stop()
         assert integ.t.size == 2001
         assert peak < 2 * 2**20
+
+
+#: the modes that run the generated loop: every flag off runs the step map
+LOOPED_MODES = sorted(name for name, mode in EQUIVALENCE_MODES.items() if any(mode.flags))
+
+#: pairs of vessels in identical sibling subtrees, and the number of
+#: states computed, of each network with copies
+SIBLINGS = {
+    "bifurcation": ([("left_iliac", "right_iliac")], 11 - 4),
+    "symmetric_tree": ([("v1", "v2"), ("v3", "v4"), ("v3", "v5"), ("v3", "v6")],
+                       27 - 16),
+}
+
+
+class TestSharedSubtrees:
+    """The run loop computes the states of the first of identical sibling
+    subtrees only (``NetworkModel0D._copies``), and reads them for their
+    copies; the generic integrator on ``model.rhs`` computes every state."""
+
+    @staticmethod
+    def networks(bifurcation):
+        """(name, network, a stable step) of each network with copies."""
+        return [("bifurcation", bifurcation, 1e-3),
+                ("symmetric_tree", symmetric_tree_network(), 1e-4)]
+
+    @pytest.mark.parametrize("mode_name", LOOPED_MODES)
+    def test_run_is_the_generic_integration(self, bifurcation, mode_name):
+        mode = EQUIVALENCE_MODES[mode_name]
+        inflow = synthetic_inflow()
+        for name, net, dt in self.networks(bifurcation):
+            t_end = 1200 * dt
+            res = run_0d(net, inflow, mode, dt=dt, t_end=t_end, sample_interval=dt)
+            model = assemble_network(net, mode, inflow)
+            integ = rk4_integrate(model.rhs, model.initial_state(), dt, t_end,
+                                  sample_interval=dt)
+            assert np.array_equal(model.integrate(dt, t_end, dt).y, integ.y), name
+            assert np.array_equal(res.t, integ.t), name
+            for vid, series in model.observe(integ.y).items():
+                for ch in ("P", "Q", "A"):
+                    assert np.array_equal(res.vessels[vid][ch], series[ch]), (name, vid, ch)
+            for a, b in SIBLINGS[name][0]:
+                for ch in ("P", "Q", "A"):
+                    assert np.array_equal(res.vessels[a][ch], res.vessels[b][ch]), (a, b, ch)
+
+    @pytest.mark.parametrize("mode_name", LOOPED_MODES)
+    def test_only_sources_are_computed(self, bifurcation, mode_name):
+        from hemoflow.solver0d import _PassSource
+
+        for name, net, _ in self.networks(bifurcation):
+            model = assemble_network(net, EQUIVALENCE_MODES[mode_name], synthetic_inflow())
+            src = model._copies
+            computed = np.flatnonzero(src == np.arange(model.dim))
+            assert computed.size == len(set(src)) == SIBLINGS[name][1], name
+            # a copy's source is a computed state of its vessel's twin,
+            # which comes before it in plan order
+            volumes = [i for i, *_ in model._compartments]
+            assert all(volumes.index(src[i]) <= k for k, i in enumerate(volumes))
+            runner = _PassSource(model).runner()
+            assigned = {int(i) for i in re.findall(r"^ +y(\d+) = ", runner, re.M)}
+            assert assigned == set(computed.tolist()), name
+            if name == "bifurcation":
+                assert "'left_iliac'" in runner and "'right_iliac'" not in runner
+
+    @pytest.mark.parametrize("mode_name", LOOPED_MODES)
+    def test_drained_root_fails_as_the_generic_integration(self, bifurcation,
+                                                           mode_name):
+        mode = EQUIVALENCE_MODES[mode_name]
+        for name, net, dt in self.networks(bifurcation):
+            model = assemble_network(net, mode, lambda t: -1000.0 + 0.0 * np.asarray(t))
+            with pytest.raises(CollapseError) as generic:
+                rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+            with pytest.raises(CollapseError) as looped:
+                model.integrate(dt, 2.0)
+            assert str(looped.value) == str(generic.value), name
+
+    def test_collapse_in_twin_subtrees_names_the_first(self, bifurcation):
+        # both iliacs nearly empty and drained by their distal flow: the
+        # loop fails at the left one, the source, as the generic step does
+        from hemoflow.solver0d import _rk4_array_step
+
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        y = model.initial_state()
+        for vid in ("left_iliac", "right_iliac"):
+            off = model.layout[vid]
+            y[off:off + 3] = [1.0e-9, 0.0, 100.0]
+        assert model._copies[model.layout["right_iliac"]] == model.layout["left_iliac"]
+        dt, inflow = 1e-3, model.inflow
+        messages = []
+        for step in (lambda: model._run(y.tolist(), 0.25, 0, dt, (float(inflow(0.25)),),
+                                        (float(inflow(0.2505)),), (float(inflow(0.251)),),
+                                        2, 0, None, None),
+                     lambda: _rk4_array_step(model.rhs, dt)(0.25, y)):
+            with pytest.raises(CollapseError) as exc:
+                step()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("compartment volume became non-positive in "
+                                      "vessel 'left_iliac' (whole vessel) at t = 0.2505 s")
+
+    @pytest.mark.parametrize("seed, leaves", [(5, 8), (3, 32)])
+    def test_generated_trees_have_no_copies(self, seed, leaves):
+        # daughter radii differ by a random factor, so no two siblings match
+        from test_solver1d import _netgen
+
+        net = parse_network(_netgen().make_tree(seed, leaves).to_text())
+        model = assemble_network(net, NL, synthetic_inflow())
+        assert model._copies.tolist() == list(range(model.dim))
+
+
+class TestCollapseTests:
+    """The pass tests each leaf and each interior half for collapse once:
+    a mean area A = V / l that is not positive raises the volume's collapse
+    if V is not positive either, else the area's."""
+
+    @pytest.mark.parametrize("mode_name, tests", [
+        # per interior half and leaf, and the root's
+        ("nonlinear", (1, 4)), ("nl-r", (1, 4)), ("nl-l", (1, 3)),
+        ("nl-p", (1, 2)), ("linear", (1, 2))])
+    def test_one_test_per_compartment(self, mode_name, tests):
+        from hemoflow.solver0d import _PassSource
+
+        model = assemble_network(asymmetric_tree_network(),
+                                 EQUIVALENCE_MODES[mode_name], synthetic_inflow())
+        source = _PassSource(model).evaluator()
+        count = len(model._compartments) - 2
+        assert source.count(" <= 0.0: raise _") == tests[0] * count + tests[1]
+
+    def test_underflowing_area_collapses_as_the_area(self, bifurcation):
+        # a positive volume whose mean area V / l rounds to zero
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        y = model.initial_state().tolist()
+        y[model.layout["left_iliac"]] = 5e-324
+        message = ("mean area became non-positive in vessel 'left_iliac' "
+                   "(whole vessel) at t = 0.25 s: 0.0")
+        for fail in (lambda: rk4_step(model, 1e-3)(0.25, y),
+                     lambda: model.rhs(0.25, y)):
+            with pytest.raises(CollapseError) as exc:
+                fail()
+            assert str(exc.value) == message
+        with pytest.raises(CollapseError, match="mean area"):
+            Composition(model).rhs(0.25, y)
+
+    @pytest.mark.parametrize("p_v, term", [("0.0", None), ("-0.0", "(y3 - (-0.0))")])
+    def test_positive_zero_venous_pressure_is_not_subtracted(self, p_v, term):
+        from hemoflow.solver0d import _PassSource
+
+        net = single_vessel_network(RCR_TERMINAL.replace("p_out = 500.0",
+                                                         f"p_out = {p_v}"))
+        model = assemble_network(net, NL, synthetic_inflow())
+        runner = _PassSource(model).runner()
+        assert "- 0.0)" not in runner
+        assert (term is None) == ("(-0.0)" not in runner)
+        if term is not None:
+            assert term in runner
 
 
 class TestStepSizeCheck:
