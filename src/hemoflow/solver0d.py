@@ -51,6 +51,7 @@ the eigenvalues of the pass.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from array import array
 from dataclasses import dataclass
@@ -116,6 +117,11 @@ def _volume_collapse(V: float, vid: str, part: str, t: float) -> CollapseError:
 def _area_collapse(A_hat: float, vid: str, part: str, t: float) -> CollapseError:
     return CollapseError(f"mean area became non-positive in vessel "
                          f"{vid!r} ({part}) at t = {t:.6g} s: {A_hat}")
+
+
+def _ratio_collapse(V: float, vid: str, part: str, t: float) -> CollapseError:
+    return CollapseError(f"volume ratio V / V0 underflowed to 0.0 in vessel "
+                         f"{vid!r} ({part}) at t = {t:.6g} s: {V}")
 
 
 def _collapse(V: float, A_hat: float, vid: str, part: str, t: float) -> CollapseError:
@@ -227,7 +233,10 @@ class _PassSource:
         step; each step inlines the four passes and their combination.
         After every ``stride``-th step and after step ``last`` (counted from
         ``t0``) the state is checked to be finite and appended to
-        ``samples``, its time to ``times``.
+        ``samples``, its time to ``times``. The state goes in as one packed
+        copy of its doubles (``pack``, a ``struct.Struct`` of ``dim``
+        doubles bound at ``exec``): ``array.extend`` on a tuple converts
+        it one value at a time, several times slower.
 
         Only the states that are their own source in the model's copies map
         (``NetworkModel0D._copies``) are computed: a copied vessel gets no
@@ -261,7 +270,7 @@ class _PassSource:
                  "    if not isfinite(sum(s)) and not all(map(isfinite, s)):",
                  "        raise ModelError(f'non-finite state at t = {t:.6g} s')",
                  "    times.append(t)",
-                 "    samples.extend(s)"]
+                 "    samples.frombytes(pack(*s))"]
         unpack = ", ".join(name if src[i] == i else "_" for i, name in enumerate(y))
         return "\n".join([
             "def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):",
@@ -287,19 +296,26 @@ class _PassSource:
     # -- one pass --------------------------------------------------------
 
     def pressure(self, out: list, name: str, V: str, c: tuple,
-                 where: str | None = None) -> str:
+                 where: str | None = None, positive: bool = False) -> str:
         """Pressure at volume ``V``: the elastic tube law at the mean area
         V/l, or its linearisation with the reference compliance C0.
         ``where`` is the source of the location arguments of its collapse
-        error; without it, ``V`` is not tested for collapse."""
+        errors; without it, nothing is tested. With it, ``V`` is tested
+        unless it is known to be ``positive`` (its mean area was tested),
+        and where an exponent of the tube law is negative, so is the ratio
+        V / V0, which a positive subnormal volume can underflow to 0.0, a
+        value with no negative power."""
         V0, K, m, n, P_ref, C0 = c[:6]
-        if where is not None:
+        if where is not None and not positive:
             out.append(f"if {V} <= 0.0: raise _volume_collapse({V}, {where})")
         if self.nl_p:
             x = f"({V} / {_lit(V0)})"
-            if m != 0.0 and n != 0.0:
+            ratio_test = where is not None and min(m, n) < 0.0
+            if (m != 0.0 and n != 0.0) or ratio_test:
                 out.append(f"x = {x}")
                 x = "x"
+            if ratio_test:
+                out.append(f"if x <= 0.0: raise _ratio_collapse({V}, {where})")
             # x ** 0.0 is 1.0 for every x, NaN included
             xm, xn = ("1.0" if e == 0.0 else f"{x} ** {_lit(e)}" for e in (m, n))
             out.append(f"{name} = {_lit(K)} * ({xm} - {xn}) + {_lit(P_ref)}")
@@ -308,19 +324,20 @@ class _PassSource:
         return name
 
     def compartment(self, out: list, tag: str, V: str, c: tuple, l: float,
-                    where: str):
+                    where: str, scale: float = 1.0):
         """(P, R, L) of a compartment of length ``l`` at volume ``V``: a
-        leaf or a half of an interior vessel. With a mean area A = V / l,
-        one test ``A <= 0`` stands for the volume's and the area's, since
-        A > 0 implies V > 0; ``_collapse`` tells them apart. Without one,
-        the volume is tested."""
+        leaf or a half of an interior vessel, with R and L times ``scale``
+        (``flow``). With a mean area A = V / l, one test ``A <= 0`` stands
+        for the volume's and the area's, since A > 0 implies V > 0;
+        ``_collapse`` tells them apart. Without one, the volume is
+        tested."""
         A = None
         if self.nl_r or self.nl_l:
             A = f"A_{tag}"
             out += [f"{A} = {V} / {_lit(l)}",
                     f"if {A} <= 0.0: raise _collapse({V}, {A}, {where})"]
-        P = self.pressure(out, f"P_{tag}", V, c, where if A is None else None)
-        return (P, *self.flow(out, tag, A, c, self.nl_r, self.nl_l))
+        P = self.pressure(out, f"P_{tag}", V, c, where, positive=A is not None)
+        return (P, *self.flow(out, tag, A, c, self.nl_r, self.nl_l, scale))
 
     @staticmethod
     def area(out: list, tag: str, A_hat: str, where: str) -> str:
@@ -331,17 +348,35 @@ class _PassSource:
         return A
 
     @staticmethod
-    def flow(out: list, tag: str, A: str | None, c: tuple, nl_r: bool, nl_l: bool):
-        """(R, L) at the mean area in the local ``A``, rho k_R l / A^2 and
-        rho l / A, or the reference values R0 and L0."""
+    def flow(out: list, tag: str, A: str | None, c: tuple, nl_r: bool, nl_l: bool,
+             scale: float = 1.0):
+        """``scale`` times (R, L) at the mean area in the local ``A``,
+        rho k_R l / A^2 and rho l / A, or the reference values R0 and L0.
+        ``scale`` is a power of two no greater than 1, folded into the
+        numerator or the constant while the source is written.
+
+        The folded form (s c) / D has the bits of the unfolded s (c / D)
+        that the per-vessel configurations compute. Scaling by a power of
+        two is exact, and commutes with rounding, while the result stays
+        normal: so the two are equal whenever s c / D >= 2^-1022 and c / D
+        is finite, given a numerator whose product s c is exact (any
+        c >= 2^-1022 / s). Where D is infinite both give 0.0, where it is
+        0.0 both raise ``ZeroDivisionError``, and NaN gives NaN. They can
+        differ only where a quotient leaves the normal range: below
+        2^-1022, where the unfolded form rounds twice (for R, a mean area
+        above 2^511 sqrt(s c), about 6.7e153 sqrt(s c) cm^2, and none for
+        s c >= 4, where A * A overflows first), or above the largest
+        double, where only the unfolded form is infinite (for R, a mean
+        area below about 7e-155 sqrt(c) cm^2; for L, below about
+        5.6e-309 c cm^2)."""
         R0, L0, rho_kR_l, rho_l = c[6:]
-        R, L = float(R0), float(L0)
+        R, L = scale * R0, scale * L0
         if nl_r:
             R = f"R_{tag}"
-            out.append(f"{R} = {_lit(rho_kR_l)} / ({A} * {A})")
+            out.append(f"{R} = {_lit(scale * rho_kR_l)} / ({A} * {A})")
         if nl_l:
             L = f"L_{tag}"
-            out.append(f"{L} = {_lit(rho_l)} / {A}")
+            out.append(f"{L} = {_lit(scale * rho_l)} / {A}")
         return R, L
 
     @staticmethod
@@ -359,7 +394,10 @@ class _PassSource:
         state i to ``d[i]``, the junction values to ``p_if``/``q_if`` and
         the terminal values to ``t_out``. The vessels at the offsets
         ``copied`` get no statement; only they read the values of their
-        own junctions and terminals."""
+        own junctions and terminals. A leaf's halves of R and L, and the
+        root's shares of R and R_d, are computed from numerators scaled
+        while writing (``flow``); an interior half reads its R whole and
+        halved, and halves it in the pass."""
         model, out = self.model, []
         nl_r, nl_l = self.nl_r, self.nl_l
         p_if, q_if, t_out = self.p_if, self.q_if, self.t_out
@@ -382,13 +420,13 @@ class _PassSource:
         A = None
         if nl_r or nl_l:
             A = self.area(out, f"{o}", f"({V} + {Vd}) / {_lit(fl)}", at(o, _WHOLE))
-        R, L = flow(out, f"{o}", A, fc, nl_r, nl_l)
-        R = mul(out, r_frac, R, f"Rr_{o}")
+        # the root's shares of its resistance, folded into the numerators
+        R = flow(out, f"{o}", A, fc, nl_r, False, r_frac)[0]
+        L = flow(out, f"{o}", A, fc, False, nl_l)[1]
         # the distal end resistance sits at the distal half's mean area
         if nl_r:
             A = self.area(out, f"{o + 2}", f"{Vd} / {_lit(hl)}", at(o, _DISTAL))
-        R_d = flow(out, f"{o + 2}", A, fc, nl_r, False)[0]
-        R_d = mul(out, rd_frac, R_d, f"Rd_{o}")
+        R_d = flow(out, f"{o + 2}", A, fc, nl_r, False, rd_frac)[0]
         if term is None:
             q_out = q_if[j]
             inflows(q_out, flows)
@@ -430,9 +468,8 @@ class _PassSource:
             if o in copied:
                 continue
             V, Q, Qd = s[o:o + 3]
-            P, R, L = compartment(out, f"{o}", V, c, l, at(o, _WHOLE))
-            Rh = mul(out, 0.5, R, f"hR_{o}")
-            Lh = mul(out, 0.5, L, f"hL_{o}")
+            # half of R and of L on each side of the capacitor
+            P, Rh, Lh = compartment(out, f"{o}", V, c, l, at(o, _WHOLE), 0.5)
             # pressure-typed terminal coupling: the distal flow enters it
             if isinstance(term, Windkessel):
                 out += [f"{t_out[k]} = {s[wk]} + {_lit(term.R1)} * {Qd}",
@@ -464,7 +501,8 @@ def _inflow_tables(inflow, first: int, stop: int, dt: float) -> list[array]:
 
 #: the root's resistance split R_p : R : R_d = 1/4 : 1/2 : 1/4 of its total
 #: resistance; R_p sits at the inlet, whose flow is prescribed, and enters
-#: no derivative
+#: no derivative. Powers of two: the pass folds them into the numerators
+#: of R and R_d (``_PassSource.flow``)
 _ROOT_R_FRAC, _ROOT_RD_FRAC = 0.5, 0.25
 
 
@@ -624,8 +662,10 @@ class NetworkModel0D:
                      "_inf": math.inf, "_nan": math.nan,
                      "_volume_collapse": _volume_collapse,
                      "_area_collapse": _area_collapse, "_collapse": _collapse,
+                     "_ratio_collapse": _ratio_collapse,
                      "ConfigurationError": ConfigurationError,
-                     "ModelError": ModelError, "isfinite": math.isfinite}
+                     "ModelError": ModelError, "isfinite": math.isfinite,
+                     "pack": struct.Struct(f"{self.dim}d").pack}
         exec(_compiled(f"<0D network {name}>", self._plan_key,
                        lambda: write(_PassSource(self))), namespace)
         return namespace[name]

@@ -49,6 +49,8 @@ class _Compartment:
         V0, K, m, n, P_ref, C0, R0, L0, rho_kR_l, rho_l = c
         if nonlinear:
             x = V / V0  # = A_hat / A0
+            if x <= 0.0 and min(m, n) < 0.0:  # 0.0 has no negative power
+                raise CollapseError(f"volume ratio V / V0 underflowed to 0.0: {V}")
             return K * (x ** m - x ** n) + P_ref
         return P_ref + (V - V0) / C0
 

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hemoflow.errors import CollapseError, ConfigurationError, ModelError
@@ -1229,6 +1231,22 @@ class TestSharedSubtrees:
                 model.integrate(dt, 2.0)
             assert str(looped.value) == str(generic.value), name
 
+    def test_nonfinite_sample_aborts_as_the_generic_integration(self, bifurcation):
+        # the loop packs each sample; a NaN inflow from t = 0.05 s reaches
+        # every state, copies included, by the sample at 0.06 s
+        def inflow(t):
+            return np.where(t > 0.05, np.nan, 0.0)
+
+        for name, net, dt in self.networks(bifurcation):
+            model = assemble_network(net, NL, inflow)
+            assert len(set(model._copies.tolist())) < model.dim, name
+            with pytest.raises(ModelError) as generic:
+                rk4_integrate(model.rhs, model.initial_state(), dt, 0.2, 0.01)
+            with pytest.raises(ModelError) as looped:
+                model.integrate(dt, 0.2, 0.01)
+            assert str(looped.value) == str(generic.value), name
+            assert str(looped.value) == "non-finite state at t = 0.06 s", name
+
     def test_collapse_in_twin_subtrees_names_the_first(self, bifurcation):
         # both iliacs nearly empty and drained by their distal flow: the
         # loop fails at the left one, the source, as the generic step does
@@ -1308,6 +1326,182 @@ class TestCollapseTests:
         assert (term is None) == ("(-0.0)" not in runner)
         if term is not None:
             assert term in runner
+
+    @pytest.mark.parametrize("mode_name", ["nonlinear", "nl-p"])
+    @pytest.mark.parametrize("vid, part", [
+        ("root", "proximal half"), ("root", "distal half"), ("mid", "proximal half"),
+        ("mid", "distal half"), ("leaf1", "whole vessel")])
+    def test_underflowing_ratio_collapses_as_the_ratio(self, mode_name, vid, part):
+        # 0.0 has no negative power: a positive volume whose ratio V / V0
+        # rounds to zero, where its mean area V / l does not
+        model = assemble_network(negative_exponent_network(),
+                                 EQUIVALENCE_MODES[mode_name], synthetic_inflow())
+        spec = model.network.vessels[vid]
+        l = spec.length * (1.0 if part == "whole vessel" else 0.5)
+        V = next(k * 5e-324 for k in range(1, 100) if k * 5e-324 / l > 0.0)
+        assert V / (spec.wall.A0 * l) == 0.0
+        y = model.initial_state().tolist()
+        y[model.layout[vid] + (2 if part == "distal half" else 0)] = V
+        message = (f"volume ratio V / V0 underflowed to 0.0 in vessel {vid!r} "
+                   f"({part}) at t = 0.25 s: {V}")
+        for fail in (lambda: rk4_step(model, 1e-3)(0.25, y),
+                     lambda: model.rhs(0.25, y)):
+            with pytest.raises(CollapseError) as exc:
+                fail()
+            assert str(exc.value) == message
+        with pytest.raises(CollapseError, match="volume ratio"):
+            Composition(model).rhs(0.25, y)
+
+    @pytest.mark.parametrize("mode_name", sorted(EQUIVALENCE_MODES))
+    def test_ratio_is_tested_only_under_a_negative_exponent(self, bifurcation,
+                                                            mode_name):
+        from hemoflow.solver0d import _PassSource
+
+        mode = EQUIVALENCE_MODES[mode_name]
+        arterial = _PassSource(assemble_network(bifurcation, mode, synthetic_inflow()))
+        assert "_ratio_collapse" not in arterial.evaluator() + arterial.runner()
+        model = assemble_network(negative_exponent_network(), mode, synthetic_inflow())
+        tests = len(model._compartments) if mode.nonlinear_pressure else 0
+        assert _PassSource(model).evaluator().count("if x <= 0.0: raise ") == tests
+        # and away from collapse the pass is the composition's
+        ref, rng = Composition(model), np.random.default_rng(11)
+        for _ in range(10):
+            y, t = random_state(model, rng), rng.uniform(0.0, 2.2)
+            assert np.array_equal(model.rhs(t, y), ref.rhs(t, y))
+
+
+def negative_exponent_network():
+    """A root, an interior vessel and two leaves whose tube laws have the
+    exponent n = -1.5. Every reference area exceeds 1 cm^2, so that a
+    volume with a positive mean area V / l can have a ratio V / V0 that
+    rounds to zero."""
+    lines = ["[fluid]", "rho = 1.06", "mu = 0.04", "pressure_ref = 1.0e4",
+             "initial_pressure = 1.3e4", ""]
+    for vid, length, area in (("root", 8.6, 2.3235), ("mid", 6.0, 2.5),
+                              ("leaf1", 4.0, 3.0), ("leaf2", 4.0, 3.0)):
+        lines += [f"[vessel {vid}]", f"length = {length}", f"area = {area}",
+                  "wall_thickness = 0.1", "youngs_modulus = 5.0e6", "m = 0.5",
+                  "n = -1.5", ""]
+    lines += ["[junction]", "parent = root", "daughters = mid", "",
+              "[junction]", "parent = mid", "daughters = leaf1 leaf2", "",
+              "[inflow]", "vessel = root", ""]
+    for vid in ("leaf1", "leaf2"):
+        lines += [f"[terminal {vid}]", RCR_TERMINAL, ""]
+    return parse_network("\n".join(lines))
+
+
+def generated_tree(seed, leaves):
+    """A ``perfbench/netgen.py`` tree of ``leaves`` leaves."""
+    from test_solver1d import _netgen
+
+    return parse_network(_netgen().make_tree(seed, leaves).to_text())
+
+
+def plan_numerators() -> list[float]:
+    """The numerators rho k_R l and rho l of R and L that the plans of the
+    bundled bifurcation and of a generated 15-vessel tree hold."""
+    from hemoflow.netio import aortic_bifurcation
+
+    out = set()
+    for net in (aortic_bifurcation(), generated_tree(5, 8)):
+        model = assemble_network(net, NL, synthetic_inflow())
+        for c in (model._root[3], *(v[1] for v in model._interior),
+                  *(v[1] for v in model._leaves)):
+            out.update(c[8:])
+    return sorted(out)
+
+
+#: the smallest plan numerator, and the largest area at which its quotient
+#: by A * A, scaled by 1/4, is still normal: the forms first differ a few
+#: ulps above it
+NUMERATORS = plan_numerators()
+EDGE_AREA = 2.0 ** 511 * math.sqrt(0.25 * NUMERATORS[0])
+while 0.25 * NUMERATORS[0] / (EDGE_AREA * EDGE_AREA) < 2.0 ** -1022:
+    EDGE_AREA = math.nextafter(EDGE_AREA, 0.0)
+while 0.25 * NUMERATORS[0] / (EDGE_AREA * EDGE_AREA) >= 2.0 ** -1022:
+    EDGE_AREA = math.nextafter(EDGE_AREA, math.inf)
+EDGE_AREA = math.nextafter(EDGE_AREA, 0.0)
+
+
+def loop_lines(model) -> int:
+    """Lines of the body of the nonlinear run loop of a network of
+    arterial walls with daughters at its root, from the plan. Per stage:
+    the root 16 (per half a volume test and a pressure; the mean area, its
+    test, R and L; the distal half's area, its test and R_d; the junction's
+    flow and pressure; three derivatives), each computed interior vessel
+    19 (per half an area, its test, a pressure, R and L; the junction's
+    flow and pressure; two halved R; the split pressure; four
+    derivatives), each computed leaf 8 (an area, its test, a pressure, half
+    R and half L; three derivatives) and its terminal's 2 (RCR) or 1.
+    Per step: the time and the count, three stage states and the new state
+    per computed state, and the sample block of 7."""
+    src = model._copies
+    computed = int((src == np.arange(model.dim)).sum())
+    stage = 16 + 19 * sum(src[o] == o for o, *_ in model._interior)
+    stage += sum(10 if isinstance(term, Windkessel) else 9
+                 for o, _, _, _, _, term, _ in model._leaves if src[o] == o)
+    return 2 + 4 * stage + 4 * computed + 7
+
+
+class TestFoldedConstants:
+    """A leaf's halves of R and L and the root's shares of R and R_d come
+    from numerators scaled by a power of two while the source is written;
+    the per-vessel configurations scale the quotient, with the same bits."""
+
+    @pytest.mark.parametrize("network", ["bifurcation", "s5/8"])
+    def test_leaves_and_root_scale_no_quotient(self, bifurcation, network):
+        from hemoflow.solver0d import _PassSource
+
+        net = bifurcation if network == "bifurcation" else generated_tree(5, 8)
+        model = assemble_network(net, NL, synthetic_inflow())
+        runner = _PassSource(model).runner()
+        loop = runner.split("\ndef pressures")[0]
+        assert sum(line.startswith(" " * 8) for line in loop.split("\n")) == loop_lines(model)
+        assert not re.search(r"\b(Rr|Rd)_\d+ =", runner)
+        for o, *_ in model._leaves:
+            assert not re.search(rf"\bh[RL]_{o} =", runner), o
+        for o, *_ in model._interior:  # an interior half reads R whole too
+            assert f"hR_{o} = 0.5 * R_{o}" in runner, o
+
+    def test_root_fractions_are_powers_of_two(self):
+        from hemoflow.solver0d import _ROOT_R_FRAC, _ROOT_RD_FRAC
+
+        for frac in (_ROOT_R_FRAC, _ROOT_RD_FRAC):
+            assert 0.0 < frac <= 1.0 and math.frexp(frac)[0] == 0.5
+
+    @given(A=st.floats(1e-150, 1e153), c=st.sampled_from(NUMERATORS),
+           s=st.sampled_from([0.5, 0.25]))
+    @example(A=EDGE_AREA, c=NUMERATORS[0], s=0.25)
+    def test_folded_quotient_is_the_scaled_quotient(self, A, c, s):
+        D = A * A
+        assert math.isfinite(c / D) and math.isfinite(c / A)
+        if (s * c) / D >= 2.0 ** -1022:
+            assert (s * c) / D == s * (c / D)
+        if (0.5 * c) / A >= 2.0 ** -1022:
+            assert (0.5 * c) / A == 0.5 * (c / A)
+
+    @pytest.mark.parametrize("s", [0.5, 0.25])
+    def test_forms_differ_only_outside_the_normal_range(self, s):
+        for c in NUMERATORS:
+            # large areas: where the forms first differ, the scaled quotient
+            # is subnormal, and the unfolded form rounds it twice; with
+            # s c >= 4, A * A overflows first and both forms give 0.0
+            A = 2.0 ** 511 * math.sqrt(s * c) * (1.0 - 2.0 ** -48)
+            for _ in range(1000):
+                D = A * A
+                if (s * c) / D != s * (c / D):
+                    assert (s * c) / D < 2.0 ** -1022 and s * c < 4.0, c
+                    break
+                A = math.nextafter(A, math.inf)
+            else:
+                assert s * c >= 4.0 and D == math.inf, c
+            # small areas: a quotient c / D above the largest double is
+            # infinite in the unfolded form only
+            A = 0.9 * 2.0 ** -512 * math.sqrt(c)
+            assert s * (c / (A * A)) == math.inf, c
+            assert math.isfinite((s * c) / (A * A)), c
+            A = 0.9 * 2.0 ** -1024 * c
+            assert s * (c / A) == math.inf and math.isfinite((s * c) / A), c
 
 
 class TestStepSizeCheck:
