@@ -115,7 +115,11 @@ def _load_run_dir(path: Path) -> dict:
     for f in sorted(path.glob("*.csv")):
         if f.stem == "errors":
             continue
-        out[f.stem] = read_series(f)
+        series = out[f.stem] = read_series(f)
+        # a cycle is sampled between two samples at least
+        if series["t"].size < 2:
+            raise ConfigurationError(f"{f} holds {series['t'].size} samples; "
+                                     f"a run needs at least 2")
     if not out:
         raise ConfigurationError(f"no series files in {path}")
     return out

@@ -226,20 +226,29 @@ def synthetic_inflow(period: float = 1.1, systole_fraction: float = 0.3,
 
 
 def load_waveform(path, period: float | None = None) -> WaveformSeries:
-    """Read a two-column (t, Q) CSV; the period defaults to the last time."""
+    """Read a two-column (t, Q) CSV; the period defaults to the last time.
+    Blank lines and ``#`` comments are skipped; the first other line is a
+    header if its first field is not a number. A field that does not
+    parse raises ``ValueError`` naming the file and the line."""
     path = Path(path)
-    rows = []
+    rows, first = [], True
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and not _is_float(parts[0]):
-                continue  # header row
+            if first:
+                first = False
+                if not _is_float(parts[0]):
+                    continue  # header row
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected two numbers, "
+                                 f"got {line!r}") from None
     if not rows:
         raise ValueError(f"{path}: no samples found")
     t = np.array([r[0] for r in rows])

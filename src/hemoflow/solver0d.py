@@ -20,28 +20,30 @@ and each constant a literal, and compiles it on first use (never at
 assembly): ``rhs`` runs one pass, and ``run_0d`` runs one compiled
 function for the whole run, whose loop keeps the states in locals from
 step to step and inlines the four passes of an RK4 step, their combination
-and the sampling. The module of that run loop also holds the compartment
+and the sampling. A third generated module computes the compartment
 pressures on sampled columns, which ``observe`` weighs into per-vessel
-series (the linear mode, which runs no loop, compiles them on their
-own). The inflow at every stage time of the run
+series. The pass takes the root inflow as an argument, which ``rhs``
+evaluates at its time; the inflow at every stage time of the run
 (t_n = n dt, t_n + dt/2, t_n + dt) is tabulated before the loop, in three
 calls of the waveform on arrays. Identical sibling subtrees (same shape,
 plan constants, terminals and initial states; ``NetworkModel0D._copies``)
 carry equal states on every RK4 step, so the loop computes the first of
 them only and names its locals for the others; the pass behind ``rhs``
-and the pressures compute every state. Compiled code is cached by the
-plan and the copies map it was written from (``_compiled``,
-``_plan_key``), so models of one network and mode neither write nor
-compile their source again, share one code object and each bind their
-own inflow. The compartment laws are written once, in ``_PassSource``;
-the tests keep the per-vessel configurations as classes, composed into
-the reference network.
+and the pressures compute every state. So each generated function
+depends on the plan and the copies map alone, and is cached by them
+(``_compiled``, ``_plan_key``): models of one network and mode neither
+write nor compile their source again, and share the function objects.
+The compartment laws are written once, in ``_PassSource``; the tests keep
+the per-vessel configurations as classes, composed into the reference
+network.
 
 The linear mode (every flag off) does not run that loop: its pass is
-affine and time-invariant, so its RK4 step is one affine map of the state
-and the step's inflow, which ``_StepMap`` reads off the compiled pass and
-the generic RK4 step and applies with one matrix-vector product per step,
-sharing identical subtrees through the same copies map. Its states agree
+affine and time-invariant, dy/dt = A y + b q_in + c, with (A, b, c) read
+off the compiled pass by ``NetworkModel0D.linearisation``. So its RK4 step
+is one affine map of the state and the step's inflow, which ``_StepMap``
+builds from (A, b, c) and the generic RK4 step and applies with one
+matrix-vector product per step, sharing identical subtrees through the
+same copies map. Its states agree
 with ``rk4_integrate`` on ``rhs`` within round-off, not bit for bit; its
 times, failures and messages are those of the loop.
 Before stepping, it refuses a ``dt`` outside RK4's stability region for
@@ -137,26 +139,38 @@ def _collapse(V: float, A_hat: float, vid: str, part: str, t: float) -> Collapse
 # Network assembly
 # ---------------------------------------------------------------------------
 
-#: compiled generated modules by (file name, plan key), oldest first
+#: generated functions by (name, plan key), oldest first
 _code: dict = {}
 _CODE_ENTRIES = 16
 
+#: the names a generated module reads besides its own
+_GENERATED_GLOBALS = {"_inf": math.inf, "_nan": math.nan,
+                      "_volume_collapse": _volume_collapse,
+                      "_area_collapse": _area_collapse, "_collapse": _collapse,
+                      "_ratio_collapse": _ratio_collapse,
+                      "ConfigurationError": ConfigurationError,
+                      "ModelError": ModelError, "isfinite": math.isfinite}
 
-def _compiled(filename: str, key, write):
-    """Code object of the generated module ``filename`` for ``key``,
-    compiled once per process; ``write()`` returns its source and runs only
-    when the key is not cached. The parser's memory stays in the C heap
-    after ``compile`` returns, so a model built again (every round of a
-    sweep, a second run of one network) must neither compile nor write its
-    source again; the code holds no per-model value, which its namespace
-    binds at ``exec``. The cache keeps the latest ``_CODE_ENTRIES``."""
-    code = _code.pop((filename, key), None)
-    if code is None:
-        code = compile(write(), filename, "exec")
+
+def _compiled(name: str, key, write, dim: int):
+    """The generated function ``name`` for the plan ``key``, compiled and
+    executed once per process; ``write()`` returns its module's source and
+    runs only when the key is not cached. The parser's memory stays in the
+    C heap after ``compile`` returns, so a model built again (every round
+    of a sweep, a second run of one network) must neither compile nor
+    write its source again. The module binds nothing of one model, only
+    ``_GENERATED_GLOBALS`` and ``pack``, a ``struct.Struct`` of ``dim``
+    doubles, so models of one plan share the function. The cache keeps the
+    latest ``_CODE_ENTRIES``."""
+    fn = _code.pop((name, key), None)
+    if fn is None:
+        namespace = {**_GENERATED_GLOBALS, "pack": struct.Struct(f"{dim}d").pack}
+        exec(compile(write(), f"<0D network {name}>", "exec"), namespace)
+        fn = namespace[name]
         if len(_code) >= _CODE_ENTRIES:
             del _code[next(iter(_code))]
-    _code[filename, key] = code
-    return code
+    _code[name, key] = fn
+    return fn
 
 
 def _lit(v) -> str:
@@ -213,29 +227,29 @@ class _PassSource:
         return [f"{prefix}{i}" for i in range(self.dim)]
 
     def evaluator(self) -> str:
-        """``evaluate(t, s)``: one pass, returning the derivative list, the
-        root inflow and the junction and terminal values."""
+        """``evaluate(t, q_in, s)``: one pass at the root inflow ``q_in``,
+        returning the derivative list and the junction and terminal values.
+        The time ``t`` enters only the collapse errors."""
         s, d = self.names("s"), self.names("d")
         return "\n".join([
-            "def evaluate(t, s):",
+            "def evaluate(t, q_in, s):",
             f"    {', '.join(s)}, = s",
-            "    q_in = float(inflow(t))",
             *(f"    {line}" for line in self.stage(s, d, "t", "q_in")),
-            f"    return [{', '.join(d)}], q_in, [{', '.join(self.p_if)}], "
+            f"    return [{', '.join(d)}], [{', '.join(self.p_if)}], "
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
     def runner(self) -> str:
-        """The run module: ``pressures`` and ``run(y, t0, n, dt, q_t,
-        q_half, q_dt, stride, last, times, samples) -> y_end``, classical
-        RK4 steps n, n + 1, ... from the state list ``y`` at ``t0 + n * dt``,
-        one per entry of the inflow tables, which hold the inflow at each
-        step's t, t + dt/2 and t + dt. The states stay locals from step to
+        """The run module: ``run(y, t0, n, dt, q_t, q_half, q_dt, stride,
+        last, times, samples) -> y_end``, classical RK4 steps n, n + 1, ...
+        from the state list ``y`` at ``t0 + n * dt``, one per entry of the
+        inflow tables, which hold the inflow at each step's t, t + dt/2 and
+        t + dt. The states stay locals from step to
         step; each step inlines the four passes and their combination.
         After every ``stride``-th step and after step ``last`` (counted from
         ``t0``) the state is checked to be finite and appended to
         ``samples``, its time to ``times``. The state goes in as one packed
         copy of its doubles (``pack``, a ``struct.Struct`` of ``dim``
-        doubles bound at ``exec``): ``array.extend`` on a tuple converts
+        doubles bound by ``_compiled``): ``array.extend`` on a tuple converts
         it one value at a time, several times slower.
 
         Only the states that are their own source in the model's copies map
@@ -279,7 +293,7 @@ class _PassSource:
             f"    {unpack}, = y",
             "    for qa, qh, qe in zip(q_t, q_half, q_dt):",
             *(f"        {line}" for line in body),
-            f"    return [{state}]", "", self.pressures()])
+            f"    return [{state}]", ""])
 
     def pressures(self) -> str:
         """``pressures(Y)``: a generator of the pressure of each compartment
@@ -505,6 +519,12 @@ def _inflow_tables(inflow, first: int, stop: int, dt: float) -> list[array]:
 #: of R and R_d (``_PassSource.flow``)
 _ROOT_R_FRAC, _ROOT_RD_FRAC = 0.5, 0.25
 
+#: the state and inflow steps of the probes that read the affine pass off
+#: the compiled one (``NetworkModel0D.linearisation``): a power of two, so
+#: that dividing by it is exact, and large enough that the pass's value at
+#: the probed state is lost in the rounding of the probe's
+_PROBE = 2.0 ** 30
+
 
 class NetworkModel0D:
     """Global ODE system for a vessel tree, described by one evaluation
@@ -520,10 +540,10 @@ class NetworkModel0D:
     (``_root``, ``_interior``, ``_leaves``), the junctions numbered in tree
     order (parents before daughters) with the state indices of the flows
     they collect, and per terminal its element and capacitor index. The
-    network pass over that plan (``rhs``), and the RK4 run loop
-    (``integrate``) with the compartment pressures that ``observe`` weighs,
-    are generated from it as Python source and compiled the first time each
-    is used; the initial state reads it too.
+    network pass over that plan (``rhs``, ``linearisation``), the RK4 run
+    loop (``integrate``) and the compartment pressures that ``observe``
+    weighs are generated from it as Python source and compiled the first
+    time each is used; the initial state reads it too.
     """
 
     def __init__(self, network: Network, mode: ModelMode,
@@ -655,44 +675,54 @@ class NetworkModel0D:
                      self._root, tuple(self._interior), tuple(self._leaves),
                      self._copies.tolist()))
 
-    def _compile(self, name: str, write, inflow=None):
-        """The generated function ``name``, bound to ``inflow`` (the
-        model's own if None)."""
-        namespace = {"inflow": self.inflow if inflow is None else inflow,
-                     "_inf": math.inf, "_nan": math.nan,
-                     "_volume_collapse": _volume_collapse,
-                     "_area_collapse": _area_collapse, "_collapse": _collapse,
-                     "_ratio_collapse": _ratio_collapse,
-                     "ConfigurationError": ConfigurationError,
-                     "ModelError": ModelError, "isfinite": math.isfinite,
-                     "pack": struct.Struct(f"{self.dim}d").pack}
-        exec(_compiled(f"<0D network {name}>", self._plan_key,
-                       lambda: write(_PassSource(self))), namespace)
-        return namespace[name]
+    def _compile(self, name: str, write):
+        """The generated function ``name`` of this model's plan, written
+        by ``write(_PassSource(self))``: shared by every model of the plan."""
+        return _compiled(name, self._plan_key, lambda: write(_PassSource(self)),
+                         self.dim)
 
     @cached_property
     def _evaluate(self):
-        """The network pass, compiled on first use: ``_evaluate(t, s)``
-        takes the state as a list and returns the derivative list, the root
-        inflow, per junction its interface pressure and the flow its
-        daughters draw, and per terminal the value handed back to its
-        vessel: the outlet pressure of a PinPout leaf, or the outlet flow
-        of a single-vessel network."""
+        """The network pass, compiled on first use: ``_evaluate(t, q_in,
+        s)`` takes the time, the root inflow and the state as a list and
+        returns the derivative list, per junction its interface pressure
+        and the flow its daughters draw, and per terminal the value handed
+        back to its vessel: the outlet pressure of a PinPout leaf, or the
+        outlet flow of a single-vessel network."""
         return self._compile("evaluate", _PassSource.evaluator)
 
     @cached_property
     def _run(self):
-        """The RK4 sampling loop of the run module (``_PassSource.runner``),
-        compiled on first use; ``pressures`` is in its globals."""
+        """The RK4 sampling loop (``_PassSource.runner``), compiled on
+        first use."""
         return self._compile("run", _PassSource.runner)
 
     @cached_property
     def _pressures(self):
-        """``pressures(Y)`` (``_PassSource.pressures``): the run module's,
-        or, in the linear mode, which runs no loop, compiled on its own."""
-        if any(self.mode.flags):
-            return self._run.__globals__["pressures"]
+        """``pressures(Y)`` (``_PassSource.pressures``), compiled on first
+        use."""
         return self._compile("pressures", _PassSource.pressures)
+
+    def linearisation(self, y: np.ndarray):
+        """(A, b, c) of the pass dy/dt = A y + b q_in + c, read off the
+        compiled pass in dim + 2 probes: at the state ``y`` and a zero
+        inflow, and after a step ``_PROBE`` in each state and in the
+        inflow. Exact only where the pass is affine in the state and the
+        inflow, which it is in the mode with every flag off; there it is
+        the same at every ``y``. A pass reads the time only in its
+        collapse errors, which name t = 0 here."""
+
+        def f(q, x):
+            return np.array(self._evaluate(0.0, q, x.tolist())[0])
+
+        f0 = f(0.0, y)
+        A = np.empty((self.dim, self.dim))
+        for i in range(self.dim):
+            yi = y.copy()
+            yi[i] += _PROBE
+            A[:, i] = f(0.0, yi) - f0
+        A /= _PROBE
+        return A, (f(_PROBE, y) - f0) / _PROBE, f0 - np.vecdot(A, y)
 
     def integrate(self, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
@@ -715,12 +745,9 @@ class NetworkModel0D:
         y = self.initial_state()
         times, samples = [0.0], array("d", y)
         if not any(self.mode.flags):
-            # the pass bound to the identity inflow, which evaluates it at
-            # the root inflow q = t; compiled, if it must be, before the
-            # clock starts
-            probe = self._compile("evaluate", _PassSource.evaluator, float)
+            self._evaluate  # compiled, if it must be, before the clock starts
             start = time.thread_time()
-            _StepMap(self, probe, y, dt).run(n_steps, stride, times, samples)
+            _StepMap(self, y, dt).run(n_steps, stride, times, samples)
         else:
             run = self._run  # compiled, if it must be, before the clock starts
             y = y.tolist()
@@ -761,7 +788,8 @@ class NetworkModel0D:
 
     def rhs(self, t: float, y) -> np.ndarray:
         """dy/dt at (t, y), an array for any sequence of floats."""
-        return np.array(self._evaluate(t, np.asarray(y, dtype=float).tolist())[0])
+        return np.array(self._evaluate(t, float(self.inflow(t)),
+                                       np.asarray(y, dtype=float).tolist())[0])
 
     def observe(self, Y: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Per-vessel sampled (P, Q, A): volume-weighted mean pressure,
@@ -882,12 +910,6 @@ def _rk4_array_step(rhs, dt):
     return step
 
 
-#: the state and inflow steps of the probes that read the affine pass off
-#: the compiled one: a power of two, so that dividing by it is exact, and
-#: large enough that the pass's value at the probed state is lost in the
-#: rounding of the probe's
-_PROBE = 2.0 ** 30
-
 #: bytes of the largest per-block array of a step map run: small enough
 #: that the blocks add little to the largest resident size of a run, whose
 #: samples take more; larger blocks are no faster
@@ -919,8 +941,8 @@ class _StepMap:
     affine map of the state and the step's inflow.
 
     Such a pass is dy/dt = A y + b q_in(t) + c, and an RK4 step is
-    y <- M y + W g with g = (q(t), q(t + dt/2), q(t + dt), 1). (A, b, c) is
-    read off the compiled pass in dim + 2 probes. The step's change
+    y <- M y + W g with g = (q(t), q(t + dt/2), q(t + dt), 1), with (A, b,
+    c) the model's ``linearisation`` of its pass. The step's change
     [M - I | W] and the changes of the stage states are
     ``_rk4_array_step`` applied, from zero, to the change Z of the state
     over the step, whose pass is A Z + [A | b e_q(t) | c e_4] as a map of
@@ -938,11 +960,11 @@ class _StepMap:
     and copies them to the others, so that they stay equal bit for bit.
     """
 
-    def __init__(self, model: NetworkModel0D, probe, y0: np.ndarray, dt: float):
-        """The map of ``model`` at the step ``dt``, from its pass
-        ``probe(q, y)`` at the root inflow q and its initial state ``y0``."""
+    def __init__(self, model: NetworkModel0D, y0: np.ndarray, dt: float):
+        """The map of ``model`` at the step ``dt``, from its linearisation
+        at its initial state ``y0``."""
         self.model, self.dt = model, dt
-        A, b, c = self.affine_pass(model, probe, y0)
+        A, b, c = model.linearisation(y0)
         self.check_step_size(model, A, dt)
         src = model._copies
         keep = np.flatnonzero(src == np.arange(model.dim))
@@ -974,25 +996,6 @@ class _StepMap:
         # in the last columns
         G = np.vstack([step, *(S[self.volumes] for S in stages[1:])])
         self.G, self.W = np.ascontiguousarray(G[:, :n]), G[:, n:]
-
-    @staticmethod
-    def affine_pass(model: NetworkModel0D, probe, y0: np.ndarray):
-        """(A, b, c) of the pass, from the pass ``probe(q, y)`` at the root
-        inflow q: at the state ``y0``, and after a step ``_PROBE`` in each
-        state and in the inflow. A pass of such a mode reads the time only
-        through the inflow."""
-
-        def f(q, y):
-            return np.array(probe(q, y.tolist())[0])
-
-        f0 = f(0.0, y0)
-        A = np.empty((model.dim, model.dim))
-        for i in range(model.dim):
-            y = y0.copy()
-            y[i] += _PROBE
-            A[:, i] = f(0.0, y) - f0
-        A /= _PROBE
-        return A, (f(_PROBE, y0) - f0) / _PROBE, f0 - np.vecdot(A, y0)
 
     @staticmethod
     def check_step_size(model: NetworkModel0D, A: np.ndarray, dt: float) -> None:

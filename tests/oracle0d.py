@@ -450,7 +450,8 @@ def vessel_inputs(model, t, y):
     """The coupling values of the model's compiled pass, per vessel
     (inlet, outlet) as ``Composition.inputs`` gives them, and the terminal
     capacitor derivatives."""
-    d, q_in, p_if, q_if, t_out = model._evaluate(t, [float(v) for v in y])
+    q_in = float(model.inflow(t))
+    d, p_if, q_if, t_out = model._evaluate(t, q_in, [float(v) for v in y])
     inputs = {vid: [None, None] for vid in model.network.vessels}
     inputs[model.network.root][0] = q_in
     for j, junction in enumerate(model._junctions):

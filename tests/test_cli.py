@@ -46,6 +46,15 @@ def periodic_run(tmp_path_factory):
     return root / "nl"
 
 
+def truncated_copy(run, dest, rows):
+    """A copy of the run directory ``run`` whose aorta series keeps its
+    header and its first ``rows`` samples only."""
+    shutil.copytree(run, dest)
+    series = dest / "aorta.csv"
+    series.write_text("".join(series.read_text().splitlines(True)[:1 + rows]))
+    return dest
+
+
 class TestRun:
     def test_short_0d_run_writes_series_and_timing(self, tmp_path, capsys):
         out = tmp_path / "short"
@@ -289,6 +298,22 @@ class TestCompare:
         assert "reference at t = 22 s" in err and "test at t = 22.55 s" in err
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_series_shorter_than_two_samples_is_refused(self, periodic_run,
+                                                        tmp_path, capsys, rows):
+        # an empty series once raised an IndexError from sample_cycle, and
+        # a one-sample one was refused as a cycle its samples do not cover,
+        # naming no file
+        short = truncated_copy(periodic_run, tmp_path / "short", rows)
+        for ref, test in ((periodic_run, short), (short, periodic_run)):
+            code = main(["compare", str(ref), str(test),
+                         "--out", str(tmp_path / "e.csv")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: {short / 'aorta.csv'} holds {rows} samples; "
+                           f"a run needs at least 2\n")
+        assert not (tmp_path / "e.csv").exists()
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                      "--out", str(tmp_path / "e.csv")])
@@ -315,3 +340,13 @@ class TestAnalyze:
         assert "U_mean" in text
         assert "gamma_C_over_gamma_P" in text
         assert "unavailable" not in text
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_run_with_a_short_series_is_refused(self, periodic_run, tmp_path,
+                                                capsys, rows):
+        short = truncated_copy(periodic_run, tmp_path / "short", rows)
+        code = main(["analyze", "--network", "aortic_bif", "--run", str(short)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {short / 'aorta.csv'} holds {rows} samples; "
+                       f"a run needs at least 2\n")

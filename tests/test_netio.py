@@ -507,6 +507,30 @@ class TestWaveforms:
         assert w.period == 2.0
         assert w(0.5) == pytest.approx(1.5)
 
+    def test_header_after_comments_and_blank_lines(self, tmp_path):
+        # the header is the first line that is neither blank nor a comment,
+        # wherever it stands in the file
+        path = tmp_path / "wave.csv"
+        path.write_text("# inflow\n\n# columns\nt,Q\n0.0,0.0\n0.5,10.0\n1.0,0.0\n")
+        w = load_waveform(path)
+        assert w.period == 1.0 and w.t.tolist() == [0.0, 0.5, 1.0]
+        assert w(0.25) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("text, lineno, line", [
+        ("t,Q\n0.0,0.0\nt,Q\n", 3, "t,Q"),
+        ("# inflow\nt,Q\n0.0,abc\n", 3, "0.0,abc"),
+        ("0.0,0.0\nnan?,1.0\n", 2, "nan?,1.0"),
+        ("# inflow\n\n0.0,0.0\n0.5,10.0,x\n1.0,1e\n", 5, "1.0,1e"),
+    ])
+    def test_unparsed_field_names_file_and_line(self, tmp_path, text, lineno, line):
+        # only the first line that is not blank or a comment may be a header
+        path = tmp_path / "wave.csv"
+        path.write_text(text)
+        message = f"{path}:{lineno}: expected two numbers, got {line!r}"
+        with pytest.raises(ValueError) as exc:
+            load_waveform(path)
+        assert str(exc.value) == message
+
 
 class TestSeriesPersistence:
     def test_round_trip(self, tmp_path):

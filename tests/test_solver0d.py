@@ -1003,7 +1003,8 @@ class TestCompiledStep:
 
     def test_models_of_one_network_share_compiled_code(self, bifurcation,
                                                        compiled_names):
-        # a model built again compiles nothing, and each binds its own inflow
+        # a model built again compiles nothing and runs the same functions,
+        # which take the inflow from the model that calls them
         from hemoflow.solver0d import _rk4_array_step
 
         names = compiled_names
@@ -1031,6 +1032,32 @@ class TestCompiledStep:
         step = rk4_step(other, 1e-3)(0.1, y.tolist())
         generic = _rk4_array_step(other.rhs, 1e-3)(0.1, y)
         assert step == generic.tolist()
+
+    @pytest.mark.parametrize("mode_name", EQUIVALENCE_MODES)
+    def test_generated_functions_depend_on_the_plan_alone(self, bifurcation,
+                                                          mode_name):
+        # no generated module binds a value of one model: models of one
+        # plan hold the same function objects, and each model's rhs still
+        # follows its own inflow
+        import hemoflow.solver0d as solver0d
+
+        mode = EQUIVALENCE_MODES[mode_name]
+        run_0d(bifurcation, synthetic_inflow(), mode, dt=1e-3, t_end=0.05, T0=1.1)
+        first = assemble_network(bifurcation, mode, synthetic_inflow())
+        second = assemble_network(bifurcation, mode, synthetic_inflow(period=0.9))
+        y = first.initial_state()
+        y[1] = 3.0
+        d = [model.rhs(0.1, y) for model in (first, second)]
+        for name in ("_run", "_evaluate", "_pressures"):
+            assert getattr(first, name) is getattr(second, name), name
+        functions = [*solver0d._code.values(), first._run, first._evaluate,
+                     first._pressures]
+        assert all("inflow" not in fn.__globals__ for fn in functions)
+        # the inflow enters the root's first volume derivative only
+        q_in = [float(inflow(0.1)) for inflow in (first.inflow, second.inflow)]
+        assert q_in[0] != q_in[1]
+        assert [di[0] for di in d] == [q - y[1] for q in q_in]
+        assert np.array_equal(d[0][1:], d[1][1:])
 
 
 def symmetric_tree_network():
@@ -1502,6 +1529,32 @@ class TestFoldedConstants:
             assert math.isfinite((s * c) / (A * A)), c
             A = 0.9 * 2.0 ** -1024 * c
             assert s * (c / A) == math.inf and math.isfinite((s * c) / A), c
+
+
+#: the largest deviation of A y + b q + c from the pass, in units of the
+#: sum of the magnitudes of its terms in the row: 1.6 eps (3.6e-16) was
+#: the largest over 200 random states of each linearised network
+LINEARISATION_RTOL = 8 * np.finfo(float).eps
+
+
+class TestLinearisation:
+    """``NetworkModel0D.linearisation``: (A, b, c) of the affine pass of
+    the mode with every flag off, which the step map reads."""
+
+    @pytest.mark.parametrize("network", ["bifurcation", *TestAssembledPlan.NETWORKS])
+    def test_affine_pass_is_the_pass(self, bifurcation, network):
+        net = (bifurcation if network == "bifurcation"
+               else TestAssembledPlan.NETWORKS[network]())
+        model = assemble_network(net, LIN, synthetic_inflow())
+        A, b, c = model.linearisation(model.initial_state())
+        assert A.shape == (model.dim, model.dim) and b.shape == c.shape == (model.dim,)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            y, t = random_state(model, rng), rng.uniform(0.0, 2.2)
+            q = float(model.inflow(t))
+            scale = np.abs(A) @ np.abs(y) + np.abs(b * q) + np.abs(c)
+            deviation = np.abs(A @ y + b * q + c - model.rhs(t, y))
+            assert (deviation <= LINEARISATION_RTOL * scale).all(), network
 
 
 class TestStepSizeCheck:
