@@ -228,8 +228,9 @@ def synthetic_inflow(period: float = 1.1, systole_fraction: float = 0.3,
 def load_waveform(path, period: float | None = None) -> WaveformSeries:
     """Read a two-column (t, Q) CSV; the period defaults to the last time.
     Blank lines and ``#`` comments are skipped; the first other line is a
-    header if its first field is not a number. A field that does not
-    parse raises ``ValueError`` naming the file and the line."""
+    header if its first field is not a number. A row of more or fewer than
+    two fields, or a field that does not parse, raises ``ValueError``
+    naming the file and the line."""
     path = Path(path)
     rows, first = [], True
     with path.open() as fh:
@@ -242,7 +243,7 @@ def load_waveform(path, period: float | None = None) -> WaveformSeries:
                 first = False
                 if not _is_float(parts[0]):
                     continue  # header row
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
             try:
                 rows.append((float(parts[0]), float(parts[1])))

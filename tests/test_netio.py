@@ -520,7 +520,7 @@ class TestWaveforms:
         ("t,Q\n0.0,0.0\nt,Q\n", 3, "t,Q"),
         ("# inflow\nt,Q\n0.0,abc\n", 3, "0.0,abc"),
         ("0.0,0.0\nnan?,1.0\n", 2, "nan?,1.0"),
-        ("# inflow\n\n0.0,0.0\n0.5,10.0,x\n1.0,1e\n", 5, "1.0,1e"),
+        ("# inflow\n\n0.0,0.0\n0.5,10.0\n1.0,1e\n", 5, "1.0,1e"),
     ])
     def test_unparsed_field_names_file_and_line(self, tmp_path, text, lineno, line):
         # only the first line that is not blank or a comment may be a header
@@ -530,6 +530,21 @@ class TestWaveforms:
         with pytest.raises(ValueError) as exc:
             load_waveform(path)
         assert str(exc.value) == message
+
+
+    @pytest.mark.parametrize("text, lineno, line", [
+        ("t,Q\n0.0,0.0\n0.5,10.0,x\n1.0,0.0\n", 3, "0.5,10.0,x"),
+        ("# t, Q, P\n0.0,0.0,80.0\n0.5,10.0,120.0\n", 2, "0.0,0.0,80.0"),
+        ("t,Q\n0.0,0.0\n0.5\n", 3, "0.5"),
+    ])
+    def test_row_of_other_than_two_fields_names_file_and_line(self, tmp_path, text,
+                                                             lineno, line):
+        # a (t, Q, P) file once loaded as its first two columns, silently
+        path = tmp_path / "wave.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_waveform(path)
+        assert str(exc.value) == f"{path}:{lineno}: expected two columns, got {line!r}"
 
 
 class TestSeriesPersistence:

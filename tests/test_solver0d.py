@@ -682,8 +682,9 @@ class TestAssembledPlan:
 
 #: the largest deviation of a run of a linear mode (its step map) from the
 #: generic integrator, relative to the largest magnitude of each series:
-#: 2.1e-12 at most on the networks of these tests, 300 steps of 1e-4 s
-#: or 1250 of 1e-3 s
+#: 2.7e-12 at most on the networks of these tests, runs of at most 1250
+#: steps; 4.4e-13 over 8 cycles of a generated 15-vessel tree and 4.9e-14
+#: over 16 cycles of the bundled bifurcation (both checked in CI)
 STEP_MAP_RTOL = 1e-11
 
 
@@ -1111,15 +1112,30 @@ class TestStepMap:
             for ch in ("P", "Q", "A"):
                 assert np.array_equal(a.vessels[vid][ch], b.vessels[vid][ch]), (vid, ch)
 
-    @pytest.mark.parametrize("block", [7, 100, 1249])
+    @staticmethod
+    def networks(bifurcation):
+        """(network, a stable step, K) of networks whose step maps run
+        groups of 16 and of 4 steps."""
+        return [(bifurcation, 1e-3, 16), (asymmetric_tree_network(), 1e-4, 4)]
+
+    @staticmethod
+    def group_steps(model, dt):
+        from hemoflow.solver0d import _StepMap
+
+        return _StepMap(model, model.initial_state(), dt).K
+
+    @pytest.mark.parametrize("block", [7, 100, 1249, 1, 3, 12, 40])
     def test_blocks_keep_the_bits(self, bifurcation, block, monkeypatch):
         # blocks of the stride, of a size the stride does not divide, and a
-        # last block of one step; the last step falls inside a block
+        # last block of one step; the last step falls inside a block. A
+        # block holds whole groups of steps: blocks below a group, and not
+        # a multiple of one, give the bits of whole groups
         import hemoflow.solver0d as solver0d
 
-        for net, dt in ((bifurcation, 1e-3), (asymmetric_tree_network(), 1e-4)):
+        for net, dt, K in self.networks(bifurcation):
             t_end, every = 1250 * dt, 7 * dt
             model = assemble_network(net, LIN, synthetic_inflow())
+            assert self.group_steps(model, dt) == K
             whole = model.integrate(dt, t_end, every)
             monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
             part = model.integrate(dt, t_end, every)
@@ -1127,6 +1143,77 @@ class TestStepMap:
             assert whole.t[-1] == t_end and whole.t.size == 180
             assert np.array_equal(part.t, whole.t)
             assert np.array_equal(part.y, whole.y)
+
+    @pytest.mark.parametrize("steps, stride", [(16 * 40 + 1, 1), (16 * 40 + 15, 7),
+                                               (16 * 40 + 9, 19), (16 * 40, 100)])
+    def test_steps_and_strides_of_any_size(self, bifurcation, steps, stride):
+        # runs that end inside a group of steps or at its end, sampled at
+        # every step, at a stride prime to the group and at strides longer
+        # than a group
+        for net, dt, K in self.networks(bifurcation):
+            model = assemble_network(net, LIN, synthetic_inflow())
+            got = model.integrate(dt, steps * dt, stride * dt)
+            ref = rk4_integrate(model.rhs, model.initial_state(), dt, steps * dt,
+                                stride * dt)
+            assert got.t.size == steps // stride + 1 + (steps % stride > 0)
+            assert np.array_equal(got.t, ref.t)
+            assert_same_run(LIN, got.y, ref.y, (K, steps, stride))
+
+    @pytest.mark.parametrize("K", [1, 2, 16])
+    def test_any_group_size_is_the_step_map(self, bifurcation, K, monkeypatch):
+        # one step a group is the plain step map, through the same code; the
+        # size of a group changes the rounding only
+        import hemoflow.solver0d as solver0d
+
+        monkeypatch.setattr(solver0d, "_group_steps", lambda n: K)
+        for net, dt, _ in self.networks(bifurcation):
+            model = assemble_network(net, LIN, synthetic_inflow())
+            assert self.group_steps(model, dt) == K
+            got = model.integrate(dt, 1250 * dt, 7 * dt)
+            ref = rk4_integrate(model.rhs, model.initial_state(), dt, 1250 * dt, 7 * dt)
+            assert np.array_equal(got.t, ref.t)
+            assert_same_run(LIN, got.y, ref.y, K)
+
+    def test_a_shorter_run_is_the_start_of_a_longer_one(self, bifurcation):
+        # bit for bit, whether the shorter run ends inside its first group
+        # of steps, inside a later one or at its end; perfbench checks a
+        # short frozen-area run of a tree, whose flags are the linear
+        # mode's, against the start of a linear run of the same tree
+        for net, dt, K in self.networks(bifurcation):
+            model = assemble_network(net, LIN, synthetic_inflow())
+            whole = model.integrate(dt, 1250 * dt, dt)
+            for steps in (3, 220, 224, 225, 1249):
+                part = model.integrate(dt, steps * dt, dt)
+                assert np.array_equal(part.t, whole.t[:steps + 1]), (K, steps)
+                assert np.array_equal(part.y, whole.y[:steps + 1]), (K, steps)
+        frozen = ModelMode(nonlinear_pressure=False, nonlinear_resistance=True,
+                           nonlinear_inductance=True, frozen_area=True)
+        inflow = synthetic_inflow()
+        short = run_0d(bifurcation, inflow, frozen, dt=1e-3, t_end=0.22)
+        long = run_0d(bifurcation, inflow, LIN, dt=1e-3, t_end=1.1)
+        for vid, series in short.vessels.items():
+            for ch in ("P", "Q", "A"):
+                assert np.array_equal(series[ch], long.vessels[vid][ch][:221]), (vid, ch)
+
+    @pytest.mark.parametrize("q, step", [(-700.0, 62), (-400.0, 109), (-650.0, 64),
+                                         (-450.0, 96)])
+    def test_collapse_inside_a_group_and_at_its_last_step(self, bifurcation, q, step):
+        # groups of 16 steps: a drained root collapses in a middle stage of
+        # steps 62 and 109, inside their groups, and of step 64, the last of
+        # its group, whose end state is the next group's start; and at the
+        # end of step 96, another group's last
+        dt = 1e-3
+        model = assemble_network(bifurcation, LIN, lambda t: q + 0.0 * np.asarray(t))
+        assert self.group_steps(model, dt) == 16
+        with pytest.raises(CollapseError) as generic:
+            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+        with pytest.raises(CollapseError) as mapped:
+            model.integrate(dt, 2.0)
+        where, V = str(mapped.value).rsplit(": ", 1)
+        expected, V_generic = str(generic.value).rsplit(": ", 1)
+        assert where == expected
+        assert math.ceil(float(where.rsplit("at t = ", 1)[1][:-2]) / dt) == step
+        assert float(V) == pytest.approx(float(V_generic), rel=1e-9)
 
     @pytest.mark.parametrize("network, dt, q, message", [
         ("bifurcation", 1e-3, -400.0,
