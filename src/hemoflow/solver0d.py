@@ -45,7 +45,9 @@ builds from (A, b, c) and the generic RK4 step, sharing identical
 subtrees through the same copies map. It runs groups of K steps: one
 matrix-vector product carries the state from a group's start to the
 next, and the steps inside the groups of a block are advanced together,
-one product call per step of a group. Its states agree with
+one product call per step of a group. The stage volumes of the collapse
+test are computed only for the steps that one bound per block does not
+show positive, none on a healthy run. Its states agree with
 ``rk4_integrate`` on ``rhs`` within round-off, not bit for bit; its
 times, failures and messages are those of the loop. Before stepping, it
 refuses a ``dt`` outside RK4's stability region for the eigenvalues of
@@ -913,9 +915,11 @@ def _rk4_array_step(rhs, dt):
     return step
 
 
-#: bytes of the largest per-block array of a step map run: small enough
-#: that the blocks add little to the largest resident size of a run, whose
-#: samples take more; larger blocks are no faster
+#: bytes of the largest per-block array of a step map run, sized by its
+#: widest rows a step, (the state, g) or the stage volumes of a step the
+#: screen does not clear: small enough that the blocks add little to the
+#: largest resident size of a run, whose samples take more; larger blocks
+#: are no faster
 _BLOCK_BYTES = 1 << 18
 
 #: the largest |R(dt λ)| the step-size check accepts, where R is RK4's
@@ -968,15 +972,22 @@ class _StepMap:
     of the group's steps, and 1, and H its forcing (M^(K-1-l) W for step
     l). Then the steps inside the groups of a block go from the groups'
     starts one step at a time, every group at once: one ``np.vecdot`` call
-    per step of a group gives the change of the state and of the stage
-    volumes, which the collapse test reads, and the state after a group's
-    last step is the next group's start. So a block of steps costs about
-    steps / K + K calls, where the plain map (K = 1) costs a few calls a
-    step. M^K - I and H are built by ``_product``, M^K - I by squaring in
-    change form. No BLAS matrix product enters the maps or the steps, and
-    blocks hold whole groups, so the bits of the run depend neither on the
-    block's size nor on BLAS's threads, and a shorter run's states are the
-    first states of a longer run of the same network, bit for bit.
+    per step of a group but the last gives the change of the n states, and
+    the state after a group's last step is the next group's start. So a
+    block of steps costs about steps / K + K calls, where the plain map
+    (K = 1) costs a few calls a step. M^K - I and H are built by
+    ``_product``, M^K - I by squaring in change form. No BLAS matrix product
+    enters the maps or the steps, and blocks hold whole groups, so the bits
+    of the run depend neither on the block's size nor on BLAS's threads,
+    and a shorter run's states are the first states of a longer run of the
+    same network, bit for bit.
+
+    The collapse test reads the volumes of the four RK4 stages of every
+    step. Their changes are 3 rows per compartment (``stages``), more than
+    half of all rows on the generated trees; they are computed only for the
+    steps that one bound per block (``screen``) does not show positive,
+    none on a healthy run, so a step costs n dot products, not
+    n + 3 x the compartments.
 
     The states of identical sibling subtrees are equal on every step of
     RK4; the map computes those of the first subtree only, by the model's
@@ -1014,17 +1025,20 @@ class _StepMap:
             F[:, n + 3] += c
             return F
 
-        step = _rk4_array_step(rhs, dt)(0.0, np.zeros((n, n + 4)))
-        #: [M - I | W] and the changes of the volumes in the last three
-        #: stages (the first is the state itself): one row each, maps of the
+        #: [M - I | W], the change of the state over a step, as a map of the
         #: state and its step's g
-        self.G = np.vstack([step, *(S[self.volumes] for S in stages[1:])])
+        G = self.G = _rk4_array_step(rhs, dt)(0.0, np.zeros((n, n + 4)))
+        #: the changes of the volumes in the last three stages (the first is
+        #: the state itself), stage by stage in plan order, as maps of the
+        #: same, and their magnitudes; they feed the collapse test only
+        self.stages = np.vstack([S[self.volumes] for S in stages[1:]])
+        self.magnitudes = np.abs(self.stages)
         K = self.K = _group_steps(n)
         # M^K - I by squaring, M^2k - I = 2 (M^k - I) + (M^k - I)^2, and the
         # forcing M^m W of a group's step K - 1 - m, by
         # M^m W = M^(m-1) W + (M - I) M^(m-1) W
-        D = self.G[:n, :n]
-        P, MW = D, [self.G[:n, n:]]
+        D = G[:, :n]
+        P, MW = D, [G[:, n:]]
         for _ in range(K.bit_length() - 1):
             P = P + (P + _product(P, P))
         for _ in range(K - 1):
@@ -1067,7 +1081,10 @@ class _StepMap:
         vessel and compartment at the stage's time, and a sampled state
         that is not finite."""
         y, K = self.y0, self.K
-        block = min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // (8 * self.G.shape[0])))
+        # the widest per-step rows a block allocates: (the state, g), and
+        # the stage volumes of the steps the screen does not clear
+        width = max(self.n + 4, 4 * len(self.volumes))
+        block = min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // (8 * width)))
         block = K * max(1, block // K)  # whole groups, counted from step 0
         for first in range(0, n_steps, block):
             y = self.block(y, first, min(first + block, n_steps), n_steps, stride,
@@ -1078,8 +1095,9 @@ class _StepMap:
         """Steps ``first`` + 1 to ``stop`` from the state ``y``, sampled as
         ``run`` samples them; returns the last state. ``first`` starts a
         group of K steps, and the block's last group is padded with steps
-        of zero inflow, whose states are not kept. The block's arrays are
-        freed on return."""
+        of zero inflow, whose states are not kept. The stage volumes are
+        computed only for the steps that ``screen`` does not clear, none on
+        a healthy run. The block's arrays are freed on return."""
         dt, n, K, volumes = self.dt, self.n, self.K, self.volumes
         G, vecdot = self.G, np.vecdot
         m = stop - first
@@ -1097,25 +1115,25 @@ class _StepMap:
         for x, e in zip(X, X[1:, :n]):
             vecdot(self.P, x, out=e)
             e += x[:n]
-        # then, from the groups' starts, each step's change of the state and
-        # of its stage volumes, a step of every group at a time, from
-        # Z = (the state, g); the state after a group's last step is the
-        # next group's start
+        # then, from the groups' starts, each step's change of the state, a
+        # step of every group at a time, from Z = (the state, g); the state
+        # after a group's last step is the next group's start
         Z = np.empty((groups * K + 1, n + 4))
         Z[::K, :n] = X[:, :n]
         Z[:-1, n:-1] = q
         Z[:, -1] = 1.0
-        C = np.empty((groups, K, len(G)))
+        C = np.empty((groups, n))
         for i in range(K - 1):
             z = Z[i:-1:K]
-            vecdot(G, z[:, None], out=C[:, i])
-            np.add(z[:, :n], C[:, i, :n], out=Z[i + 1::K, :n])
-        vecdot(G[n:], Z[K - 1:-1:K, None], out=C[:, -1, n:])
-        # the volumes of each step's stages, (step, stage, compartment): the
-        # state's, and the state's plus their change
-        V = np.empty((m, 4, len(volumes)))
-        V[:, 0] = Z[:m, volumes]
-        V[:, 1:] = C.reshape(groups * K, -1)[:m, n:].reshape(m, 3, -1)
+            vecdot(G, z[:, None], out=C)
+            np.add(z[:, :n], C, out=Z[i + 1::K, :n])
+        # the volumes of the stages of the steps not cleared, (step, stage,
+        # compartment): the state's, and the state's plus their change
+        kept = self.screen(Z[:-1], m)
+        x = Z[kept]
+        V = np.empty((kept.size, 4, len(volumes)))
+        V[:, 0] = x[:, volumes]
+        V[:, 1:] = vecdot(self.stages, x[:, None]).reshape(V[:, 1:].shape)
         V[:, 1:] += V[:, :1]
         steps = np.arange(first + 1, stop + 1)
         sampled = (steps % stride == 0) | (steps == last)
@@ -1123,21 +1141,77 @@ class _StepMap:
         collapsed = V <= 0.0  # NaN is no collapse, as in the run loop
         infinite = ~np.isfinite(S).all(axis=1)
         if collapsed.any() or infinite.any():
-            self.fail(first, V, collapsed, steps[sampled][infinite])
+            self.fail(steps[kept], V, collapsed, steps[sampled][infinite])
         times.extend((steps[sampled] * dt).tolist())
         samples.frombytes(S[:, self.expand].tobytes())
         return Z[m, :n].copy()
 
-    def fail(self, first: int, V: np.ndarray, collapsed: np.ndarray,
+    def screen(self, x: np.ndarray, m: int) -> np.ndarray:
+        """The indices of the first ``m`` rows of ``x`` whose stage volumes
+        must be computed. Each row x_s = (the start state, g) is a step of a
+        block, in whole groups of K (the rows past ``m`` pad the last
+        group); the screen clears a step when one bound for the block shows
+        that each of its stage volumes, computed as ``block`` computes
+        them, fl(V_s + fl(g . x_s)) for each stage row g of a compartment of
+        start volume V_s, is positive.
+
+        The bound. Take the block's first step as the reference x_r. For
+        each stage row g, B = |g . x_r| + |g| . (D + c |x_r|), where D_j is
+        max(max_s x_sj - x_rj, x_rj - min_s x_sj) over every row, not less
+        than |x_sj - x_rj| on any step, and c = 4 N u, with N = n + 4, the
+        terms of a row, and u = 2^-53. That is two products per block.
+        A step is cleared when each compartment's start volume V_s > 2 B
+        for each of its three stage rows.
+
+        Proof that a cleared step's stage volumes are positive, in double
+        arithmetic without underflow or overflow. Each operation but a dot
+        product is off by a factor 1 + e, |e| <= u; a dot product of N
+        terms, in any order of its sums, is off by at most
+        gamma |g| . |x|, gamma = N u / (1 - N u) (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 3.1). With
+        d = x_s - x_r and b = fl(g . x_r), which is within gamma |g| . |x_r|
+        of g . x_r,
+            |fl(g . x_s)| <= |g . x_s| + gamma |g| . |x_s|
+                          <= |g . x_r| + (1 + gamma) |g| . |d| + gamma |g| . |x_r|
+                          <= |b| + (1 + gamma) |g| . |d| + 2 gamma |g| . |x_r|.
+        The computed D_j is at least (1 - u) |d_j|, and 2 gamma <= c while
+        N u <= 1/2, so
+            |fl(g . x_s)| <= (1 + gamma) / (1 - u) (|b| + |g| . (D + c |x_r|)).
+        The computed w of D + c |x_r| is at least (1 - u)^2 (D + c |x_r|),
+        the computed S of |g| . w, a sum of terms that are not negative, at
+        least (1 - gamma) |g| . w, and the computed B at least
+        (1 - u) (|b| + S). So
+            |fl(g . x_s)| <= (1 + gamma) / ((1 - gamma) (1 - u)^4) B <= 2 B
+        for N < 2^50, and on a cleared step V_s > 2 B >= |fl(g . x_s)|: the
+        exact sum V_s + fl(g . x_s) is positive, and so is its rounding.
+        The test is written not (V_s > 2 B): a NaN or an infinite value in
+        any row makes D, and so every B, NaN or infinite (0 inf is NaN),
+        and no step of the block is cleared."""
+        r, K = x[0], self.K
+        # a group a row: a reduction over rows of a few values is slow
+        by_group = x.reshape(-1, K * x.shape[1])
+        hi = by_group.max(axis=0).reshape(K, -1).max(axis=0)
+        lo = by_group.min(axis=0).reshape(K, -1).min(axis=0)
+        # a non-finite value or an overflow makes B NaN or infinite, which
+        # keeps the steps: it is the verdict, not a fault to warn of
+        with np.errstate(invalid="ignore", over="ignore"):
+            D = np.maximum(hi - r, r - lo)
+            w = D + (self.n + 4) * 2.0**-51 * np.abs(r)
+            B = np.abs(np.vecdot(self.stages, r)) + np.vecdot(self.magnitudes, w)
+            bound = 2.0 * B.reshape(3, -1).max(axis=0)
+        return np.flatnonzero(~(x[:m, self.volumes] > bound).all(axis=1))
+
+    def fail(self, steps: np.ndarray, V: np.ndarray, collapsed: np.ndarray,
              infinite: np.ndarray):
-        """Raise the first failure of a block of steps from ``first``: a
-        collapse in (step, stage, plan) order, or a non-finite sample at
-        one of the steps ``infinite``, which step n's collapse precedes."""
+        """Raise the first failure of a block: a collapse in (step, stage,
+        plan) order among the steps ``steps``, the rows of ``V``, or a
+        non-finite sample at one of the steps ``infinite``, which step n's
+        collapse precedes."""
         dt = self.dt
         if collapsed.any():
             i, stage, k = np.unravel_index(np.argmax(collapsed), collapsed.shape)
-            if not infinite.size or first + i + 1 <= infinite[0]:
-                t = int(first + i) * dt
+            if not infinite.size or steps[i] <= infinite[0]:
+                t = int(steps[i] - 1) * dt
                 t = t + (0.0, 0.5 * dt, 0.5 * dt, dt)[stage]
                 _, _, vid, part = self.model._compartments[k]
                 raise _volume_collapse(float(V[i, stage, k]), vid, part, t)

@@ -1256,20 +1256,206 @@ class TestStepMap:
             run_0d(bifurcation, inflow, LIN, dt=1e-3, t_end=0.2, sample_interval=0.01)
 
     def test_blocks_are_bounded_on_a_long_run(self, bifurcation):
-        # 200 000 steps, whose forcing would take 29 MiB in one array; the
-        # run's peak is 0.9 MiB, blocks of 256 KiB arrays and the samples
+        # 200 000 steps, whose forcing would take 29 MiB in one array on the
+        # bifurcation; the run's peak is blocks of at most 256 KiB arrays and
+        # the samples: 0.7 MiB on the bifurcation, 1.1 MiB on a 59-state
+        # tree, whose samples take 0.45 MiB
         import tracemalloc
 
-        model = assemble_network(bifurcation, LIN, synthetic_inflow())
-        model.integrate(1e-3, 0.01)  # compiled before tracing
-        tracemalloc.start()
-        try:
-            integ = model.integrate(1e-5, 2.0, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert integ.t.size == 2001
-        assert peak < 2 * 2**20
+        from test_solver1d import _netgen
+
+        tree = parse_network(_netgen().make_tree(5, 8).to_text())
+        for net, every, samples in ((bifurcation, 1e-3, 2001), (tree, 2e-3, 1001)):
+            model = assemble_network(net, LIN, synthetic_inflow())
+            model.integrate(1e-3, 0.01)  # compiled before tracing
+            tracemalloc.start()
+            try:
+                integ = model.integrate(1e-5, 2.0, every)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert integ.t.size == samples
+            assert peak < 2 * 2**20, model.dim
+
+
+def screen(stages, volumes, K, x, m):
+    """``_StepMap.screen`` of a made-up step map of ``len(x[0]) - 4``
+    computed states, given its stage rows and the positions of its
+    compartments' volumes, on the rows ``x`` of a block of ``m`` steps."""
+    from types import SimpleNamespace
+
+    from hemoflow.solver0d import _StepMap
+
+    made_up = SimpleNamespace(n=x.shape[1] - 4, K=K, volumes=volumes,
+                              stages=stages, magnitudes=np.abs(stages))
+    return _StepMap.screen(made_up, x, m)
+
+
+def stage_volumes(stages, volumes, x):
+    """The volumes of the stages of the steps ``x``, (step, stage,
+    compartment), as the step map computes them on every step: the start
+    volume, and the start volume plus the stage row's dot product."""
+    V = np.empty((len(x), 4, len(volumes)))
+    V[:, 0] = x[:, volumes]
+    V[:, 1:] = np.vecdot(stages, x[:, None]).reshape(V[:, 1:].shape)
+    V[:, 1:] += V[:, :1]
+    return V
+
+
+@st.composite
+def screened_blocks(draw):
+    """(stage rows, volume positions, K, rows, steps) of a made-up block:
+    1 to 8 states, 1 to 3 compartments, groups of 1, 2 or 4 steps, the last
+    group padded. The volumes start at 1 to 2^-60 and fall towards 0
+    across the block, or past it. The stage rows differ in scale by up to
+    2^30, and none, some or all of them cancel at the block's first step
+    to round-off; the other states move from it by 2^-30 to 2^10 times the
+    smallest start volume, up, down or both ways."""
+    from hypothesis.extra.numpy import arrays
+
+    n = draw(st.integers(1, 8))
+    nc = draw(st.integers(1, min(n, 3)))
+    volumes = np.array(draw(st.permutations(range(n)))[:nc])
+    K = draw(st.sampled_from([1, 2, 4]))
+    rows = K * draw(st.integers(1, 3))
+    m = draw(st.integers(rows - K + 1, rows))
+    finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+    x = np.empty((rows, n + 4))
+    x[0] = draw(arrays(np.float64, n + 4, elements=finite))
+    x[:, -1] = 1.0
+    start = 2.0 ** -draw(arrays(np.int64, nc, elements=st.integers(0, 60)))
+    drain = draw(st.floats(0.0, 1.5))
+    x[:, volumes] = start * (1.0 - drain * np.arange(rows) / rows)[:, None]
+    stages = draw(arrays(np.float64, (3 * nc, n + 4), elements=st.just(0.0) | finite))
+    stages *= 2.0 ** -draw(arrays(np.int64, (3 * nc, 1), elements=st.integers(0, 30)))
+    cancel = draw(st.sampled_from(["none", "some", "all"]))
+    cancelled = (draw(arrays(bool, 3 * nc)) if cancel == "some"
+                 else np.full(3 * nc, cancel == "all"))
+    stages[cancelled, -1] -= np.vecdot(stages[cancelled], x[0])
+    moved = np.ones(n + 4, dtype=bool)
+    moved[volumes] = moved[-1] = False
+    moves = draw(arrays(np.float64, (rows - 1, int(moved.sum())),
+                        elements=st.floats(-1.0, 1.0)))
+    moves *= {"both": 1.0, "up": np.sign(moves), "down": -np.sign(moves)}[
+        draw(st.sampled_from(["both", "up", "down"]))]
+    x[1:, moved] = x[0, moved] + start.min() * 2.0 ** draw(st.integers(-30, 10)) * moves
+    return stages, volumes, K, x, m
+
+
+class TestStageScreen:
+    """The step map computes the stage volumes of a step only where one
+    bound per block (``_StepMap.screen``) does not show them positive."""
+
+    @given(block=screened_blocks())
+    def test_a_cleared_step_has_positive_stage_volumes(self, block):
+        stages, volumes, K, x, m = block
+        kept = screen(stages, volumes, K, x, m)
+        assert ((kept >= 0) & (kept < m)).all() and (np.diff(kept) > 0).all()
+        cleared = np.setdiff1d(np.arange(m), kept)
+        assert (stage_volumes(stages, volumes, x[cleared]) > 0.0).all()
+
+    @given(block=screened_blocks(), where=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_a_non_finite_value_leaves_its_step_uncleared(self, block, where, value):
+        stages, volumes, K, x, m = block
+        step, column = where[0] % m, where[1] % x.shape[1]
+        x[step, column] = value
+        assert step in screen(stages, volumes, K, x, m)
+
+    @pytest.mark.parametrize("row", range(6))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_each_stage_row_bounds_its_compartment(self, row, sign):
+        # two compartments, the volumes of states 0 and 2; the rows go
+        # stage by stage, so row r is compartment r % 2's. One step moves
+        # state 1 up or down by 2^-19, which the row reads: its stage volume
+        # falls from 2^-20 to -2^-20, while the other compartment holds 1
+        volumes = np.array([0, 2])
+        stages = np.zeros((6, 8))
+        stages[row, 1] = sign
+        x = np.zeros((2, 8))
+        x[:, volumes] = 1.0
+        x[:, volumes[row % 2]] = 2.0**-20
+        x[1, 1] = -sign * 2.0**-19
+        assert (stage_volumes(stages, volumes, x)[1] <= 0.0).any()
+        assert 1 in screen(stages, volumes, 1, x, 2)
+
+    def test_rounding_of_a_cancelling_row_is_bounded(self):
+        # g . x_r = -1 + 1 + p rounds to 0.0 when p is just below half an
+        # ulp of 1, and g . x_s to +-2^-52 when p is just above it, for some
+        # placing of the three terms whatever order the dot product sums
+        # them in; the step moves 2^-72, so 2 (|g . x_r| + |g| . D) is
+        # 2^-71, far below the volume 2^-60, and only the bound's rounding
+        # term keeps such a step
+        from itertools import permutations
+
+        n = 4
+        collapses = 0
+        for i, j, k in permutations(range(n + 4), 3):
+            v = next((p for p in range(n) if p not in (i, j, k)), None)
+            if v is None:
+                continue
+            for sign in (1.0, -1.0):
+                stages = np.zeros((3, n + 4))
+                stages[0, [i, j, k]] = sign * np.array([-1.0, 1.0, 1.0])
+                x = np.zeros((2, n + 4))
+                x[:, [i, j, v]] = [1.0, 1.0, 2.0**-60]
+                x[:, k] = 2.0**-53 * (1.0 - 2.0**-20), 2.0**-53 * (1.0 + 2.0**-20)
+                V = stage_volumes(stages, np.array([v]), x)
+                kept = screen(stages, np.array([v]), 1, x, 2)
+                collapsed = np.flatnonzero((V <= 0.0).any(axis=(1, 2)))
+                assert np.isin(collapsed, kept).all(), (i, j, k, sign)
+                collapses += collapsed.size
+        assert collapses > 0
+
+    @pytest.mark.parametrize("network, dt, q", [
+        ("bifurcation", 1e-3, -700.0), ("bifurcation", 1e-3, -650.0),
+        ("bifurcation", 1e-3, -450.0), ("bifurcation", 1e-3, -400.0),
+        ("asymmetric_tree", 1e-4, -1000.0)])
+    def test_screening_keeps_the_bits_and_the_collapse(self, bifurcation, network, dt,
+                                                       q, monkeypatch):
+        # the drained roots of TestStepMap collapse at steps 62, 64, 96 and
+        # 109 of the bifurcation and 51 of the tree: a map whose screen
+        # clears no step, and so computes every step's stage volumes, fails
+        # there with the same message, and runs a healthy inflow to the
+        # same bits
+        from hemoflow.solver0d import _StepMap
+
+        net = bifurcation if network == "bifurcation" else asymmetric_tree_network()
+        results = []
+        for screened in (True, False):
+            if not screened:
+                monkeypatch.setattr(_StepMap, "screen", lambda self, x, m: np.arange(m))
+            healthy = assemble_network(net, LIN, synthetic_inflow())
+            drained = assemble_network(net, LIN, lambda t: q + 0.0 * np.asarray(t))
+            with pytest.raises(CollapseError) as exc:
+                drained.integrate(dt, 2.0)
+            results.append((healthy.integrate(dt, 1250 * dt, 7 * dt), str(exc.value)))
+        (a, failure), (b, expected) = results
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
+        assert failure == expected
+
+    @pytest.mark.parametrize("network, cycles", [("bifurcation", 16), ("s5/8", 8)])
+    def test_healthy_runs_compute_no_stage_volumes(self, bifurcation, network, cycles,
+                                                   monkeypatch):
+        # the gain of the screen: on 17 600 and 8 800 steps it clears every
+        # step, so a loosened bound that keeps steps shows here
+        from hemoflow.solver0d import _StepMap
+        from test_solver1d import _netgen
+
+        net = (bifurcation if network == "bifurcation"
+               else parse_network(_netgen().make_tree(5, 8).to_text()))
+        steps, kept = [], []
+        screen_of = _StepMap.screen
+
+        def counted(self, x, m):
+            rows = screen_of(self, x, m)
+            steps.append(m)
+            kept.append(rows.size)
+            return rows
+
+        monkeypatch.setattr(_StepMap, "screen", counted)
+        assemble_network(net, LIN, synthetic_inflow()).integrate(1e-3, cycles * 1.1, 1e-3)
+        assert sum(steps) == cycles * 1100 and sum(kept) == 0
 
 
 #: the modes that run the generated loop: every flag off runs the step map
