@@ -5,9 +5,13 @@ The network file format is line-oriented text with ``[section]`` headers and
 are CGS.
 
 A sampled series is a CSV file: the header ``t,P,Q,A``, then one line per
-sample with every value formatted as ``"%.9e"``. ``write_series`` makes that
-text with numpy, a block of rows at a time, and its bytes are those of
-formatting each value on its own; ``read_series`` reads the file back.
+sample with every value formatted as ``"%.9e"``. ``write_series`` makes its
+bytes with numpy, a block of rows at a time: each value in a NUL-padded
+slot of fixed width, the NULs dropped by ``bytes.translate``, and the bytes
+written to a binary file as they are, with no text decoding; they are the
+bytes of formatting each value on its own. ``read_series`` reads the header
+line, then has ``np.loadtxt`` read the rows from the file's path, which it
+reads in chunks.
 """
 
 from __future__ import annotations
@@ -496,6 +500,7 @@ def aortic_bifurcation() -> Network:
 _FMT = "{:.9e}"
 
 SERIES_COLUMNS = ("t", "P", "Q", "A")
+_HEADER = (",".join(SERIES_COLUMNS) + "\n").encode("ascii")
 
 
 #: rows formatted per numpy pass: the scratch arrays of a pass stay under
@@ -521,21 +526,21 @@ _EXP_TAIL_COMMA = _pairs(*(e[2] + "," for e in _EXPONENTS))
 _EXP_TAIL_NEWLINE = _pairs(*(e[2] + "\n" for e in _EXPONENTS))
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """CSV lines of an (n, 4) float block, each value as "%.9e" would
-    format it.
+def _format_rows(rows: np.ndarray) -> bytes:
+    """CSV lines of an (n, 4) float block, in ASCII, each value as "%.9e"
+    would format it.
 
     Each value fills an 18-byte slot of nine character pairs,
     NUL-padded on the left: ``"\\0s" "d." "dd" "dd" "dd" "dd" "de" "sd"
     "d,"``, where s is the sign or NUL and the last byte is the column
-    separator; the NULs are dropped at the end. The 10-digit mantissa is
-    rint(m) for m = |x| * 10**(9 - e), e = floor(log10|x|). The power and
-    the product round once each, so m is within 2.3e-6 of its exact value
-    below 1e10. Where 1e9 <= m < 1e10 - 1 and m is more than 1e-4 from a
-    half-integer, rint(m) is the correctly rounded mantissa that "%.9e"
-    prints with the exponent e (an exact value just below 1e9 rounds up to
-    1e9 either way). Zeros take this path with mantissa 0 and exponent 0.
-    Every other value (non-finite, subnormal, a 3-digit exponent, a
+    separator; ``bytes.translate`` drops the NULs at the end. The 10-digit
+    mantissa is rint(m) for m = |x| * 10**(9 - e), e = floor(log10|x|). The
+    power and the product round once each, so m is within 2.3e-6 of its
+    exact value below 1e10. Where 1e9 <= m < 1e10 - 1 and m is more than
+    1e-4 from a half-integer, rint(m) is the correctly rounded mantissa that
+    "%.9e" prints with the exponent e (an exact value just below 1e9 rounds
+    up to 1e9 either way). Zeros take this path with mantissa 0 and exponent
+    0. Every other value (non-finite, subnormal, a 3-digit exponent, a
     near-tie or a log10 off by one) takes its slot from "%.9e" itself.
     """
     x = rows.ravel()
@@ -574,8 +579,7 @@ def _format_rows(rows: np.ndarray) -> str:
         text = "".join(("%.9e" % v).rjust(17, "\0") for v in x[fallback].tolist())
         chars[fallback, :17] = np.frombuffer(text.encode("ascii"),
                                              dtype=np.uint8).reshape(-1, 17)
-    chars = chars.ravel()
-    return chars[chars != 0].tobytes().decode("ascii")
+    return chars.tobytes().translate(None, b"\0")
 
 
 def write_series(path, t, P, Q, A) -> None:
@@ -590,8 +594,8 @@ def write_series(path, t, P, Q, A) -> None:
         raise ValueError("series columns have mismatched lengths")
     rows = np.column_stack(arrays)
     try:
-        with path.open("w") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
+        with path.open("wb") as fh:
+            fh.write(_HEADER)
             for start in range(0, n, _BLOCK_ROWS):
                 fh.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
     except OSError as exc:
@@ -604,12 +608,14 @@ def read_series(path) -> dict[str, np.ndarray]:
     try:
         with path.open() as fh:
             names = [name.strip() for name in fh.readline().split(",")]
-            rows = fh.readlines()
+            empty = not fh.readline()
+        if empty:  # loadtxt would warn of a file with no rows
+            return {name: np.array([]) for name in SERIES_COLUMNS}
+        # given the path, loadtxt's own reader reads the file in chunks,
+        # where an open file would be read a line at a time
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     except OSError as exc:
         raise OSError(f"cannot read series from {path}: {exc}") from exc
-    if not rows:
-        return {name: np.array([]) for name in SERIES_COLUMNS}
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} columns under a header of "
                          f"{len(names)} names")

@@ -748,20 +748,26 @@ class NetworkModel0D:
         the tables, the loop, and the building of a step map."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
         y = self.initial_state()
-        times, samples = [0.0], array("d", y)
         if not any(self.mode.flags):
             self._evaluate  # compiled, if it must be, before the clock starts
             start = time.thread_time()
-            _StepMap(self, y, dt).run(n_steps, stride, times, samples)
-        else:
-            run = self._run  # compiled, if it must be, before the clock starts
-            y = y.tolist()
-            start = time.thread_time()
-            for first in range(0, n_steps, _BLOCK_STEPS):
-                stop = min(first + _BLOCK_STEPS, n_steps)
-                y = run(y, 0.0, first, dt,
-                        *_inflow_tables(self.inflow, first, stop, dt),
-                        stride, n_steps, times, samples)
+            # every stride-th step and the last, each sample's row written
+            # once by the block that reaches it
+            steps = np.append(np.arange(0, n_steps, stride), n_steps)
+            Y = np.empty((steps.size, self.dim))
+            Y[0] = y
+            _StepMap(self, y, dt).run(n_steps, stride, Y[1:])
+            return Integration(t=steps * dt, y=Y,
+                               cpu_seconds=time.thread_time() - start)
+        run = self._run  # compiled, if it must be, before the clock starts
+        times, samples = [0.0], array("d", y)
+        y = y.tolist()
+        start = time.thread_time()
+        for first in range(0, n_steps, _BLOCK_STEPS):
+            stop = min(first + _BLOCK_STEPS, n_steps)
+            y = run(y, 0.0, first, dt,
+                    *_inflow_tables(self.inflow, first, stop, dt),
+                    stride, n_steps, times, samples)
         cpu = time.thread_time() - start
         return Integration(t=np.array(times),
                            y=np.frombuffer(samples).reshape(len(times), -1),
@@ -1073,13 +1079,13 @@ class _StepMap:
             f"linear 0D network: the largest stable step is {stable:.4g} s, and "
             f"the fastest-growing mode is dominated by vessel {vid!r}")
 
-    def run(self, n_steps: int, stride: int, times: list, samples: array) -> None:
-        """Steps 1 to ``n_steps`` from the initial state, appending every
-        ``stride``-th state and the last, and their times, to ``samples``
-        and ``times``. Raises the run loop's errors at its first failure:
-        a stage volume that is not positive, as ``_volume_collapse`` of its
-        vessel and compartment at the stage's time, and a sampled state
-        that is not finite."""
+    def run(self, n_steps: int, stride: int, out: np.ndarray) -> None:
+        """Steps 1 to ``n_steps`` from the initial state, writing every
+        ``stride``-th state and the last, in order, to the rows of ``out``
+        (the model's states, copies included). Raises the run loop's errors
+        at its first failure: a stage volume that is not positive, as
+        ``_volume_collapse`` of its vessel and compartment at the stage's
+        time, and a sampled state that is not finite."""
         y, K = self.y0, self.K
         # the widest per-step rows a block allocates: (the state, g), and
         # the stage volumes of the steps the screen does not clear
@@ -1087,17 +1093,16 @@ class _StepMap:
         block = min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // (8 * width)))
         block = K * max(1, block // K)  # whole groups, counted from step 0
         for first in range(0, n_steps, block):
-            y = self.block(y, first, min(first + block, n_steps), n_steps, stride,
-                           times, samples)
+            y = self.block(y, first, min(first + block, n_steps), n_steps, stride, out)
 
     def block(self, y: np.ndarray, first: int, stop: int, last: int, stride: int,
-              times: list, samples: array) -> np.ndarray:
-        """Steps ``first`` + 1 to ``stop`` from the state ``y``, sampled as
-        ``run`` samples them; returns the last state. ``first`` starts a
-        group of K steps, and the block's last group is padded with steps
-        of zero inflow, whose states are not kept. The stage volumes are
-        computed only for the steps that ``screen`` does not clear, none on
-        a healthy run. The block's arrays are freed on return."""
+              out: np.ndarray) -> np.ndarray:
+        """Steps ``first`` + 1 to ``stop`` from the state ``y``, sampled into
+        ``out`` as ``run`` samples them; returns the last state. ``first``
+        starts a group of K steps, and the block's last group is padded with
+        steps of zero inflow, whose states are not kept. The stage volumes
+        are computed only for the steps that ``screen`` does not clear, none
+        on a healthy run. The block's arrays are freed on return."""
         dt, n, K, volumes = self.dt, self.n, self.K, self.volumes
         G, vecdot = self.G, np.vecdot
         m = stop - first
@@ -1142,8 +1147,11 @@ class _StepMap:
         infinite = ~np.isfinite(S).all(axis=1)
         if collapsed.any() or infinite.any():
             self.fail(steps[kept], V, collapsed, steps[sampled][infinite])
-        times.extend((steps[sampled] * dt).tolist())
-        samples.frombytes(S[:, self.expand].tobytes())
+        # the samples before this block's: every stride-th of steps 1 to
+        # first. The copies map is in range, and take's default mode would
+        # buffer its output
+        row = first // stride
+        np.take(S, self.expand, axis=1, out=out[row:row + len(S)], mode="clip")
         return Z[m, :n].copy()
 
     def screen(self, x: np.ndarray, m: int) -> np.ndarray:
@@ -1156,34 +1164,46 @@ class _StepMap:
         start volume V_s, is positive.
 
         The bound. Take the block's first step as the reference x_r. For
-        each stage row g, B = |g . x_r| + |g| . (D + c |x_r|), where D_j is
-        max(max_s x_sj - x_rj, x_rj - min_s x_sj) over every row, not less
-        than |x_sj - x_rj| on any step, and c = 4 N u, with N = n + 4, the
-        terms of a row, and u = 2^-53. That is two products per block.
-        A step is cleared when each compartment's start volume V_s > 2 B
-        for each of its three stage rows.
+        each stage row g, B = |g . x_r| + |g| . D + c (|g| . |x_r|) + lambda,
+        where D_j is max(max_s x_sj - x_rj, x_rj - min_s x_sj) over every row,
+        not less than |x_sj - x_rj| on any step, c = 4 N u, with N = n + 4,
+        the terms of a row, u = 2^-53, and lambda = 2^-1022, the smallest
+        normal double. That is three products per block, summed in that
+        order. A step is cleared when each compartment's start volume
+        V_s > 2 B for each of its three stage rows.
 
         Proof that a cleared step's stage volumes are positive, in double
-        arithmetic without underflow or overflow. Each operation but a dot
-        product is off by a factor 1 + e, |e| <= u; a dot product of N
+        arithmetic without overflow, with gradual underflow. A sum or a
+        difference is off by a factor 1 + e, |e| <= u, and a product by that
+        and an absolute error eta, |eta| <= u lambda, so a dot product of N
         terms, in any order of its sums, is off by at most
-        gamma |g| . |x|, gamma = N u / (1 - N u) (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2002, section 3.1). With
-        d = x_s - x_r and b = fl(g . x_r), which is within gamma |g| . |x_r|
-        of g . x_r,
-            |fl(g . x_s)| <= |g . x_s| + gamma |g| . |x_s|
-                          <= |g . x_r| + (1 + gamma) |g| . |d| + gamma |g| . |x_r|
-                          <= |b| + (1 + gamma) |g| . |d| + 2 gamma |g| . |x_r|.
-        The computed D_j is at least (1 - u) |d_j|, and 2 gamma <= c while
-        N u <= 1/2, so
-            |fl(g . x_s)| <= (1 + gamma) / (1 - u) (|b| + |g| . (D + c |x_r|)).
-        The computed w of D + c |x_r| is at least (1 - u)^2 (D + c |x_r|),
-        the computed S of |g| . w, a sum of terms that are not negative, at
-        least (1 - gamma) |g| . w, and the computed B at least
-        (1 - u) (|b| + S). So
-            |fl(g . x_s)| <= (1 + gamma) / ((1 - gamma) (1 - u)^4) B <= 2 B
-        for N < 2^50, and on a cleared step V_s > 2 B >= |fl(g . x_s)|: the
-        exact sum V_s + fl(g . x_s) is positive, and so is its rounding.
+        gamma |g| . |x| + mu, gamma = N u / (1 - N u), mu = (1 + gamma) N u
+        lambda (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        sections 2.1 and 3.1). With d = x_s - x_r and b = fl(g . x_r), which
+        is within gamma |g| . |x_r| + mu of g . x_r,
+            |fl(g . x_s)| <= |g . x_s| + gamma |g| . |x_s| + mu
+                          <= |g . x_r| + (1 + gamma) |g| . |d| + gamma |g| . |x_r| + mu
+                          <= |b| + (1 + gamma) |g| . |d| + 2 gamma |g| . |x_r| + 2 mu.
+        A difference does not underflow, so the computed D_j is at least
+        (1 - u) |d_j|. The computed dot products of |g|, sums of terms that
+        are not negative, are at least (1 - gamma) |g| . D - mu and
+        (1 - gamma) |g| . |x_r| - mu, the computed c times the second at least
+        (1 - u) c ((1 - gamma) |g| . |x_r| - mu) - u lambda, and each of the
+        three sums of B, of terms that are not negative, is off by at most a
+        factor 1 - u. So 2 B is at least 2 (1 - u)^3 times
+            |b| + (1 - u) (1 - gamma) (|g| . |d| + c |g| . |x_r|)
+                + lambda (1 - u) - (1 + c) mu.
+        For N < 2^50, N u < 2^-3, gamma <= 2 N u = c / 2 and mu < lambda / 6,
+        and term by term this bounds |fl(g . x_s)| above:
+        1 + gamma <= 2 (1 - u)^4 (1 - gamma), 2 gamma <= 2 (1 - u)^4
+        (1 - gamma) c, and 2 mu <= 2 (1 - u)^3 (lambda (1 - u) - (1 + c) mu).
+        So on a cleared step V_s > 2 B >= |fl(g . x_s)|: the
+        exact sum V_s + fl(g . x_s) is positive, a multiple of 2^-1074, and
+        so is its rounding. Without lambda, B rounds to 0.0 where the terms
+        of its products underflow, while a product of g . x_s rounds to
+        -2^-1074 against a start volume of 2^-1074. Without taking c out of
+        the product, c |x_r| would underflow by up to u lambda, an error that
+        a large |g| would multiply past lambda.
         The test is written not (V_s > 2 B): a NaN or an infinite value in
         any row makes D, and so every B, NaN or infinite (0 inf is NaN),
         and no step of the block is cleared."""
@@ -1196,8 +1216,9 @@ class _StepMap:
         # keeps the steps: it is the verdict, not a fault to warn of
         with np.errstate(invalid="ignore", over="ignore"):
             D = np.maximum(hi - r, r - lo)
-            w = D + (self.n + 4) * 2.0**-51 * np.abs(r)
-            B = np.abs(np.vecdot(self.stages, r)) + np.vecdot(self.magnitudes, w)
+            B = (np.abs(np.vecdot(self.stages, r)) + np.vecdot(self.magnitudes, D)
+                 + (self.n + 4) * 2.0**-51 * np.vecdot(self.magnitudes, np.abs(r))
+                 + 2.0**-1022)
             bound = 2.0 * B.reshape(3, -1).max(axis=0)
         return np.flatnonzero(~(x[:m, self.volumes] > bound).all(axis=1))
 

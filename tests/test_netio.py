@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -597,11 +598,24 @@ class TestSeriesPersistence:
                 assert np.array_equal(data[name], ref[name])
 
     def test_read_header_only(self, tmp_path):
+        # empty columns, and no "input contained no data" warning of loadtxt
         path = tmp_path / "e.csv"
         write_series(path, [], [], [], [])
-        data = read_series(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = read_series(path)
         assert list(data) == ["t", "P", "Q", "A"]
         assert all(v.size == 0 for v in data.values())
+
+    def test_read_skips_comments_and_blank_lines(self, tmp_path):
+        # loadtxt's default comments, "#", after the header line
+        path = tmp_path / "c.csv"
+        path.write_text("t,P,Q,A\n# first sample\n0.0,1.0,2.0,3.0\n\n"
+                        "1.0,4.0,5.0,6.0  # last\n")
+        data = read_series(path)
+        assert list(data) == ["t", "P", "Q", "A"]
+        assert np.array_equal(np.column_stack(list(data.values())),
+                              [[0.0, 1.0, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]])
 
     def test_read_errors(self, tmp_path):
         with pytest.raises(OSError, match="cannot read series from"):
@@ -609,6 +623,9 @@ class TestSeriesPersistence:
         path = tmp_path / "bad.csv"
         path.write_text("t,P,Q,A\n0.0,1.0,2.0\n")
         with pytest.raises(ValueError, match="3 columns under a header of 4"):
+            read_series(path)
+        path.write_text("t,P,Q,A\n0.0,1.0,2.0,3.0\n1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match="the number of columns changed"):
             read_series(path)
 
     @staticmethod

@@ -1144,6 +1144,26 @@ class TestStepMap:
             assert np.array_equal(part.t, whole.t)
             assert np.array_equal(part.y, whole.y)
 
+    @pytest.mark.parametrize("block", [7, 100, 1])
+    @pytest.mark.parametrize("stride", [7, 19, 1250, 2000])
+    def test_samples_are_the_states_of_their_steps(self, bifurcation, block, stride,
+                                                   monkeypatch):
+        # each block writes its samples into the run's rows in place: a run
+        # sampled every stride steps holds the states of the run sampled at
+        # every step, at steps 0, stride, 2 stride, ... and the last, with
+        # blocks that end on and off a sample
+        import hemoflow.solver0d as solver0d
+
+        for net, dt, K in self.networks(bifurcation):
+            model = assemble_network(net, LIN, synthetic_inflow())
+            every = model.integrate(dt, 1250 * dt, dt)
+            monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
+            sampled = model.integrate(dt, 1250 * dt, stride * dt)
+            monkeypatch.undo()
+            steps = sorted({*range(0, 1250, stride), 1250})
+            assert np.array_equal(sampled.t, every.t[steps])
+            assert np.array_equal(sampled.y, every.y[steps]), (K, block, stride)
+
     @pytest.mark.parametrize("steps, stride", [(16 * 40 + 1, 1), (16 * 40 + 15, 7),
                                                (16 * 40 + 9, 19), (16 * 40, 100)])
     def test_steps_and_strides_of_any_size(self, bifurcation, steps, stride):
@@ -1406,6 +1426,24 @@ class TestStageScreen:
                 assert np.isin(collapsed, kept).all(), (i, j, k, sign)
                 collapses += collapsed.size
         assert collapses > 0
+
+    def test_underflow_of_a_stage_row_is_bounded(self):
+        # a stage row 2^-600 reads a state that moves from -0.49 to -0.51
+        # times 2^-474: its products, -0.49 and -0.51 times 2^-1074, round
+        # to -0.0 and to -2^-1074, so against a start volume of 2^-1074 the
+        # second step's stage volume is 0.0; every term of g . x_r and
+        # |g| . D underflows to 0.0, and only the bound's smallest normal
+        # keeps the step
+        volumes = np.array([0])
+        stages = np.zeros((3, 6))
+        stages[0, 1] = 2.0**-600
+        x = np.zeros((2, 6))
+        x[:, 0] = 2.0**-1074
+        x[:, 1] = -0.49 * 2.0**-474, -0.51 * 2.0**-474
+        x[:, -1] = 1.0
+        V = stage_volumes(stages, volumes, x)
+        assert (V[0] > 0.0).all() and V[1, 1, 0] == 0.0
+        assert 1 in screen(stages, volumes, 1, x, 2)
 
     @pytest.mark.parametrize("network, dt, q", [
         ("bifurcation", 1e-3, -700.0), ("bifurcation", 1e-3, -650.0),
