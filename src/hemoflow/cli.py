@@ -22,6 +22,7 @@ from .errors import (
 )
 from .metrics import error_metrics, first_periodic_cycle, sample_cycle
 from .netio import (
+    SERIES_COLUMNS,
     aortic_bifurcation,
     load_network,
     load_waveform,
@@ -70,7 +71,8 @@ def _add_run_args(p):
     p.add_argument("--waveform", default=None, help="inflow waveform CSV (t,Q)")
     p.add_argument("--dx-max", type=float, default=0.2, help="1D max cell size (cm)")
     p.add_argument("--cfl", type=float, default=0.9, help="1D CFL number")
-    p.add_argument("--dt", type=float, default=1e-3, help="0D time step (s)")
+    p.add_argument("--dt", type=float, default=1e-3,
+                   help="0D time step (s); must divide --t-end and the 1 ms sample interval")
     p.add_argument("--T0", type=float, default=1.1, help="cardiac period (s)")
     p.add_argument("--t-end", type=float, default=29.7, help="final time (s)")
     p.add_argument("--out", required=True, help="output directory")
@@ -116,6 +118,9 @@ def _load_run_dir(path: Path) -> dict:
         if f.stem == "errors":
             continue
         series = out[f.stem] = read_series(f)
+        if tuple(series) != SERIES_COLUMNS:
+            raise ConfigurationError(f"{f} has the header {','.join(series)}; "
+                                     f"a series has {','.join(SERIES_COLUMNS)}")
         # a cycle is sampled between two samples at least
         if series["t"].size < 2:
             raise ConfigurationError(f"{f} holds {series['t'].size} samples; "

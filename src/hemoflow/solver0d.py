@@ -243,18 +243,19 @@ class _PassSource:
             f"[{', '.join(self.q_if)}], [{', '.join(self.t_out)}]", ""])
 
     def runner(self) -> str:
-        """The run module: ``run(y, t0, n, dt, q_t, q_half, q_dt, stride,
-        last, times, samples) -> y_end``, classical RK4 steps n, n + 1, ...
-        from the state list ``y`` at ``t0 + n * dt``, one per entry of the
-        inflow tables, which hold the inflow at each step's t, t + dt/2 and
-        t + dt. The states stay locals from step to
-        step; each step inlines the four passes and their combination.
-        After every ``stride``-th step and after step ``last`` (counted from
-        ``t0``) the state is checked to be finite and appended to
-        ``samples``, its time to ``times``. The state goes in as one packed
-        copy of its doubles (``pack``, a ``struct.Struct`` of ``dim``
-        doubles bound by ``_compiled``): ``array.extend`` on a tuple converts
-        it one value at a time, several times slower.
+        """The run module: ``run(y, n, dt, q_t, q_half, q_dt, stride, last,
+        samples) -> y_end``, classical RK4 steps n, n + 1, ... from the
+        state list ``y`` at step n, one per entry of the inflow tables,
+        which hold the inflow at each step's t = n dt, t + dt/2 and t + dt.
+        Steps are counted from 0. The states stay locals from step to step;
+        each step inlines the four passes and their combination. After
+        every ``stride``-th step and after step ``last`` the state is
+        checked to be finite and appended to ``samples``; the caller knows
+        the sampled steps (``_sample_steps``), and so their times, and the
+        loop computes a sample's time only in its error. The state goes in
+        as one packed copy of its doubles (``pack``, a ``struct.Struct`` of
+        ``dim`` doubles bound by ``_compiled``): ``array.extend`` on a tuple
+        converts it one value at a time, several times slower.
 
         Only the states that are their own source in the model's copies map
         (``NetworkModel0D._copies``) are computed: a copied vessel gets no
@@ -272,7 +273,7 @@ class _PassSource:
         y, u = sources("y"), sources("u")
         k = [sources(prefix) for prefix in "abce"]
         state = ", ".join(y)
-        body = ["t = t0 + n * dt", "n += 1", *self.stage(y, k[0], "t", "qa", copied)]
+        body = ["t = n * dt", "n += 1", *self.stage(y, k[0], "t", "qa", copied)]
         for i, (h, t_stage, q) in enumerate((("half", "t + half", "qh"),
                                              ("half", "t + half", "qh"),
                                              ("dt", "t + dt", "qe"))):
@@ -283,15 +284,13 @@ class _PassSource:
         # a sum is finite only if every term is: the exact test runs only
         # on a sum that is not
         body += ["if n % stride == 0 or n == last:",
-                 "    t = t0 + n * dt",
                  f"    s = ({state},)",
                  "    if not isfinite(sum(s)) and not all(map(isfinite, s)):",
-                 "        raise ModelError(f'non-finite state at t = {t:.6g} s')",
-                 "    times.append(t)",
+                 "        raise ModelError(f'non-finite state at t = {n * dt:.6g} s')",
                  "    samples.frombytes(pack(*s))"]
         unpack = ", ".join(name if src[i] == i else "_" for i, name in enumerate(y))
         return "\n".join([
-            "def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):",
+            "def run(y, n, dt, q_t, q_half, q_dt, stride, last, samples):",
             "    half = 0.5 * dt",
             "    sixth = dt / 6.0",
             f"    {unpack}, = y",
@@ -731,47 +730,44 @@ class NetworkModel0D:
     def integrate(self, dt: float, t_end: float,
                   sample_interval: float | None = None) -> Integration:
         """RK4 from the initial state to ``t_end``, sampled as
-        ``rk4_integrate`` samples. The inflow is tabulated at every stage
+        ``rk4_integrate`` samples, at the steps ``_sample_steps`` lists and
+        the times ``steps * dt``. The inflow is tabulated at every stage
         time, three calls on arrays per block of steps; the run goes block
         by block, carrying the state and the step count.
 
         A mode with every flag off is linear and time-invariant: it is
         advanced by its exact RK4 step map (``_StepMap``), in groups of K
         steps whose starts follow one another and whose inner steps go
-        together, within round-off of ``rk4_integrate`` on ``self.rhs`` and
-        with its times bit for bit, after a step-size check that refuses an
-        unstable ``dt`` with a ``ConfigurationError``. Every other mode runs
-        the compiled run loop, in blocks of ``_BLOCK_STEPS``, with the bits
-        of ``rk4_integrate`` on ``self.rhs``. Both compute the states of identical sibling
-        subtrees once (``_copies``, found here at the first integration),
-        which the initial state holds equal. The reported CPU time covers
-        the tables, the loop, and the building of a step map."""
+        together, within round-off of ``rk4_integrate`` on ``self.rhs``,
+        after a step-size check that refuses an unstable ``dt`` with a
+        ``ConfigurationError``. Every other mode runs the compiled run
+        loop, in blocks of ``_BLOCK_STEPS``, with the bits of
+        ``rk4_integrate`` on ``self.rhs``. Both compute the states of
+        identical sibling subtrees once (``_copies``, found here at the
+        first integration), which the initial state holds equal. The
+        reported CPU time covers the tables, the loop, and the building of
+        a step map."""
         n_steps, stride = _step_count(dt, t_end, sample_interval)
+        steps = _sample_steps(n_steps, stride)
         y = self.initial_state()
         if not any(self.mode.flags):
             self._evaluate  # compiled, if it must be, before the clock starts
             start = time.thread_time()
-            # every stride-th step and the last, each sample's row written
-            # once by the block that reaches it
-            steps = np.append(np.arange(0, n_steps, stride), n_steps)
+            # each sample's row written once, by the block that reaches it
             Y = np.empty((steps.size, self.dim))
             Y[0] = y
-            _StepMap(self, y, dt).run(n_steps, stride, Y[1:])
-            return Integration(t=steps * dt, y=Y,
-                               cpu_seconds=time.thread_time() - start)
-        run = self._run  # compiled, if it must be, before the clock starts
-        times, samples = [0.0], array("d", y)
-        y = y.tolist()
-        start = time.thread_time()
-        for first in range(0, n_steps, _BLOCK_STEPS):
-            stop = min(first + _BLOCK_STEPS, n_steps)
-            y = run(y, 0.0, first, dt,
-                    *_inflow_tables(self.inflow, first, stop, dt),
-                    stride, n_steps, times, samples)
+            _StepMap(self, y, dt).run(steps, Y)
+        else:
+            run = self._run  # compiled, if it must be, before the clock starts
+            samples, y = array("d", y), y.tolist()
+            start = time.thread_time()
+            for first in range(0, n_steps, _BLOCK_STEPS):
+                stop = min(first + _BLOCK_STEPS, n_steps)
+                y = run(y, first, dt, *_inflow_tables(self.inflow, first, stop, dt),
+                        stride, n_steps, samples)
+            Y = np.frombuffer(samples).reshape(steps.size, -1)
         cpu = time.thread_time() - start
-        return Integration(t=np.array(times),
-                           y=np.frombuffer(samples).reshape(len(times), -1),
-                           cpu_seconds=cpu)
+        return Integration(t=steps * dt, y=Y, cpu_seconds=cpu)
 
     def _vessel_of(self, i: int) -> str:
         """The vessel state ``i`` belongs to; a terminal's capacitor
@@ -850,11 +846,19 @@ class Integration:
     cpu_seconds: float
 
 
+#: the relative tolerance to which a run's ``t_end`` and ``sample_interval``
+#: must be whole multiples of its ``dt``
+_GRID_RTOL = 1e-9
+
+
 def _step_count(dt: float, t_end: float,
                 sample_interval: float | None) -> tuple[int, int]:
     """(steps to ``t_end``, steps between samples) of a fixed-step run.
     Raises ValueError unless ``dt`` and a given ``sample_interval`` are
-    positive and finite and the run takes at least one step."""
+    positive and finite, the run takes at least one step, and ``t_end``
+    and ``sample_interval`` are whole, positive numbers of steps to within
+    ``_GRID_RTOL`` (so ``dt`` is at most ``sample_interval``): no end time
+    or sample interval is rounded to another grid without a word."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got dt = {dt} "
                          f"(t_end = {t_end})")
@@ -863,13 +867,26 @@ def _step_count(dt: float, t_end: float,
     if not 0.5 < steps < math.inf:
         raise ValueError(f"time step dt = {dt} takes no finite, positive number "
                          f"of steps to t_end = {t_end}")
-    n_steps = int(round(steps))
-    if sample_interval is None:
-        return n_steps, 1
-    if not 0.0 < sample_interval < math.inf:
+    if sample_interval is not None and not 0.0 < sample_interval < math.inf:
         raise ValueError(f"sample_interval must be positive and finite, "
                          f"got {sample_interval}")
-    return n_steps, max(1, int(round(sample_interval / dt)))
+    grid = f"dt = {dt}, t_end = {t_end}, sample_interval = {sample_interval}"
+    counts = []
+    for name, x in (("t_end", steps), ("sample_interval", (sample_interval or dt) / dt)):
+        n = max(1, round(x)) if x < math.inf else 0
+        if abs(x - n) > _GRID_RTOL * n:
+            what = ("shorter than a time step" if x < 1.0 else
+                    f"not a whole number of time steps ({x:.9g}) to within {_GRID_RTOL:g}")
+            raise ValueError(f"{name} is {what}: {grid}")
+        counts.append(n)
+    return tuple(counts)
+
+
+def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
+    """The sampled steps of a run of ``n_steps``: 0, the initial state,
+    every ``stride``-th step and the last. A sample's time is its step
+    times ``dt``: ``steps * dt`` has the bits of Python's ``n * dt``."""
+    return np.append(np.arange(0, n_steps, stride), n_steps)
 
 
 def rk4_integrate(rhs, y0, dt: float, t_end: float,
@@ -878,34 +895,29 @@ def rk4_integrate(rhs, y0, dt: float, t_end: float,
 
     ``y0`` is any sequence of floats, taken as an array; ``rhs`` maps
     (t, array) to an array. Samples the state every ``sample_interval``
-    (rounded to a whole number of steps; every step if None) and after the
-    last step, and checks the samples are finite. The reported CPU time, of
-    this thread, covers only the stepping loop. This is the generic
-    integrator and the reference of ``NetworkModel0D.integrate`` (behind
-    ``run_0d``), which gives the same bits as this function on
-    ``model.rhs`` in every mode but the linear one, and agrees with it
-    within round-off in that one.
+    (a whole number of steps; every step if None) and after the last step,
+    at the steps ``_sample_steps`` lists and the times ``steps * dt``, and
+    checks the samples are finite. The reported CPU time, of this thread,
+    covers only the stepping loop. This is the generic integrator and the
+    reference of ``NetworkModel0D.integrate`` (behind ``run_0d``), which
+    gives the same bits as this function on ``model.rhs`` in every mode but
+    the linear one, and agrees with it within round-off in that one.
     """
     n_steps, stride = _step_count(dt, t_end, sample_interval)
+    steps = _sample_steps(n_steps, stride)
     y, step = np.array(y0, dtype=float), _rk4_array_step(rhs, dt)
     # the samples go into one flat buffer of doubles: a list per sample
     # would hold every value as a float object, three times the memory
-    times, samples = [0.0], array("d", y)
-    isfinite = math.isfinite
-    t = 0.0
+    samples = array("d", y)
     start = time.thread_time()
     for n in range(1, n_steps + 1):
-        y = step(t, y)
-        t = n * dt
+        y = step((n - 1) * dt, y)
         if n % stride == 0 or n == n_steps:
-            if not all(map(isfinite, y)):
-                raise ModelError(f"non-finite state at t = {t:.6g} s")
-            times.append(t)
+            if not all(map(math.isfinite, y)):
+                raise ModelError(f"non-finite state at t = {n * dt:.6g} s")
             samples.extend(y)
     cpu = time.thread_time() - start
-    return Integration(t=np.array(times),
-                       y=np.frombuffer(samples).reshape(len(times), -1),
-                       cpu_seconds=cpu)
+    return Integration(steps * dt, np.frombuffer(samples).reshape(steps.size, -1), cpu)
 
 
 def _rk4_array_step(rhs, dt):
@@ -1079,26 +1091,28 @@ class _StepMap:
             f"linear 0D network: the largest stable step is {stable:.4g} s, and "
             f"the fastest-growing mode is dominated by vessel {vid!r}")
 
-    def run(self, n_steps: int, stride: int, out: np.ndarray) -> None:
-        """Steps 1 to ``n_steps`` from the initial state, writing every
-        ``stride``-th state and the last, in order, to the rows of ``out``
-        (the model's states, copies included). Raises the run loop's errors
-        at its first failure: a stage volume that is not positive, as
-        ``_volume_collapse`` of its vessel and compartment at the stage's
-        time, and a sampled state that is not finite."""
-        y, K = self.y0, self.K
+    def run(self, steps: np.ndarray, out: np.ndarray) -> None:
+        """Steps 1 to the last of ``steps`` from the initial state, writing
+        the state after each of the sampled ``steps`` (``_sample_steps``)
+        but step 0 to its row of ``out``, the model's states, copies
+        included. Raises the run loop's errors at its first failure: a
+        stage volume that is not positive, as ``_volume_collapse`` of its
+        vessel and compartment at the stage's time, and a sampled state
+        that is not finite."""
+        y, K, n_steps = self.y0, self.K, int(steps[-1])
         # the widest per-step rows a block allocates: (the state, g), and
         # the stage volumes of the steps the screen does not clear
         width = max(self.n + 4, 4 * len(self.volumes))
         block = min(_BLOCK_STEPS, max(1, _BLOCK_BYTES // (8 * width)))
         block = K * max(1, block // K)  # whole groups, counted from step 0
         for first in range(0, n_steps, block):
-            y = self.block(y, first, min(first + block, n_steps), n_steps, stride, out)
+            y = self.block(y, first, min(first + block, n_steps), steps, out)
 
-    def block(self, y: np.ndarray, first: int, stop: int, last: int, stride: int,
+    def block(self, y: np.ndarray, first: int, stop: int, steps: np.ndarray,
               out: np.ndarray) -> np.ndarray:
-        """Steps ``first`` + 1 to ``stop`` from the state ``y``, sampled into
-        ``out`` as ``run`` samples them; returns the last state. ``first``
+        """Steps ``first`` + 1 to ``stop`` from the state ``y``, writing the
+        state after each of the sampled ``steps`` among them to its row of
+        ``out``, as ``run`` does; returns the last state. ``first``
         starts a group of K steps, and the block's last group is padded with
         steps of zero inflow, whose states are not kept. The stage volumes
         are computed only for the steps that ``screen`` does not clear, none
@@ -1140,18 +1154,17 @@ class _StepMap:
         V[:, 0] = x[:, volumes]
         V[:, 1:] = vecdot(self.stages, x[:, None]).reshape(V[:, 1:].shape)
         V[:, 1:] += V[:, :1]
-        steps = np.arange(first + 1, stop + 1)
-        sampled = (steps % stride == 0) | (steps == last)
-        S = Z[1:m + 1, :n][sampled]
+        # the sampled steps of this block and their rows
+        rows = slice(*np.searchsorted(steps, (first, stop), side="right"))
+        sampled = steps[rows]
+        S = Z[sampled - first, :n]
         collapsed = V <= 0.0  # NaN is no collapse, as in the run loop
         infinite = ~np.isfinite(S).all(axis=1)
         if collapsed.any() or infinite.any():
-            self.fail(steps[kept], V, collapsed, steps[sampled][infinite])
-        # the samples before this block's: every stride-th of steps 1 to
-        # first. The copies map is in range, and take's default mode would
-        # buffer its output
-        row = first // stride
-        np.take(S, self.expand, axis=1, out=out[row:row + len(S)], mode="clip")
+            self.fail(first + 1 + kept, V, collapsed, sampled[infinite])
+        # the copies map is in range, and take's default mode would buffer
+        # its output
+        np.take(S, self.expand, axis=1, out=out[rows], mode="clip")
         return Z[m, :n].copy()
 
     def screen(self, x: np.ndarray, m: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hemoflow.cli import main
 from hemoflow.metrics import periodicity_reached, sample_cycle
 from hemoflow.netio import aortic_bifurcation, read_series, synthetic_inflow
 from hemoflow.solver0d import ModelMode, run_0d
+from test_solver0d import asymmetric_tree_text
 
 NETWORK_TEXT = """
 [fluid]
@@ -52,6 +53,17 @@ def truncated_copy(run, dest, rows):
     shutil.copytree(run, dest)
     series = dest / "aorta.csv"
     series.write_text("".join(series.read_text().splitlines(True)[:1 + rows]))
+    return dest
+
+
+def cut_copy(run, dest, columns):
+    """A copy of the run directory ``run`` whose aorta series keeps its
+    first ``columns`` columns only."""
+    shutil.copytree(run, dest)
+    series = dest / "aorta.csv"
+    lines = series.read_text().splitlines()
+    series.write_text("".join(",".join(line.split(",")[:columns]) + "\n"
+                              for line in lines))
     return dest
 
 
@@ -115,24 +127,51 @@ class TestRun:
         assert "--network" in capsys.readouterr().err
 
     def test_unstable_time_step_is_numerical_failure(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            code = main(["run", "--network", "aortic_bif", "--solver", "0d",
-                         "--dt", "0.5", "--t-end", "20.0",
-                         "--out", str(tmp_path / "x")])
+        # a sample every 1 ms admits no step above it: this 17-vessel tree
+        # collapses at dt = 1e-3 in its nonlinear mode
+        net = tmp_path / "tree.txt"
+        net.write_text(asymmetric_tree_text())
+        code = main(["run", "--network", str(net), "--solver", "0d",
+                     "--dt", "1e-3", "--t-end", "1.1",
+                     "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: compartment volume became "
+                              "non-positive in vessel 'v5' (whole vessel) at "
+                              "t = 0.0015 s"), err
 
     def test_unstable_linear_time_step_is_refused(self, tmp_path, capsys):
         # a linear run checks its step against RK4's stability region
         # before stepping
-        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
-                     "--mode", "linear", "--dt", "0.05", "--t-end", "20.0",
+        net = tmp_path / "tree.txt"
+        net.write_text(asymmetric_tree_text())
+        code = main(["run", "--network", str(net), "--solver", "0d",
+                     "--mode", "linear", "--dt", "1e-3", "--t-end", "1.1",
                      "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: time step dt = 0.05 s is outside RK4's "
+        assert err.startswith("error: time step dt = 0.001 s is outside RK4's "
                               "stability region"), err
-        assert "the largest stable step is 0.01352 s" in err
+        assert ("the largest stable step is 0.0001426 s, and the fastest-growing "
+                "mode is dominated by vessel 'v5'") in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("dt, t_end, message", [
+        ("3e-3", "1.1", "error: t_end is not a whole number of time steps "
+                        "(366.666667) to within 1e-09: dt = 0.003, t_end = 1.1, "
+                        "sample_interval = 0.001"),
+        ("2e-3", "1.1", "error: sample_interval is shorter than a time step: "
+                        "dt = 0.002, t_end = 1.1, sample_interval = 0.001"),
+        ("4e-4", "1.1", "error: sample_interval is not a whole number of time "
+                        "steps (2.5) to within 1e-09: dt = 0.0004, t_end = 1.1, "
+                        "sample_interval = 0.001")])
+    def test_time_step_off_the_sample_grid_is_refused(self, tmp_path, capsys, dt,
+                                                      t_end, message):
+        # the CLI samples every 1 ms, so a step must divide 1 ms and t_end
+        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--dt", dt, "--t-end", t_end, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("solver", ["0d", "1d"])
@@ -314,6 +353,19 @@ class TestCompare:
                            f"a run needs at least 2\n")
         assert not (tmp_path / "e.csv").exists()
 
+    def test_series_with_a_missing_column_is_refused(self, periodic_run,
+                                                   tmp_path, capsys):
+        # a series without its A column once raised a bare KeyError
+        cut = cut_copy(periodic_run, tmp_path / "cut", 3)
+        for ref, test in ((periodic_run, cut), (cut, periodic_run)):
+            code = main(["compare", str(ref), str(test),
+                         "--out", str(tmp_path / "e.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {cut / 'aorta.csv'} has the header t,P,Q; "
+                f"a series has t,P,Q,A\n")
+        assert not (tmp_path / "e.csv").exists()
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                      "--out", str(tmp_path / "e.csv")])
@@ -350,3 +402,11 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == (f"error: {short / 'aorta.csv'} holds {rows} samples; "
                        f"a run needs at least 2\n")
+
+    def test_run_with_a_missing_column_is_refused(self, periodic_run, tmp_path,
+                                                  capsys):
+        cut = cut_copy(periodic_run, tmp_path / "cut", 3)
+        code = main(["analyze", "--network", "aortic_bif", "--run", str(cut)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cut / 'aorta.csv'} has the header t,P,Q; a series has t,P,Q,A\n")

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -519,10 +520,12 @@ ASYMMETRIC_TREE = {
 }
 
 
-def asymmetric_tree_network():
-    """The tree above, vessels listed in reverse so that the state layout
-    differs from tree order; leaves alternate RCR and single-resistance
-    terminals."""
+def asymmetric_tree_text():
+    """The network file of the tree above, vessels listed in reverse so
+    that the state layout differs from tree order; leaves alternate RCR and
+    single-resistance terminals. RK4 is unstable on it at dt = 1e-3: its
+    linear mode is refused, and its nonlinear mode collapses at
+    t = 0.0015 s."""
     depth = {"v0": 0}
     for parent, daughters in ASYMMETRIC_TREE.items():
         for d in daughters:
@@ -542,7 +545,11 @@ def asymmetric_tree_network():
     leaves = [f"v{i}" for i in range(17) if f"v{i}" not in ASYMMETRIC_TREE]
     for k, vid in enumerate(leaves):
         lines += [f"[terminal {vid}]", RCR_TERMINAL if k % 2 == 0 else R_TERMINAL, ""]
-    return parse_network("\n".join(lines))
+    return "\n".join(lines)
+
+
+def asymmetric_tree_network():
+    return parse_network(asymmetric_tree_text())
 
 
 def random_state(model, rng):
@@ -557,18 +564,20 @@ def random_state(model, rng):
 
 
 def rk4_step(model, dt):
-    """``step(t, y) -> y_next``: one classical RK4 step of the network on
-    lists of floats, a one-step call of its compiled run loop that takes no
-    sample (a stride of 2 and a last step of 0). The loop is written with
-    no copies, each state its own source: an arbitrary state, unlike the
-    initial one, differs between identical sibling subtrees."""
+    """``step(n, y) -> y_next``: RK4 step n of the network, from
+    t = n dt, on lists of floats, a one-step call of its compiled run loop
+    that takes no sample (a stride of n + 2 and a last step of 0). The
+    loop is written with no copies, each state its own source: an
+    arbitrary state, unlike the initial one, differs between identical
+    sibling subtrees."""
     alone = NetworkModel0D(model.network, model.mode, model.inflow)
     alone._copies = np.arange(alone.dim)
     run, inflow, half = alone._run, model.inflow, 0.5 * dt
 
-    def step(t, y):
-        return run(y, t, 0, dt, (float(inflow(t)),), (float(inflow(t + half)),),
-                   (float(inflow(t + dt)),), 2, 0, None, None)
+    def step(n, y):
+        t = n * dt
+        return run(y, n, dt, (float(inflow(t)),), (float(inflow(t + half)),),
+                   (float(inflow(t + dt)),), n + 2, 0, None)
     return step
 
 
@@ -757,7 +766,7 @@ class TestCompiledStep:
                 y = model.initial_state().tolist()
                 y[i] = bad
                 with pytest.raises(CollapseError) as compiled:
-                    step(0.1, y)
+                    step(100, y)
                 with pytest.raises(CollapseError) as generic:
                     model.rhs(0.1, y)
                 assert str(compiled.value) == str(generic.value)
@@ -778,7 +787,7 @@ class TestCompiledStep:
             y[i] = -1.0e-3
             message = (f"compartment volume became non-positive in vessel "
                        f"{vid!r} ({part}) at t = 0.25 s: -0.001")
-            for fail in (lambda: step(0.25, y), lambda: model.rhs(0.25, y)):
+            for fail in (lambda: step(250, y), lambda: model.rhs(0.25, y)):
                 with pytest.raises(CollapseError) as exc:
                     fail()
                 assert str(exc.value) == message
@@ -795,7 +804,7 @@ class TestCompiledStep:
                            match=r"^compartment volume became non-positive in "
                                  r"vessel 'left_iliac' \(whole vessel\) at "
                                  r"t = 0\.2505 s: "):
-            rk4_step(model, 1e-3)(0.25, y)
+            rk4_step(model, 1e-3)(250, y)
 
     def test_stages_raise_as_the_generic_step(self, bifurcation):
         # large steps drive volumes negative in later stages; the compiled
@@ -807,14 +816,16 @@ class TestCompiledStep:
         for mode in (NL, LIN):
             model = assemble_network(bifurcation, mode, synthetic_inflow())
             for dt in (1e-3, 2e-3, 5e-3, 1e-2, 3e-2):
-                compiled = rk4_step(model, dt)
-                generic = _rk4_array_step(model.rhs, dt)
+                # the step nearest t = 0.2
+                n = round(0.2 / dt)
+                steps = (partial(rk4_step(model, dt), n),
+                         partial(_rk4_array_step(model.rhs, dt), n * dt))
                 for _ in range(20):
                     y = random_state(model, rng).tolist()
                     results = []
-                    for step in (compiled, generic):
+                    for step in steps:
                         try:
-                            results.append(np.array(step(0.2, y)).tobytes())
+                            results.append(np.array(step(y)).tobytes())
                         except CollapseError as exc:
                             results.append(str(exc))
                     assert results[0] == results[1]
@@ -832,9 +843,9 @@ class TestCompiledStep:
         model = assemble_network(single_vessel_network(terminal), NL,
                                  synthetic_inflow())
         step = rk4_step(model, 1e-3)
-        step(0.0, y.tolist())
+        step(0, y.tolist())
         y[2] *= 1.6
-        for evaluate in (lambda: step(0.0, y.tolist()), lambda: model.rhs(0.0, y)):
+        for evaluate in (lambda: step(0, y.tolist()), lambda: model.rhs(0.0, y)):
             with pytest.raises(ConfigurationError, match="zero total resistance"):
                 evaluate()
 
@@ -879,7 +890,8 @@ class TestCompiledStep:
                        sample_interval=0.01)
             out.append(str(exc.value))
             with pytest.raises(CollapseError) as exc:
-                run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0)
+                run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0,
+                       sample_interval=0.05)
             out.append(str(exc.value))
             return out
 
@@ -891,7 +903,7 @@ class TestCompiledStep:
     def test_inflow_tables_are_bounded_on_a_long_run(self, bifurcation):
         # 2.97 million steps: their tables once took 68 MiB, and 163 MiB
         # while being built; the loop is replaced by one that only records
-        # the blocks it is given
+        # the blocks it is given, and stops the run after the last
         import tracemalloc
 
         import hemoflow.solver0d as solver0d
@@ -899,15 +911,21 @@ class TestCompiledStep:
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         blocks = []
 
-        def run(y, t0, n, dt, q_t, q_half, q_dt, stride, last, times, samples):
+        class LastBlock(Exception):
+            pass
+
+        def run(y, n, dt, q_t, q_half, q_dt, stride, last, samples):
             assert len(q_t) == len(q_half) == len(q_dt) and last == 2_970_000
             blocks.append((n, len(q_t)))
+            if n + len(q_t) == last:
+                raise LastBlock
             return y
 
         model.__dict__["_run"] = run
         tracemalloc.start()
         try:
-            model.integrate(1e-5, 29.7, 1e-3)
+            with pytest.raises(LastBlock):
+                model.integrate(1e-5, 29.7, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1030,7 +1048,7 @@ class TestCompiledStep:
         assert q_in != float(synthetic_inflow()(0.1))
         assert d[0] == q_in - y[1] and expected[0] != d[0]
         assert np.array_equal(d[1:], expected[1:])
-        step = rk4_step(other, 1e-3)(0.1, y.tolist())
+        step = rk4_step(other, 1e-3)(100, y.tolist())
         generic = _rk4_array_step(other.rhs, 1e-3)(0.1, y)
         assert step == generic.tolist()
 
@@ -1598,9 +1616,9 @@ class TestSharedSubtrees:
         assert model._copies[model.layout["right_iliac"]] == model.layout["left_iliac"]
         dt, inflow = 1e-3, model.inflow
         messages = []
-        for step in (lambda: model._run(y.tolist(), 0.25, 0, dt, (float(inflow(0.25)),),
+        for step in (lambda: model._run(y.tolist(), 250, dt, (float(inflow(0.25)),),
                                         (float(inflow(0.2505)),), (float(inflow(0.251)),),
-                                        2, 0, None, None),
+                                        252, 0, None),
                      lambda: _rk4_array_step(model.rhs, dt)(0.25, y)):
             with pytest.raises(CollapseError) as exc:
                 step()
@@ -1644,7 +1662,7 @@ class TestCollapseTests:
         y[model.layout["left_iliac"]] = 5e-324
         message = ("mean area became non-positive in vessel 'left_iliac' "
                    "(whole vessel) at t = 0.25 s: 0.0")
-        for fail in (lambda: rk4_step(model, 1e-3)(0.25, y),
+        for fail in (lambda: rk4_step(model, 1e-3)(250, y),
                      lambda: model.rhs(0.25, y)):
             with pytest.raises(CollapseError) as exc:
                 fail()
@@ -1682,7 +1700,7 @@ class TestCollapseTests:
         y[model.layout[vid] + (2 if part == "distal half" else 0)] = V
         message = (f"volume ratio V / V0 underflowed to 0.0 in vessel {vid!r} "
                    f"({part}) at t = 0.25 s: {V}")
-        for fail in (lambda: rk4_step(model, 1e-3)(0.25, y),
+        for fail in (lambda: rk4_step(model, 1e-3)(250, y),
                      lambda: model.rhs(0.25, y)):
             with pytest.raises(CollapseError) as exc:
                 fail()
@@ -1772,13 +1790,13 @@ def loop_lines(model) -> int:
     derivatives), each computed leaf 8 (an area, its test, a pressure, half
     R and half L; three derivatives) and its terminal's 2 (RCR) or 1.
     Per step: the time and the count, three stage states and the new state
-    per computed state, and the sample block of 7."""
+    per computed state, and the sample block of 5."""
     src = model._copies
     computed = int((src == np.arange(model.dim)).sum())
     stage = 16 + 19 * sum(src[o] == o for o, *_ in model._interior)
     stage += sum(10 if isinstance(term, Windkessel) else 9
                  for o, _, _, _, _, term, _ in model._leaves if src[o] == o)
-    return 2 + 4 * stage + 4 * computed + 7
+    return 2 + 4 * stage + 4 * computed + 5
 
 
 class TestFoldedConstants:
@@ -1918,7 +1936,8 @@ class TestStepSizeCheck:
     def test_nonlinear_modes_are_not_checked(self, bifurcation):
         # an unstable step of a nonlinear mode still fails as a collapse
         with pytest.raises(CollapseError):
-            run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0)
+            run_0d(bifurcation, synthetic_inflow(), NL, dt=0.05, t_end=20.0,
+                   sample_interval=0.05)
 
 
 class TestRK4:
@@ -2021,6 +2040,72 @@ class TestRK4:
         assert integ.t[-1] == 100 * 0.01
         assert integ.t.size == 11
         np.testing.assert_allclose(np.diff(integ.t), 0.1, rtol=1e-12)
+
+
+class TestTimeGrid:
+    """A run samples the steps 0, every stride-th and the last, at the
+    times ``n * dt``; its end time and its sample interval are whole
+    numbers of steps, or the run is refused before it starts."""
+
+    def test_sample_times_are_the_sampled_steps_times_dt(self, bifurcation):
+        # 8800 steps: at a stride of 7 the last step is off the stride, and
+        # the samples are the rows of their steps in the run sampled every
+        # step
+        dt, t_end = 1e-3, 8.8
+        runs = {"rk4_integrate": partial(rk4_integrate, lambda t, y: -y, [1.0])}
+        for name, mode in (("loop", NL), ("step map", LIN)):
+            runs[name] = assemble_network(bifurcation, mode, synthetic_inflow()).integrate
+        for name, run in runs.items():
+            every_step = run(dt, t_end, 1e-3)
+            assert every_step.t.tobytes() == np.array([n * dt for n in range(8801)]).tobytes()
+            steps = [*range(0, 8800, 7), 8800]
+            sparse = run(dt, t_end, 7e-3)
+            assert sparse.t.tobytes() == every_step.t[steps].tobytes(), name
+            assert sparse.y.tobytes() == every_step.y[steps].tobytes(), name
+
+    def test_run_loop_takes_a_step_index(self, bifurcation):
+        # the loop counts steps from 0; it holds no time list and no start
+        from hemoflow.solver0d import _PassSource
+
+        runner = _PassSource(assemble_network(bifurcation, NL, synthetic_inflow())).runner()
+        assert runner.startswith("def run(y, n, dt, q_t, q_half, q_dt, stride, last, "
+                                 "samples):\n")
+        assert not re.search(r"\b(t0|times)\b", runner)
+
+    @pytest.mark.parametrize("dt, t_end, every, message", [
+        # ROADMAP's three: each once rounded to another grid without a word
+        (3e-3, 1.1, 3e-3, "t_end is not a whole number of time steps (366.666667) "
+                          "to within 1e-09: dt = 0.003, t_end = 1.1, "
+                          "sample_interval = 0.003"),
+        (1e-3, 1.1, 2.5e-3, "sample_interval is not a whole number of time steps "
+                            "(2.5) to within 1e-09: dt = 0.001, t_end = 1.1, "
+                            "sample_interval = 0.0025"),
+        (4e-4, 1.1, 1e-3, "sample_interval is not a whole number of time steps "
+                          "(2.5) to within 1e-09: dt = 0.0004, t_end = 1.1, "
+                          "sample_interval = 0.001"),
+        (2e-3, 1.1, 1e-3, "sample_interval is shorter than a time step: "
+                          "dt = 0.002, t_end = 1.1, sample_interval = 0.001"),
+        (0.5, 20.0, 1e-3, "sample_interval is shorter than a time step: "
+                          "dt = 0.5, t_end = 20.0, sample_interval = 0.001")])
+    def test_off_grid_run_is_refused(self, bifurcation, dt, t_end, every, message):
+        model = assemble_network(bifurcation, NL, synthetic_inflow())
+        for run in (lambda: rk4_integrate(lambda t, y: -y, [1.0], dt, t_end, every),
+                    lambda: model.integrate(dt, t_end, every),
+                    lambda: run_0d(bifurcation, synthetic_inflow(), LIN, dt=dt,
+                                   t_end=t_end, sample_interval=every)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dt, t_end, every, steps, stride", [
+        (1e-3, 29.7, 1e-3, 29700, 1), (1e-3, 17.6, 7e-3, 17600, 7),
+        (0.05, 3.0, None, 60, 1), (1e-4, 0.1, 1e-3, 1000, 10),
+        # within the tolerance of a whole number of steps
+        (1e-3, 1.1 * (1.0 + 1e-10), 1e-3 * (1.0 - 1e-10), 1100, 1)])
+    def test_grid_multiples_are_accepted(self, dt, t_end, every, steps, stride):
+        from hemoflow.solver0d import _step_count
+
+        assert _step_count(dt, t_end, every) == (steps, stride)
 
 
 class TestSmallSignalAgreement:
