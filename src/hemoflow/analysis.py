@@ -79,24 +79,12 @@ def classify_eigenvalues(eigs) -> str:
     return "marginal (zero eigenvalue)"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    eigenvalues: tuple[complex, ...]
-    classification: str
-
-
 _EIGEN_FNS = {
     "PinQout": eigenvalues_pin_qout,
     "QinPout": eigenvalues_qin_pout,
     "PinPout": eigenvalues_pin_pout,
     "QinQout": eigenvalues_qin_qout,
 }
-
-
-def stability_report(config: str, R0: float, L0: float, C0: float) -> StabilityReport:
-    eigs = _EIGEN_FNS[config](R0, L0, C0)
-    return StabilityReport(eigenvalues=tuple(eigs),
-                           classification=classify_eigenvalues(eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +116,6 @@ def discriminant_factors(spec: VesselSpec) -> tuple[float, float, int]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DimensionalScales:
-    """Characteristic scales: period T0 (s), longitudinal length ell_scale
-    (cm), area A0 (cm^2) and velocity U0 (cm/s)."""
-
-    T0: float
-    ell_scale: float
-    A0: float
-    U0: float
-
-    def __post_init__(self):
-        for name in ("T0", "ell_scale", "A0", "U0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"scale {name} must be positive")
-
-
-@dataclass(frozen=True)
 class DimensionalCoefficients:
     """Nondimensional weights of the convective (gamma_C), pressure
     (gamma_P) and friction (gamma_F) terms, plus their ratios."""
@@ -155,11 +127,17 @@ class DimensionalCoefficients:
     friction_to_pressure: float
 
 
-def dimensional_coefficients(scales: DimensionalScales, c: float,
+def dimensional_coefficients(T0: float, ell_scale: float, U0: float, c: float,
                              k_R: float, A0: float) -> DimensionalCoefficients:
-    gamma_C = scales.T0 * scales.U0 / scales.ell_scale
-    gamma_P = scales.T0 * c * c / (scales.ell_scale * scales.U0)
-    gamma_F = k_R * scales.T0 / A0
+    """Coefficients at the characteristic scales: period T0 (s),
+    longitudinal length ell_scale (cm), velocity U0 (cm/s) and area A0
+    (cm^2), with wave speed c and friction coefficient k_R."""
+    for name, value in (("T0", T0), ("ell_scale", ell_scale), ("A0", A0), ("U0", U0)):
+        if value <= 0:
+            raise ValueError(f"scale {name} must be positive")
+    gamma_C = T0 * U0 / ell_scale
+    gamma_P = T0 * c * c / (ell_scale * U0)
+    gamma_F = k_R * T0 / A0
     return DimensionalCoefficients(
         gamma_C=gamma_C, gamma_P=gamma_P, gamma_F=gamma_F,
         convective_to_pressure=gamma_C / gamma_P,
@@ -195,19 +173,16 @@ def format_network_report(network, velocity: dict | None = None,
         lines.append(f"f1 = {f1:.6g}")
         lines.append(f"f2 = {f2:.6g}")
         lines.append(f"discriminant_sign = {sign}")
-        for config in _EIGEN_FNS:
-            rep = stability_report(config, cons.R0, cons.L0, cons.C0)
-            eig_str = "; ".join(f"{ev.real:.6g}{ev.imag:+.6g}j"
-                                for ev in rep.eigenvalues)
+        for config, eigenvalues in _EIGEN_FNS.items():
+            eigs = eigenvalues(cons.R0, cons.L0, cons.C0)
+            eig_str = "; ".join(f"{ev.real:.6g}{ev.imag:+.6g}j" for ev in eigs)
             lines.append(f"eigenvalues_{config} = {eig_str}")
-            lines.append(f"classification_{config} = {rep.classification}")
+            lines.append(f"classification_{config} = {classify_eigenvalues(eigs)}")
         if velocity is not None and vid in velocity:
             u_mean, u_max = velocity[vid]
             c0 = wave_speed(spec.wall.A0, spec.wall, spec.fluid)
-            scales = DimensionalScales(T0=T0, ell_scale=spec.length,
-                                       A0=spec.wall.A0, U0=u_mean)
-            coeff = dimensional_coefficients(scales, c0, spec.fluid.k_R,
-                                             spec.wall.A0)
+            coeff = dimensional_coefficients(T0, spec.length, u_mean, c0,
+                                             spec.fluid.k_R, spec.wall.A0)
             lines.append(f"U_mean = {u_mean:.6g}")
             lines.append(f"U_max = {u_max:.6g}")
             lines.append(f"gamma_C_over_gamma_P = {coeff.convective_to_pressure:.6g}")

@@ -13,13 +13,7 @@ import sys
 from pathlib import Path
 
 from .analysis import format_network_report, velocity_stats
-from .errors import (
-    CollapseError,
-    ConfigurationError,
-    ConvergenceError,
-    ModelError,
-    SupercriticalError,
-)
+from .errors import ConfigurationError, ModelError
 from .metrics import error_metrics, first_periodic_cycle, sample_cycle
 from .netio import (
     SERIES_COLUMNS,
@@ -89,13 +83,14 @@ def cmd_run(args) -> int:
         result = run_0d(network, inflow, mode, dt=args.dt, t_end=args.t_end,
                         T0=args.T0)
 
+    # every search before the first file, so a refused period writes none
+    cycles = [first_periodic_cycle(result.t, series, args.T0)
+              for series in result.vessels.values()]
     outdir = _out_root() / args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    cycles = []
     for vid, series in result.vessels.items():
         write_series(outdir / f"{vid}.csv", result.t, series["P"],
                      series["Q"], series["A"])
-        cycles.append(first_periodic_cycle(result.t, series, args.T0))
     periodic = None if any(k is None for k in cycles) else max(cycles)
     with (outdir / "timing.txt").open("w") as fh:
         fh.write(f"solver = {args.solver}\n")
@@ -158,8 +153,7 @@ def cmd_compare(args) -> int:
             raise ConfigurationError(
                 "the runs end at different times, so their last cycles are not aligned: "
                 "reference at t = {:.9g} s, test at t = {:.9g} s".format(*ends))
-        for name, run, cycle in (("reference", r, ref_cycle),
-                                 ("test", s, test_cycle)):
+        for name, run in (("reference", r), ("test", s)):
             k = first_periodic_cycle(run["t"], {"P": run["P"], "Q": run["Q"],
                                                 "A": run["A"]}, args.T0)
             if k is None:
@@ -235,8 +229,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CollapseError, ConvergenceError, SupercriticalError,
-            ModelError) as exc:
+    except ModelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@ periodicity detection.
 
 ``periodicity_reached`` compares two sampled cycles; ``first_periodic_cycle``
 finds the first cycle of a run that matches the one before it, by the same
-criterion (``_periodic``), with every cycle of the run sampled at once: a
-run that becomes periodic early is still sampled to its end."""
+criterion (``_periodic``), with every cycle of the run sampled at once, in
+passes of up to ``_PASS_POINTS`` grid points: a run that becomes periodic
+early is sampled to the end of the pass that finds it."""
 
 from __future__ import annotations
 
@@ -171,15 +172,22 @@ def periodicity_reached(cycle: CycleSeries, previous: CycleSeries,
 
 
 def _cycle_samples(t: np.ndarray, T0: float) -> int:
-    """Samples of a uniform grid over one cycle at the median step of t."""
+    """Samples of a uniform grid over one cycle at the median step of t.
+    Raises ValueError for a period that the samples cannot resolve: one
+    that is NaN, not positive, or shorter than two steps."""
     dt = float(np.median(np.diff(t)))
-    return max(2, int(round(T0 / dt)) + 1)
+    if not (T0 > 0.0 and T0 >= 2.0 * dt):
+        raise ValueError(f"the period T0 = {T0:.6g} s must be at least two sample "
+                         f"steps; the median step is {dt:.6g} s")
+    return int(round(T0 / dt)) + 1
 
 
 def sample_cycle(t, channels: dict, T0: float, end_time: float | None = None,
                  n: int | None = None) -> CycleSeries:
     """Extract one cycle ending at ``end_time`` (default: last sample) on a
-    uniform grid, interpolating the sampled channels linearly."""
+    uniform grid, interpolating the sampled channels linearly. Raises
+    ValueError for a cycle that the samples do not cover or, unless ``n``
+    is given, for a period that they cannot resolve (``_cycle_samples``)."""
     t = np.asarray(t, dtype=float)
     if end_time is None:
         end_time = float(t[-1])
@@ -196,7 +204,7 @@ def sample_cycle(t, channels: dict, T0: float, end_time: float | None = None,
 
 #: grid points that ``first_periodic_cycle`` samples in one pass: every
 #: cycle of a run of up to about this many samples, and about 2 MiB a
-#: channel for longer runs, or for a period shorter than the sample step
+#: channel for longer runs
 _PASS_POINTS = 2**18
 
 
@@ -211,18 +219,25 @@ def first_periodic_cycle(t, channels: dict, T0: float,
     once, one ``np.linspace`` over the windows' ends and one ``np.interp``
     a channel, with the bits of sampling them one at a time, and each is
     compared with the one before it by ``periodicity_reached``'s criterion
-    (``_periodic``). So a run that becomes periodic early is still sampled
-    to its end (in passes of up to ``_PASS_POINTS`` grid points): on
+    (``_periodic``). The cycles are sampled in passes of up to
+    ``_PASS_POINTS`` grid points, and the search stops at the first pass
+    that finds a periodic cycle or an error: a run of up to that many grid
+    points that becomes periodic early is still sampled to its end. On
     27-cycle runs, a 7-vessel tree periodic at cycle 7 takes about 1.2
     times as long as a search that stops there, and the bundled
     bifurcation, periodic at cycle 15 or 16, about 0.9 times. The result,
     and the error that a cycle-by-cycle search raises at the first cycle it
-    cannot sample or compare, are those of that search."""
+    cannot sample or compare, are those of that search. A period that the
+    samples cannot resolve is refused as ``sample_cycle`` refuses it,
+    before any cycle is sampled; a series shorter than one period, or an
+    infinite period, gives None."""
     t = np.asarray(t, dtype=float)
+    if t.size < 2 or T0 == np.inf:  # no cycle ends within the samples
+        return None
+    n = _cycle_samples(t, T0)
     n_cycles = int(np.floor((t[-1] - t[0]) / T0 + 1e-9))
     if n_cycles < 1:
         return None
-    n = _cycle_samples(t, T0)
     ends = t[0] + np.arange(1, n_cycles + 1) * T0
     starts = ends - T0
     uncovered = starts < t[0] - 1e-9

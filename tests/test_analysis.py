@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hemoflow.analysis import (
-    DimensionalScales,
     classify_eigenvalues,
     dimensional_coefficients,
     discriminant_factors,
@@ -15,7 +14,6 @@ from hemoflow.analysis import (
     eigenvalues_qin_pout,
     eigenvalues_qin_qout,
     format_network_report,
-    stability_report,
     velocity_stats,
 )
 from hemoflow.netio import aortic_bifurcation
@@ -120,11 +118,11 @@ class TestClassification:
             "unstable"
 
     def test_reports(self):
-        rep = stability_report("PinQout", 2.0, 1.0, 1.0)
-        assert rep.eigenvalues == (complex(-1.0), complex(-1.0))
-        assert rep.classification == "asymptotically stable"
-        rep = stability_report("QinQout", 4.0, 1.0, 1.0)
-        assert rep.classification == "marginal (zero eigenvalue)"
+        eigs = eigenvalues_pin_qout(2.0, 1.0, 1.0)
+        assert eigs == (complex(-1.0), complex(-1.0))
+        assert classify_eigenvalues(eigs) == "asymptotically stable"
+        eigs = eigenvalues_qin_qout(4.0, 1.0, 1.0)
+        assert classify_eigenvalues(eigs) == "marginal (zero eigenvalue)"
 
 
 class TestDiscriminantFactors:
@@ -164,39 +162,38 @@ class TestDiscriminantFactors:
 
 class TestDimensionalAnalysis:
     def test_convective_to_pressure_is_mach_squared(self):
-        scales = DimensionalScales(T0=1.1, ell_scale=8.6, A0=2.0, U0=20.0)
-        coeff = dimensional_coefficients(scales, c=500.0, k_R=2.6, A0=2.0)
+        coeff = dimensional_coefficients(T0=1.1, ell_scale=8.6, U0=20.0, c=500.0,
+                                         k_R=2.6, A0=2.0)
         assert coeff.convective_to_pressure == pytest.approx(
             (20.0 / 500.0) ** 2, rel=1e-12)
 
     def test_velocity_equal_to_wave_speed(self):
-        scales = DimensionalScales(T0=1.0, ell_scale=1.0, A0=1.0, U0=500.0)
-        coeff = dimensional_coefficients(scales, c=500.0, k_R=1.0, A0=1.0)
+        coeff = dimensional_coefficients(T0=1.0, ell_scale=1.0, U0=500.0, c=500.0,
+                                         k_R=1.0, A0=1.0)
         assert coeff.convective_to_pressure == pytest.approx(1.0, rel=1e-12)
 
     def test_ratios_independent_of_t0_and_length(self):
-        a = dimensional_coefficients(
-            DimensionalScales(T0=1.1, ell_scale=8.6, A0=2.0, U0=20.0),
-            c=500.0, k_R=2.6, A0=2.0)
-        b = dimensional_coefficients(
-            DimensionalScales(T0=0.8, ell_scale=12.0, A0=2.0, U0=20.0),
-            c=500.0, k_R=2.6, A0=2.0)
+        a = dimensional_coefficients(1.1, 8.6, 20.0, c=500.0, k_R=2.6, A0=2.0)
+        b = dimensional_coefficients(0.8, 12.0, 20.0, c=500.0, k_R=2.6, A0=2.0)
         assert a.convective_to_pressure == pytest.approx(
             b.convective_to_pressure, rel=1e-12)
         # friction/pressure ratio does depend on the length scale
         assert a.friction_to_pressure != b.friction_to_pressure
 
     def test_friction_ratio_formula(self):
-        scales = DimensionalScales(T0=2.0, ell_scale=4.0, A0=3.0, U0=10.0)
-        coeff = dimensional_coefficients(scales, c=100.0, k_R=1.5, A0=3.0)
+        coeff = dimensional_coefficients(T0=2.0, ell_scale=4.0, U0=10.0, c=100.0,
+                                         k_R=1.5, A0=3.0)
         gamma_P = 2.0 * 100.0 ** 2 / (4.0 * 10.0)
         assert coeff.gamma_F == pytest.approx(1.5 * 2.0 / 3.0, rel=1e-12)
         assert coeff.friction_to_pressure == pytest.approx(
             coeff.gamma_F / gamma_P, rel=1e-12)
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            DimensionalScales(T0=0.0, ell_scale=1.0, A0=1.0, U0=1.0)
+        for name in ("T0", "ell_scale", "A0", "U0"):
+            for value in (0.0, -1.0):
+                scales = {"T0": 1.0, "ell_scale": 1.0, "U0": 1.0, "A0": 1.0, name: value}
+                with pytest.raises(ValueError, match=f"^scale {name} must be positive$"):
+                    dimensional_coefficients(c=500.0, k_R=1.0, **scales)
 
 
 class TestVelocityStats:
@@ -240,3 +237,31 @@ class TestReport:
         assert "gamma_C_over_gamma_P" in text
         # vessels without velocity data still flag the missing ratios
         assert "unavailable" in text
+
+    def test_text_with_velocities(self, bifurcation):
+        # the whole report, byte for byte: the aorta with velocities, the
+        # iliacs (the same vessel twice) without
+        closed_forms = """\
+eigenvalues_PinQout = {a}+{w}j; {a}-{w}j
+classification_PinQout = asymptotically stable
+eigenvalues_QinPout = {a}+{w}j; {a}-{w}j
+classification_QinPout = asymptotically stable
+eigenvalues_PinPout = {b}+0j; {a}+{w2}j; {a}-{w2}j
+classification_PinPout = asymptotically stable
+eigenvalues_QinQout = 0+0j; {a}+{w2}j; {a}-{w2}j
+classification_QinQout = marginal (zero eigenvalue)
+"""
+        aorta = ("[vessel aorta]\nf1 = 2.4695\nf2 = 160000\ndiscriminant_sign = -1\n"
+                 + closed_forms.format(a="-0.561247", b="-1.12249", w="71.4276",
+                                       w2="142.859")
+                 + "U_mean = 11\nU_max = 60\n"
+                   "gamma_C_over_gamma_P = 0.000320648\n"
+                   "gamma_F_over_gamma_P = 0.000281397\n")
+        iliac = ("f1 = 7.18703\nf2 = 158118\ndiscriminant_sign = -1\n"
+                 + closed_forms.format(a="-1.15301", b="-2.30603", w="85.5028",
+                                       w2="171.017")
+                 + "gamma_ratios = unavailable (no 1D run supplied)\n")
+        expected = "\n".join([aorta, "[vessel left_iliac]\n" + iliac,
+                              "[vessel right_iliac]\n" + iliac])
+        text = format_network_report(bifurcation, velocity={"aorta": (11.0, 60.0)})
+        assert text == expected

@@ -35,6 +35,10 @@ r2 = 3.1013e4
 p_out = 0.0
 """
 
+#: what every command says of a period of 0.1 ms on a run sampled every 1 ms
+SHORT_PERIOD = ("error: the period T0 = 0.0001 s must be at least two sample steps; "
+                "the median step is 0.001 s\n")
+
 
 @pytest.fixture(scope="module")
 def periodic_run(tmp_path_factory):
@@ -262,6 +266,14 @@ class TestRun:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not (tmp_path / "x").exists()
 
+    def test_period_shorter_than_two_samples_is_refused(self, tmp_path, capsys):
+        # refused before the first series is written
+        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
+                     "--t-end", "0.1", "--T0", "1e-4", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == SHORT_PERIOD
+        assert not (tmp_path / "x").exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
         code = main(["run", "--network", "aortic_bif", "--solver", "0d",
@@ -366,6 +378,14 @@ class TestCompare:
                 f"a series has t,P,Q,A\n")
         assert not (tmp_path / "e.csv").exists()
 
+    def test_period_shorter_than_two_samples_is_refused(self, periodic_run,
+                                                        tmp_path, capsys):
+        code = main(["compare", str(periodic_run), str(periodic_run),
+                     "--T0", "1e-4", "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == SHORT_PERIOD
+        assert not (tmp_path / "e.csv").exists()
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                      "--out", str(tmp_path / "e.csv")])
@@ -402,6 +422,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == (f"error: {short / 'aorta.csv'} holds {rows} samples; "
                        f"a run needs at least 2\n")
+
+    def test_period_shorter_than_two_samples_is_refused(self, periodic_run,
+                                                        capsys):
+        code = main(["analyze", "--network", "aortic_bif", "--run", str(periodic_run),
+                     "--T0", "1e-4"])
+        assert code == 1
+        assert capsys.readouterr() == ("", SHORT_PERIOD)
 
     def test_run_with_a_missing_column_is_refused(self, periodic_run, tmp_path,
                                                   capsys):

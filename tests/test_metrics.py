@@ -184,6 +184,21 @@ class TestPeriodicity:
             assert periodicity_reached(a, b) == expected
 
 
+#: the sample step of ``steady_series``, exact in binary
+STEP = 2.0**-8
+
+
+def steady_series(samples=401):
+    """A constant signal sampled every STEP seconds from t = 0."""
+    t = np.arange(samples) * STEP
+    return t, {"P": np.full(samples, 1.0e5), "Q": np.full(samples, 5.0)}
+
+
+def period_refusal(T0, step=STEP):
+    return (f"the period T0 = {T0:.6g} s must be at least two sample steps; "
+            f"the median step is {step:.6g} s")
+
+
 class TestSampleCycle:
     def test_extracts_last_cycle(self):
         T0 = 1.1
@@ -204,6 +219,23 @@ class TestSampleCycle:
         t = np.linspace(0.0, 2.2, 100)
         cyc = sample_cycle(t, {"P": t + 1.0, "Q": t + 1.0}, 1.1, n=37)
         assert cyc.t.size == 37
+
+    @pytest.mark.parametrize("T0", [0.0, -1.1, math.nan, 1.9 * STEP])
+    def test_period_the_samples_cannot_resolve(self, T0):
+        t, channels = steady_series()
+        with pytest.raises(ValueError) as exc:
+            sample_cycle(t, channels, T0)
+        assert str(exc.value) == period_refusal(T0)
+
+    def test_period_of_two_steps(self):
+        t, channels = steady_series()
+        cyc = sample_cycle(t, channels, 2.0 * STEP)
+        assert np.array_equal(cyc.t, t[-3:])
+
+    def test_infinite_period_not_covered(self):
+        t, channels = steady_series()
+        with pytest.raises(ValueError, match="not covered by samples$"):
+            sample_cycle(t, channels, math.inf)
 
 
 def reference_reached(cycle, previous, threshold):
@@ -342,12 +374,30 @@ class TestFirstPeriodicCycle:
         assert kind is ValueError and message.endswith("not covered by samples")
 
     def test_period_below_the_spacing_of_the_times(self):
-        # near t = 2^30, doubles are 2^-22 apart: a window of 2^-25 ends
-        # where it starts, and its grid of two points does not increase
+        # near t = 2^30, doubles are 2^-22 apart: a window of 2^-25 would
+        # end where it starts, and the period is refused before any window
         t = 2.0**30 + np.arange(1000) * 2.0**-22
         channels = {"P": 1.0 + 0.0 * t, "Q": 1.0 + 0.0 * t}
         kind, message = self.assert_same_search(t, channels, 1e-3, 2.0**-25)
-        assert kind is ValueError and message == "cycle times must be strictly increasing"
+        assert (kind, message) == (ValueError, period_refusal(2.0**-25, 2.0**-22))
+
+    @pytest.mark.parametrize("T0", [0.0, -1.1, math.nan, 1.9 * STEP])
+    def test_period_the_samples_cannot_resolve(self, T0):
+        # refused before the count of cycles, which a tiny period makes
+        # huge: at T0 = 1e-9 s, the ends of an 8.8 s run's cycles take 65.6 GiB
+        t, channels = steady_series()
+        with pytest.raises(ValueError) as exc:
+            first_periodic_cycle(t, channels, T0)
+        assert str(exc.value) == period_refusal(T0)
+
+    def test_period_of_two_steps(self):
+        # the second cycle is the first with a predecessor to match
+        t, channels = steady_series()
+        assert self.assert_same_search(t, channels, 1e-3, 2.0 * STEP) == 2
+
+    def test_infinite_period_never_reached(self):
+        t, channels = steady_series()
+        assert first_periodic_cycle(t, channels, math.inf) is None
 
     @pytest.mark.parametrize("channel", ["P", "Q", "A"])
     @pytest.mark.parametrize("r, zero_from, expected", [(0.95, 5, ModelError), (0.1, 9, 4)])
