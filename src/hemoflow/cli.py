@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .analysis import format_network_report, velocity_stats
 from .errors import ConfigurationError, ModelError
-from .metrics import error_metrics, first_periodic_cycle, sample_cycle
+from .metrics import cycle_samples, error_metrics, first_periodic_cycle, sample_cycle
 from .netio import (
     SERIES_COLUMNS,
     aortic_bifurcation,
@@ -27,6 +27,9 @@ from .netio import (
 )
 from .solver0d import ModelMode, run_0d
 from .solver1d import run_1d
+
+#: every run's sample interval (s)
+_SAMPLE_INTERVAL = 1e-3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,13 +78,15 @@ def _add_run_args(p):
 def cmd_run(args) -> int:
     network = _resolve_network(args.network)
     inflow = _resolve_inflow(args, network)
+    # a --T0 that the run's samples cannot resolve is refused before the run
+    cycle_samples(args.T0, _SAMPLE_INTERVAL)
     if args.solver == "1d":
         result = run_1d(network, inflow, t_end=args.t_end, dx_max=args.dx_max,
-                        CFL=args.cfl, T0=args.T0)
+                        CFL=args.cfl, T0=args.T0, sample_interval=_SAMPLE_INTERVAL)
     else:
         mode = ModelMode.from_name(args.mode)
         result = run_0d(network, inflow, mode, dt=args.dt, t_end=args.t_end,
-                        T0=args.T0)
+                        T0=args.T0, sample_interval=_SAMPLE_INTERVAL)
 
     # every search before the first file, so a refused period writes none
     cycles = [first_periodic_cycle(result.t, series, args.T0)

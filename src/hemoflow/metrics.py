@@ -171,31 +171,34 @@ def periodicity_reached(cycle: CycleSeries, previous: CycleSeries,
     return bool(below)
 
 
-def _cycle_samples(t: np.ndarray, T0: float) -> int:
-    """Samples of a uniform grid over one cycle at the median step of t.
-    Raises ValueError for a period that the samples cannot resolve: one
-    that is NaN, not positive, or shorter than two steps."""
-    dt = float(np.median(np.diff(t)))
-    if not (T0 > 0.0 and T0 >= 2.0 * dt):
+def cycle_samples(T0: float, step: float) -> int:
+    """Samples of a uniform grid over one cycle of period ``T0`` at the
+    sample step ``step``. Raises ValueError for a step that is not positive,
+    and for a period that samples at that step cannot resolve: one that is
+    NaN, not positive, or shorter than two steps."""
+    if not step > 0.0:
+        raise ValueError(f"the sample step must be positive; the median step "
+                         f"is {step:.6g} s")
+    if not (T0 > 0.0 and T0 >= 2.0 * step):
         raise ValueError(f"the period T0 = {T0:.6g} s must be at least two sample "
-                         f"steps; the median step is {dt:.6g} s")
-    return int(round(T0 / dt)) + 1
+                         f"steps; the median step is {step:.6g} s")
+    return int(round(T0 / step)) + 1
 
 
-def sample_cycle(t, channels: dict, T0: float, end_time: float | None = None,
-                 n: int | None = None) -> CycleSeries:
+def sample_cycle(t, channels: dict, T0: float,
+                 end_time: float | None = None) -> CycleSeries:
     """Extract one cycle ending at ``end_time`` (default: last sample) on a
-    uniform grid, interpolating the sampled channels linearly. Raises
-    ValueError for a cycle that the samples do not cover or, unless ``n``
-    is given, for a period that they cannot resolve (``_cycle_samples``)."""
+    uniform grid at the median step of ``t`` (``cycle_samples``),
+    interpolating the sampled channels linearly. Raises ValueError for a
+    cycle that the samples do not cover, or for a step or a period that
+    ``cycle_samples`` refuses."""
     t = np.asarray(t, dtype=float)
     if end_time is None:
         end_time = float(t[-1])
     start = end_time - T0
     if start < t[0] - 1e-9:
         raise ValueError(f"cycle [{start}, {end_time}] not covered by samples")
-    if n is None:
-        n = _cycle_samples(t, T0)
+    n = cycle_samples(T0, float(np.median(np.diff(t))))
     grid = np.linspace(start, end_time, n)
     out = {key: np.interp(grid, t, np.asarray(val, dtype=float))
            for key, val in channels.items()}
@@ -228,13 +231,13 @@ def first_periodic_cycle(t, channels: dict, T0: float,
     bifurcation, periodic at cycle 15 or 16, about 0.9 times. The result,
     and the error that a cycle-by-cycle search raises at the first cycle it
     cannot sample or compare, are those of that search. A period that the
-    samples cannot resolve is refused as ``sample_cycle`` refuses it,
-    before any cycle is sampled; a series shorter than one period, or an
-    infinite period, gives None."""
+    samples cannot resolve, or a median step that is not positive, is
+    refused as ``sample_cycle`` refuses it, before any cycle is sampled; a
+    series shorter than one period, or an infinite period, gives None."""
     t = np.asarray(t, dtype=float)
     if t.size < 2 or T0 == np.inf:  # no cycle ends within the samples
         return None
-    n = _cycle_samples(t, T0)
+    n = cycle_samples(T0, float(np.median(np.diff(t))))
     n_cycles = int(np.floor((t[-1] - t[0]) / T0 + 1e-9))
     if n_cycles < 1:
         return None
@@ -269,7 +272,7 @@ def first_periodic_cycle(t, channels: dict, T0: float,
         if decided.any():
             i = int(np.argmax(decided))
             if bad[i]:  # the error of sampling that cycle on its own
-                sample_cycle(t, channels, T0, end_time=ends[first + i], n=n)
+                sample_cycle(t, channels, T0, end_time=ends[first + i])
             if zeros[:, i].any():
                 raise _zero_normalizer(names[int(np.argmax(zeros[:, i]))])
             return first + i + 1

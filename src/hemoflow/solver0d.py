@@ -220,7 +220,7 @@ class _PassSource:
 
     def __init__(self, model: "NetworkModel0D"):
         self.model = model
-        self.vid_at = model._vid_at
+        self.owner = model._owner
         self.dim = model.dim
         self.nl_p, self.nl_r, self.nl_l = model.mode.flags
         self.p_if = [f"pif_{j}" for j in range(len(model._junctions))]
@@ -265,7 +265,7 @@ class _PassSource:
         initial state does; RK4 keeps them equal bit for bit."""
         src = self.model._copies
         computed = [i for i in range(self.dim) if src[i] == i]
-        copied = {o for o in self.model._vid_at if src[o] != o}
+        copied = {o for o in self.model.layout.values() if src[o] != o}
 
         def sources(prefix):
             return [f"{prefix}{i}" for i in src]
@@ -423,7 +423,7 @@ class _PassSource:
 
         def at(o, part):
             """Location arguments of a collapse in vessel at offset ``o``."""
-            return f"{self.vid_at[o]!r}, {part!r}, {t}"
+            return f"{self.owner[o]!r}, {part!r}, {t}"
 
         def inflows(name, flows):
             out.append(f"{name} = 0.0" + "".join(f" + {s[i]}" for i in flows))
@@ -612,19 +612,22 @@ class NetworkModel0D:
                 leaves.append((off, c, l, j_in[vid], k, term, wk))
 
     @cached_property
-    def _vid_at(self) -> dict[int, str]:
-        """The vessel at each state offset."""
-        return {off: vid for vid, off in self.layout.items()}
+    def _owner(self) -> list[str]:
+        """The vessel that owns each state: a vessel owns the states from its
+        offset to the next vessel's, and its terminal's capacitor pressure."""
+        offsets = [*self.layout.values(), self.dim - len(self.wk_index)]
+        return [vid for vid, first, stop in zip(self.layout, offsets, offsets[1:])
+                for _ in range(first, stop)] + list(self.wk_index)
 
     @cached_property
     def _compartments(self) -> list[tuple[int, tuple, str, str]]:
         """(state index of its volume, constants, vessel, part) of each
         compartment, in plan order: the root's two halves, each interior
         vessel's two halves, each leaf."""
-        vid_at, out = self._vid_at, []
+        owner, out = self._owner, []
         for o, c, *_ in (self._root, *self._interior):
-            out += [(o, c, vid_at[o], _PROXIMAL), (o + 2, c, vid_at[o], _DISTAL)]
-        out += [(o, c, vid_at[o], _WHOLE) for o, c, *_ in self._leaves]
+            out += [(o, c, owner[o], _PROXIMAL), (o + 2, c, owner[o], _DISTAL)]
+        out += [(o, c, owner[o], _WHOLE) for o, c, *_ in self._leaves]
         return out
 
     @cached_property
@@ -728,7 +731,7 @@ class NetworkModel0D:
         return A, (f(_PROBE, y) - f0) / _PROBE, f0 - np.vecdot(A, y)
 
     def integrate(self, dt: float, t_end: float,
-                  sample_interval: float | None = None) -> Integration:
+                  sample_interval: float) -> Integration:
         """RK4 from the initial state to ``t_end``, sampled as
         ``rk4_integrate`` samples, at the steps ``_sample_steps`` lists and
         the times ``steps * dt``. The inflow is tabulated at every stage
@@ -769,26 +772,18 @@ class NetworkModel0D:
         cpu = time.thread_time() - start
         return Integration(t=steps * dt, y=Y, cpu_seconds=cpu)
 
-    def _vessel_of(self, i: int) -> str:
-        """The vessel state ``i`` belongs to; a terminal's capacitor
-        pressure belongs to its vessel."""
-        for vid, k in self.wk_index.items():
-            if k == i:
-                return vid
-        return max((o, vid) for vid, o in self.layout.items() if o <= i)[1]
-
     def initial_state(self) -> np.ndarray:
         """All vessels at the area matching the initial pressure, zero flow,
         terminal capacitors at the initial pressure."""
-        net, vid_at = self.network, self._vid_at
+        net = self.network
         y0 = np.zeros(self.dim)
-        # the vessels of two compartments: the root and the interior ones
-        for o in (self._root[0], *(v[0] for v in self._interior)):
-            vid = vid_at[o]
-            y0[o] = y0[o + 2] = net.initial_area(vid) * net.vessels[vid].length / 2.0
-        for o, *_ in self._leaves:
-            vid = vid_at[o]
-            y0[o] = net.initial_area(vid) * net.vessels[vid].length
+        leaves = {o for o, *_ in self._leaves}
+        for vid, o in self.layout.items():
+            volume = net.initial_area(vid) * net.vessels[vid].length
+            if o in leaves:
+                y0[o] = volume
+            else:  # the root and the interior vessels: two compartments
+                y0[o] = y0[o + 2] = volume / 2.0
         for idx in self.wk_index.values():
             y0[idx] = net.initial_pressure
         return y0
@@ -803,15 +798,15 @@ class NetworkModel0D:
         mid-vessel interface flow and mean area, from sampled states Y with
         shape (n_samples, dim). The compartment pressures are those of
         ``_pressures``, in plan order."""
-        vessels, vid_at = self.network.vessels, self._vid_at
+        vessels, owner = self.network.vessels, self._owner
         pressures = self._pressures(Y)
         out = {}
 
         def halves(o, Q):
             V, Vd = Y[:, o], Y[:, o + 2]
             P, Pd = next(pressures), next(pressures)
-            out[vid_at[o]] = {"P": (V * P + Vd * Pd) / (V + Vd), "Q": Q,
-                              "A": (V + Vd) / vessels[vid_at[o]].length}
+            out[owner[o]] = {"P": (V * P + Vd * Pd) / (V + Vd), "Q": Q,
+                             "A": (V + Vd) / vessels[owner[o]].length}
 
         o = self._root[0]
         halves(o, Y[:, o + 1])
@@ -821,9 +816,9 @@ class NetworkModel0D:
             # the capacitor node sits mid-vessel between the proximal and
             # distal flows, so their mean stands in for the midpoint flow
             V = Y[:, o]
-            out[vid_at[o]] = {"P": next(pressures),
-                              "Q": 0.5 * (Y[:, o + 1] + Y[:, o + 2]),
-                              "A": V / vessels[vid_at[o]].length}
+            out[owner[o]] = {"P": next(pressures),
+                             "Q": 0.5 * (Y[:, o + 1] + Y[:, o + 2]),
+                             "A": V / vessels[owner[o]].length}
         return {vid: out[vid] for vid in self.layout}
 
 
@@ -852,11 +847,11 @@ _GRID_RTOL = 1e-9
 
 
 def _step_count(dt: float, t_end: float,
-                sample_interval: float | None) -> tuple[int, int]:
+                sample_interval: float) -> tuple[int, int]:
     """(steps to ``t_end``, steps between samples) of a fixed-step run.
-    Raises ValueError unless ``dt`` and a given ``sample_interval`` are
-    positive and finite, the run takes at least one step, and ``t_end``
-    and ``sample_interval`` are whole, positive numbers of steps to within
+    Raises ValueError unless ``dt`` and ``sample_interval`` are positive
+    and finite, the run takes at least one step, and ``t_end`` and
+    ``sample_interval`` are whole, positive numbers of steps to within
     ``_GRID_RTOL`` (so ``dt`` is at most ``sample_interval``): no end time
     or sample interval is rounded to another grid without a word."""
     if not 0.0 < dt < math.inf:
@@ -867,12 +862,12 @@ def _step_count(dt: float, t_end: float,
     if not 0.5 < steps < math.inf:
         raise ValueError(f"time step dt = {dt} takes no finite, positive number "
                          f"of steps to t_end = {t_end}")
-    if sample_interval is not None and not 0.0 < sample_interval < math.inf:
+    if not 0.0 < sample_interval < math.inf:
         raise ValueError(f"sample_interval must be positive and finite, "
                          f"got {sample_interval}")
     grid = f"dt = {dt}, t_end = {t_end}, sample_interval = {sample_interval}"
     counts = []
-    for name, x in (("t_end", steps), ("sample_interval", (sample_interval or dt) / dt)):
+    for name, x in (("t_end", steps), ("sample_interval", sample_interval / dt)):
         n = max(1, round(x)) if x < math.inf else 0
         if abs(x - n) > _GRID_RTOL * n:
             what = ("shorter than a time step" if x < 1.0 else
@@ -890,12 +885,12 @@ def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 def rk4_integrate(rhs, y0, dt: float, t_end: float,
-                  sample_interval: float | None = None) -> Integration:
+                  sample_interval: float) -> Integration:
     """Classical fourth-order Runge-Kutta with fixed step, on arrays.
 
     ``y0`` is any sequence of floats, taken as an array; ``rhs`` maps
     (t, array) to an array. Samples the state every ``sample_interval``
-    (a whole number of steps; every step if None) and after the last step,
+    (a whole number of steps, ``dt`` for every step) and after the last step,
     at the steps ``_sample_steps`` lists and the times ``steps * dt``, and
     checks the samples are finite. The reported CPU time, of this thread,
     covers only the stepping loop. This is the generic integrator and the
@@ -1085,7 +1080,7 @@ class _StepMap:
         size = np.abs(modes[:, np.argmax(_rk4_growth(dt * lam))])
         # the first state within 0.1% of the largest: of a mode shared by
         # identical vessels, the first of them in the layout
-        vid = model._vessel_of(int(np.argmax(size >= 0.999 * size.max())))
+        vid = model._owner[int(np.argmax(size >= 0.999 * size.max()))]
         raise ConfigurationError(
             f"time step dt = {dt:g} s is outside RK4's stability region for this "
             f"linear 0D network: the largest stable step is {stable:.4g} s, and "

@@ -301,12 +301,7 @@ class Vessel1D:
         self.U = np.zeros((2, N))
         self.U[0] = cells[_A_INIT]
         self.ids = tuple(spec.vessel_id for spec in specs)
-        self._starts = starts
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """First cell of each segment, then N."""
-        return np.array(self._starts, dtype=np.intp)
+        self.bounds = np.array(starts, dtype=np.intp)
 
     @cached_property
     def _segs(self) -> _Segments:
@@ -352,12 +347,11 @@ class Vessel1D:
                       ws.K_rho_c, out=ws.c_c)
         return u, c
 
-    def prepare(self, dt: float, centre=None) -> "_Prep":
+    def prepare(self, dt: float, centre) -> "_Prep":
         """Slope reconstruction, half-step evolution of the face values and
         the ADER-style source predictor, for every cell at once. ``centre``
-        is the ``centre_values()`` of the current state, computed here if
-        not given. ``Ub`` and ``S_q`` of the result are fresh arrays; the
-        rest stays in the workspace."""
+        is the ``centre_values()`` of the current state. ``Ub`` and ``S_q``
+        of the result are fresh arrays; the rest stays in the workspace."""
         ws = self._ws
         U = self.U
         A, q = U[0], U[1]
@@ -390,7 +384,7 @@ class Vessel1D:
 
         # source predictor: S evaluated at Q + dt/2 (-J(Q) dQ/dx + S(Q))
         sA, sq = slope[0], slope[1]
-        u, c = self.centre_values() if centre is None else centre
+        u, c = centre
         adv_q = np.multiply(c, c, out=ws.t_c)
         x = np.multiply(np.multiply(ws.alpha_c, u, out=ws.s_c), u, out=ws.s_c)
         np.multiply(np.subtract(adv_q, x, out=adv_q), sA, out=adv_q)
@@ -474,12 +468,12 @@ class _Prep:
     S_q: np.ndarray
 
 
-def cfl_dt(cells: Vessel1D, CFL: float, centre=None) -> float:
+def cfl_dt(cells: Vessel1D, CFL: float, centre) -> float:
     """Global time step: CFL * min over the cells of dx/(|u| + c); raises
     on supercritical flow. ``centre`` is the ``centre_values()`` of the
-    current state, computed here if not given."""
+    current state."""
     ws = cells._ws
-    u, c = cells.centre_values() if centre is None else centre
+    u, c = centre
     # |q/A| is |q|/A bit for bit at A > 0: division rounds symmetrically
     # about zero
     u = np.abs(u, out=ws.s_c)
@@ -821,8 +815,8 @@ class Simulation1D:
     def vessels(self) -> dict[str, np.ndarray]:
         """Each vessel's (A, q) of shape (2, M): a view of ``cells.U``,
         which every step updates in place."""
-        U, starts = self.cells.U, self.cells._starts
-        return {vid: U[:, s:e] for vid, s, e in zip(self.cells.ids, starts, starts[1:])}
+        U, b = self.cells.U, self.cells.bounds
+        return {vid: U[:, s:e] for vid, s, e in zip(self.cells.ids, b, b[1:])}
 
     def step(self, until: float = math.inf) -> float:
         """Advance by the CFL step cut to end no later than ``until``;
@@ -862,16 +856,12 @@ class Simulation1D:
     def _midpoints(self):
         """Flat indices in the stack's U of the area, then of the flow, at
         each vessel's midpoint cell, and the tube-law parameters there."""
-        starts = self.cells._starts
-        mids = np.array([s + (e - s) // 2 for s, e in zip(starts, starts[1:])])
+        b = self.cells.bounds
+        mids = b[:-1] + (b[1:] - b[:-1]) // 2
         T = self.cells._table[:, 0]
         N = self.cells.U.shape[1]
         return (np.concatenate((mids, N + mids)),
                 T[_A0, mids], T[_K, mids], T[_P_REF, mids])
-
-
-#: rows of the sample buffer of ``run_1d`` that are made at its start, at most
-_SAMPLE_ROWS = 4096
 
 
 def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
@@ -881,16 +871,24 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
 
     The first step to reach k * sample_interval is sampled for each k, and
     so is the step that ends at t_end. A sample copies (A, q) at the
-    midpoint cells into a preallocated buffer; the pressures of all samples
-    are computed after the loop, with the tube law at each vessel's
-    midpoint cell."""
+    midpoint cells into a buffer made once, before the first step; the
+    pressures of all samples are computed after the loop, with the tube law
+    at each vessel's midpoint cell.
+
+    The buffer's m + 3 rows, m = int(t_end / sample_interval), hold every
+    sample. A sample before the last is taken below t_end - 1e-12, so at a
+    time of at least k * sample_interval - 1e-12 for the current grid index
+    k, which it then passes: it uses up its own k >= 1 with
+    k * sample_interval < t_end. No k >= m + 2 is one, since it gives
+    k * sample_interval > t_end + sample_interval - 3 ulp(t_end) > t_end
+    for any ratio t_end / sample_interval below 1e15. So at most m + 1
+    samples lie between the first and the last. ``np.empty`` touches no
+    row, so a run's resident memory grows only by the rows it writes."""
     check_run_times(t_end, T0, sample_interval)
     sim = Simulation1D(network, inflow, dx_max=dx_max, CFL=CFL)
     vids = list(network.vessels)
     U, (take, A0, K, P_ref) = sim.cells.U, sim._midpoints
-    # at most one sample per interval: the buffer doubles if a run takes more
-    rows = np.empty((int(min(t_end / sample_interval + 2.0, _SAMPLE_ROWS)),
-                     take.size))
+    rows = np.empty((int(t_end / sample_interval) + 3, take.size))
     U.take(take, out=rows[0], mode="clip")
     times = [0.0]
     k, next_sample = 1, sample_interval
@@ -899,8 +897,6 @@ def run_1d(network: Network, inflow: WaveformSeries, t_end: float = 29.7,
     while sim.t < t_end - 1e-12:
         sim.step(until=t_end)
         if sim.t >= min(next_sample, t_end) - 1e-12:
-            if len(times) == len(rows):
-                rows = np.concatenate((rows, np.empty_like(rows)))
             U.take(take, out=rows[len(times)], mode="clip")
             times.append(sim.t)
             while next_sample <= sim.t + 1e-12:

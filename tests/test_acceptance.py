@@ -271,8 +271,9 @@ class TestDiscretizationOrders:
         ves.U[0] = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
         t = 0.0
         while t < t_end - 1e-14:
-            dt = min(cfl_dt(ves, 0.9), t_end - t)
-            prep = ves.prepare(dt)
+            centre = ves.centre_values()
+            dt = min(cfl_dt(ves, 0.9, centre), t_end - t)
+            prep = ves.prepare(dt, centre)
             ves.commit(dt, prep, transmissive_flux(oracle, prep.Ub))
             t += dt
         return ves.U[0]
@@ -311,7 +312,7 @@ class TestDiscretizationOrders:
         exact = (expm(aug * t_end) @ np.array([V0, 0.0, 1.0]))[:2]
 
         def err(dt):
-            integ = rk4_integrate(rhs, np.array([V0, 0.0]), dt, t_end)
+            integ = rk4_integrate(rhs, np.array([V0, 0.0]), dt, t_end, dt)
             return np.max(np.abs(integ.y[-1] - exact))
 
         order = math.log2(err(2e-3) / err(1e-3))
@@ -362,8 +363,9 @@ class TestConservation:
         ves.U[0] = wall.A0 * (1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2))
         mass = np.sum(ves.U[0]) * dx
         for _ in range(1000):
-            dt = cfl_dt(ves, 0.9)
-            prep = ves.prepare(dt)
+            centre = ves.centre_values()
+            dt = cfl_dt(ves, 0.9, centre)
+            prep = ves.prepare(dt, centre)
             # sealed ends: the oracle's HLL flux against the mirrored state
             ves.commit(dt, prep, sealed_flux(oracle, prep.Ub))
             new_mass = np.sum(ves.U[0]) * dx

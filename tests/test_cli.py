@@ -5,9 +5,10 @@ import shutil
 import numpy as np
 import pytest
 
+from hemoflow import cli
 from hemoflow.cli import main
 from hemoflow.metrics import periodicity_reached, sample_cycle
-from hemoflow.netio import aortic_bifurcation, read_series, synthetic_inflow
+from hemoflow.netio import aortic_bifurcation, read_series, synthetic_inflow, write_series
 from hemoflow.solver0d import ModelMode, run_0d
 from test_solver0d import asymmetric_tree_text
 
@@ -266,13 +267,21 @@ class TestRun:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not (tmp_path / "x").exists()
 
-    def test_period_shorter_than_two_samples_is_refused(self, tmp_path, capsys):
-        # refused before the first series is written
-        code = main(["run", "--network", "aortic_bif", "--solver", "0d",
-                     "--t-end", "0.1", "--T0", "1e-4", "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert capsys.readouterr().err == SHORT_PERIOD
-        assert not (tmp_path / "x").exists()
+    def test_period_shorter_than_two_samples_is_refused(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # every run is sampled every 1 ms: neither solver starts on a period
+        # that such samples cannot resolve
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "run_0d", never)
+        monkeypatch.setattr(cli, "run_1d", never)
+        for solver in ("0d", "1d"):
+            code = main(["run", "--network", "aortic_bif", "--solver", solver,
+                         "--t-end", "0.1", "--T0", "1e-4", "--out", str(tmp_path / "x")])
+            assert code == 1
+            assert capsys.readouterr().err == SHORT_PERIOD
+            assert not (tmp_path / "x").exists()
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEMOFLOW_OUT", str(tmp_path))
@@ -384,6 +393,20 @@ class TestCompare:
                      "--T0", "1e-4", "--out", str(tmp_path / "e.csv")])
         assert code == 1
         assert capsys.readouterr().err == SHORT_PERIOD
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_series_whose_median_step_is_zero_is_refused(self, tmp_path, capsys):
+        # more than half the steps repeat a time, so the median step is 0
+        t = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            write_series(tmp_path / run / "v.csv", t, 1.0e5 + t, 5.0 + t, 2.0 + t)
+        code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: the sample step must be positive; the median step is 0 s\n"
+        assert "Traceback" not in err
         assert not (tmp_path / "e.csv").exists()
 
     def test_missing_directory(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hemoflow.errors import ModelError
 from hemoflow.metrics import (
     CycleSeries,
+    cycle_samples,
     error_metrics,
     first_periodic_cycle,
     periodicity_reached,
@@ -199,6 +200,22 @@ def period_refusal(T0, step=STEP):
             f"the median step is {step:.6g} s")
 
 
+#: times whose median step is zero: more than half the steps repeat a time
+REPEATED_TIMES = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+
+#: what the period rule says of a median step of zero
+STEP_REFUSAL = "the sample step must be positive; the median step is 0 s"
+
+
+class TestCycleSamples:
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan])
+    def test_step_that_is_not_positive(self, step):
+        with pytest.raises(ValueError) as exc:
+            cycle_samples(1.1, step)
+        assert str(exc.value) == (f"the sample step must be positive; the median "
+                                  f"step is {step:.6g} s")
+
+
 class TestSampleCycle:
     def test_extracts_last_cycle(self):
         T0 = 1.1
@@ -214,11 +231,6 @@ class TestSampleCycle:
         t = np.linspace(0.0, 0.5, 50)
         with pytest.raises(ValueError, match="not covered"):
             sample_cycle(t, {"P": t, "Q": t}, 1.1)
-
-    def test_explicit_sample_count(self):
-        t = np.linspace(0.0, 2.2, 100)
-        cyc = sample_cycle(t, {"P": t + 1.0, "Q": t + 1.0}, 1.1, n=37)
-        assert cyc.t.size == 37
 
     @pytest.mark.parametrize("T0", [0.0, -1.1, math.nan, 1.9 * STEP])
     def test_period_the_samples_cannot_resolve(self, T0):
@@ -236,6 +248,12 @@ class TestSampleCycle:
         t, channels = steady_series()
         with pytest.raises(ValueError, match="not covered by samples$"):
             sample_cycle(t, channels, math.inf)
+
+    def test_median_step_of_zero(self):
+        t = REPEATED_TIMES
+        with pytest.raises(ValueError) as exc:
+            sample_cycle(t, {"P": t + 1.0, "Q": t + 1.0}, 1.1)
+        assert str(exc.value) == STEP_REFUSAL
 
 
 def reference_reached(cycle, previous, threshold):
@@ -399,6 +417,12 @@ class TestFirstPeriodicCycle:
         t, channels = steady_series()
         assert first_periodic_cycle(t, channels, math.inf) is None
 
+    def test_median_step_of_zero(self):
+        t = REPEATED_TIMES
+        with pytest.raises(ValueError) as exc:
+            first_periodic_cycle(t, {"P": t + 1.0, "Q": t + 1.0}, 1.1)
+        assert str(exc.value) == STEP_REFUSAL
+
     @pytest.mark.parametrize("channel", ["P", "Q", "A"])
     @pytest.mark.parametrize("r, zero_from, expected", [(0.95, 5, ModelError), (0.1, 9, 4)])
     def test_zero_normalizer_where_the_loop_reaches_it(self, channel, r, zero_from,
@@ -471,14 +495,12 @@ class TestFirstPeriodicCycle:
     def test_stacked_rows_have_the_bits_of_each_cycle(self, cli_series):
         # the windows' grid and the channels on it, row by row, and their
         # row means are sample_cycle's cycles and their means, bit for bit
-        from hemoflow.metrics import _cycle_samples
-
         for name, t, channels in cli_series:
-            n = _cycle_samples(t, self.T0)
+            n = cycle_samples(self.T0, float(np.median(np.diff(t))))
             n_cycles = int(np.floor((t[-1] - t[0]) / self.T0 + 1e-9))
             ends = t[0] + np.arange(1, n_cycles + 1) * self.T0
             grid = np.ascontiguousarray(np.linspace(ends - self.T0, ends, n, axis=1))
-            cycles = [sample_cycle(t, channels, self.T0, end_time=t[0] + k * self.T0, n=n)
+            cycles = [sample_cycle(t, channels, self.T0, end_time=t[0] + k * self.T0)
                       for k in range(1, n_cycles + 1)]
             assert np.array_equal(grid, [c.t for c in cycles]), name
             for ch, values in channels.items():

@@ -361,15 +361,24 @@ class TestAssembly:
         assert model.dim == 11
         assert model._root[0] == model.layout[bifurcation.root]
         assert model._interior == []
-        assert sorted(model._vid_at[leaf[0]] for leaf in model._leaves) == [
+        assert sorted(model._owner[leaf[0]] for leaf in model._leaves) == [
             "left_iliac", "right_iliac"]
 
     def test_interior_vessel_is_two_split_chain(self):
         net = three_level_network()
         model = assemble_network(net, NL, synthetic_inflow())
-        assert [model._vid_at[v[0]] for v in model._interior] == ["mid"]
+        assert [model._owner[v[0]] for v in model._interior] == ["mid"]
         # 3 + 4 + 3 + 3 + 2 capacitors
         assert model.dim == 15
+
+    def test_each_state_has_its_vessel(self):
+        # a vessel owns its states and its terminal's capacitor pressure
+        model = assemble_network(three_level_network(), NL, synthetic_inflow())
+        owner = {}
+        for vid, o in model.layout.items():
+            owner.update(dict.fromkeys(range(o, o + 4 if vid == "mid" else o + 3), vid))
+        owner.update({i: vid for vid, i in model.wk_index.items()})
+        assert model._owner == [owner[i] for i in range(model.dim)]
 
     def test_symmetric_junction_identical_daughter_pressures(self, bifurcation):
         model = assemble_network(bifurcation, NL, synthetic_inflow())
@@ -419,7 +428,7 @@ class TestAssembly:
         model = assemble_network(net, NL, zero_inflow())
         y0 = model.initial_state()
         assert np.all(model.rhs(0.0, y0) == 0.0)
-        integ = rk4_integrate(model.rhs, y0, 1e-3, 0.1)
+        integ = rk4_integrate(model.rhs, y0, 1e-3, 0.1, 1e-3)
         np.testing.assert_array_equal(integ.y[-1], y0)
 
     def test_relabeling_invariance(self, bifurcation):
@@ -671,8 +680,8 @@ class TestAssembledPlan:
 
     def test_tree_assembly(self):
         model = assemble_network(asymmetric_tree_network(), NL, synthetic_inflow())
-        assert model._vid_at[model._root[0]] == "v0"
-        interior = {model._vid_at[v[0]] for v in model._interior}
+        assert model._owner[model._root[0]] == "v0"
+        interior = {model._owner[v[0]] for v in model._interior}
         assert interior == set(ASYMMETRIC_TREE) - {"v0"}
         assert len(model._leaves) == 17 - len(ASYMMETRIC_TREE)
         assert 0 < len(model.wk_index) < len(model._leaves)
@@ -1010,8 +1019,8 @@ class TestCompiledStep:
         model = assemble_network(bifurcation, NL, synthetic_inflow())
         y0 = model.initial_state()
         assert names == [] and "_copies" not in vars(model)
-        model.integrate(1e-3, 0.01)
-        model.integrate(2e-3, 0.01)
+        model.integrate(1e-3, 0.01, 1e-3)
+        model.integrate(2e-3, 0.01, 2e-3)
         model.rhs(0.0, y0)
         model.rhs(0.1, y0)
         assert names == ["<0D network run>", "<0D network evaluate>"]
@@ -1032,17 +1041,17 @@ class TestCompiledStep:
         y[1] = 3.0
         expected = first.rhs(0.1, y)
         rk4_step(first, 1e-3)
-        run = first.integrate(1e-3, 0.01)
+        run = first.integrate(1e-3, 0.01, 1e-3)
         assert len(names) == 3
         second = assemble_network(bifurcation, NL, synthetic_inflow())
         assert np.array_equal(second.rhs(0.1, y), expected)
         rk4_step(second, 1e-3)
-        assert np.array_equal(second.integrate(1e-3, 0.01).y, run.y)
+        assert np.array_equal(second.integrate(1e-3, 0.01, 1e-3).y, run.y)
         assert len(names) == 3
         # the inflow enters the root's first volume derivative only
         other = assemble_network(bifurcation, NL, synthetic_inflow(period=0.9))
         d = other.rhs(0.1, y)
-        other.integrate(1e-3, 0.01)
+        other.integrate(1e-3, 0.01, 1e-3)
         assert len(names) == 3
         q_in = float(synthetic_inflow(period=0.9)(0.1))
         assert q_in != float(synthetic_inflow()(0.1))
@@ -1244,9 +1253,9 @@ class TestStepMap:
         model = assemble_network(bifurcation, LIN, lambda t: q + 0.0 * np.asarray(t))
         assert self.group_steps(model, dt) == 16
         with pytest.raises(CollapseError) as generic:
-            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0, dt)
         with pytest.raises(CollapseError) as mapped:
-            model.integrate(dt, 2.0)
+            model.integrate(dt, 2.0, dt)
         where, V = str(mapped.value).rsplit(": ", 1)
         expected, V_generic = str(generic.value).rsplit(": ", 1)
         assert where == expected
@@ -1268,12 +1277,12 @@ class TestStepMap:
         net = bifurcation if network == "bifurcation" else asymmetric_tree_network()
         model = assemble_network(net, LIN, lambda t: q + 0.0 * np.asarray(t))
         with pytest.raises(CollapseError) as generic:
-            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+            rk4_integrate(model.rhs, model.initial_state(), dt, 2.0, dt)
         failures = []
         for block in (solver0d._BLOCK_STEPS, 9):
             monkeypatch.setattr(solver0d, "_BLOCK_STEPS", block)
             with pytest.raises(CollapseError) as mapped:
-                model.integrate(dt, 2.0)
+                model.integrate(dt, 2.0, dt)
             failures.append(str(mapped.value))
         assert failures[0] == failures[1]
         where, V = failures[0].rsplit(": ", 1)
@@ -1305,7 +1314,7 @@ class TestStepMap:
         tree = parse_network(_netgen().make_tree(5, 8).to_text())
         for net, every, samples in ((bifurcation, 1e-3, 2001), (tree, 2e-3, 1001)):
             model = assemble_network(net, LIN, synthetic_inflow())
-            model.integrate(1e-3, 0.01)  # compiled before tracing
+            model.integrate(1e-3, 0.01, 1e-3)  # compiled before tracing
             tracemalloc.start()
             try:
                 integ = model.integrate(1e-5, 2.0, every)
@@ -1484,7 +1493,7 @@ class TestStageScreen:
             healthy = assemble_network(net, LIN, synthetic_inflow())
             drained = assemble_network(net, LIN, lambda t: q + 0.0 * np.asarray(t))
             with pytest.raises(CollapseError) as exc:
-                drained.integrate(dt, 2.0)
+                drained.integrate(dt, 2.0, dt)
             results.append((healthy.integrate(dt, 1250 * dt, 7 * dt), str(exc.value)))
         (a, failure), (b, expected) = results
         assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
@@ -1582,9 +1591,9 @@ class TestSharedSubtrees:
         for name, net, dt in self.networks(bifurcation):
             model = assemble_network(net, mode, lambda t: -1000.0 + 0.0 * np.asarray(t))
             with pytest.raises(CollapseError) as generic:
-                rk4_integrate(model.rhs, model.initial_state(), dt, 2.0)
+                rk4_integrate(model.rhs, model.initial_state(), dt, 2.0, dt)
             with pytest.raises(CollapseError) as looped:
-                model.integrate(dt, 2.0)
+                model.integrate(dt, 2.0, dt)
             assert str(looped.value) == str(generic.value), name
 
     def test_nonfinite_sample_aborts_as_the_generic_integration(self, bifurcation):
@@ -1898,7 +1907,7 @@ class TestStepSizeCheck:
 
         model = assemble_network(net, LIN, synthetic_inflow())
         with pytest.raises(ConfigurationError) as exc:
-            model.integrate(dt, 100 * dt)
+            model.integrate(dt, 100 * dt, dt)
         found = re.fullmatch(
             rf"time step dt = {dt:g} s is outside RK4's stability region for this "
             r"linear 0D network: the largest stable step is (\S+) s, and the "
@@ -1921,7 +1930,7 @@ class TestStepSizeCheck:
         assert stable[0] < h < stable[1] and vid == vessel
         monkeypatch.undo()
         model = assemble_network(net, LIN, synthetic_inflow())
-        integ = model.integrate(0.9 * h, 200 * 0.9 * h)
+        integ = model.integrate(0.9 * h, 200 * 0.9 * h, 0.9 * h)
         assert integ.t.size == 201
         self.refused(net, 1.01 * h)
 
@@ -1942,7 +1951,7 @@ class TestStepSizeCheck:
 
 class TestRK4:
     def test_exponential_decay(self):
-        integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.05, 1.0)
+        integ = rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.05, 1.0, 0.05)
         assert integ.y[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def test_linear_pin_qout_matrix_exponential(self):
@@ -1958,7 +1967,7 @@ class TestRK4:
 
         y0 = np.array([V0, 0.0])
         t_end = 0.1
-        integ = rk4_integrate(rhs, y0, 1e-4, t_end)
+        integ = rk4_integrate(rhs, y0, 1e-4, t_end, 1e-4)
 
         M = np.array([[0.0, 1.0],
                       [-1.0 / (cons.C0 * cons.L0), -cons.R0 / cons.L0]])
@@ -1972,11 +1981,11 @@ class TestRK4:
     def test_nonfinite_abort(self):
         with np.errstate(over="ignore"), pytest.raises(ModelError,
                                                        match="non-finite"):
-            rk4_integrate(lambda t, y: y * y, np.array([1.0]), 0.05, 3.0)
+            rk4_integrate(lambda t, y: y * y, np.array([1.0]), 0.05, 3.0, 0.05)
 
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
-            rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
+            rk4_integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("dt, t_end, message", [
         (math.inf, 1.1, "time step must be positive and finite, got dt = inf "
@@ -1995,11 +2004,11 @@ class TestRK4:
         # a run of no step once "succeeded" with one sample at t = 0
         for y0 in (np.array([1.0]), [1.0]):
             with pytest.raises(ValueError) as exc:
-                rk4_integrate(lambda t, y: y, y0, dt, t_end)
+                rk4_integrate(lambda t, y: y, y0, dt, t_end, dt)
             assert str(exc.value) == message
         if math.isfinite(t_end):
             model = assemble_network(two_vessel_network(), NL, synthetic_inflow())
-            for run in (lambda: model.integrate(dt, t_end),
+            for run in (lambda: model.integrate(dt, t_end, dt),
                         lambda: run_0d(model.network, model.inflow, NL, dt=dt,
                                        t_end=t_end)):
                 with pytest.raises(ValueError) as exc:
@@ -2022,7 +2031,7 @@ class TestRK4:
         # a list y0 is taken as an array
         with np.errstate(over="ignore"), pytest.raises(ModelError,
                                                        match="non-finite"):
-            rk4_integrate(lambda t, y: y * y, [1.0], 0.05, 3.0)
+            rk4_integrate(lambda t, y: y * y, [1.0], 0.05, 3.0, 0.05)
 
     def test_cpu_seconds_exclude_waiting(self):
         # CPU time of this thread: time spent asleep does not count
@@ -2030,7 +2039,7 @@ class TestRK4:
             time.sleep(0.01)
             return -y
 
-        integ = rk4_integrate(rhs, np.array([1.0]), 0.1, 0.5)
+        integ = rk4_integrate(rhs, np.array([1.0]), 0.1, 0.5, 0.1)
         assert integ.t.size == 6
         assert integ.cpu_seconds < 0.1
 
@@ -2099,7 +2108,7 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("dt, t_end, every, steps, stride", [
         (1e-3, 29.7, 1e-3, 29700, 1), (1e-3, 17.6, 7e-3, 17600, 7),
-        (0.05, 3.0, None, 60, 1), (1e-4, 0.1, 1e-3, 1000, 10),
+        (0.05, 3.0, 0.05, 60, 1), (1e-4, 0.1, 1e-3, 1000, 10),
         # within the tolerance of a whole number of steps
         (1e-3, 1.1 * (1.0 + 1e-10), 1e-3 * (1.0 - 1e-10), 1100, 1)])
     def test_grid_multiples_are_accepted(self, dt, t_end, every, steps, stride):
@@ -2126,8 +2135,8 @@ class TestSmallSignalAgreement:
                 return rhs
 
             y0 = np.array([Vh, 0.0, Vh])
-            a = rk4_integrate(make_rhs(NL), y0, 1e-3, 2.0)
-            b = rk4_integrate(make_rhs(LIN), y0, 1e-3, 2.0)
+            a = rk4_integrate(make_rhs(NL), y0, 1e-3, 2.0, 1e-3)
+            b = rk4_integrate(make_rhs(LIN), y0, 1e-3, 2.0, 1e-3)
             return np.max(np.abs(a.y - b.y) / np.array([Vh, 1.0, Vh]))
 
         g1, g2 = gap(8.0), gap(4.0)
