@@ -1298,14 +1298,20 @@ class TestStepPasses:
         assert sim.step() == twin.step()
         assert np.array_equal(sim.cells.U, twin.cells.U)
 
+    # each case is named by the rows of its sample buffer
     @pytest.mark.parametrize("network, t_end, every, dx_max, rows", [
-        ("asymmetric", 0.02, 1e-3, 0.2, 23),
+        pytest.param("asymmetric", 0.02, 1e-3, 0.2, 23, id="23"),
         # t_end / every is 42.99999999999999
-        ("asymmetric", 0.043, 1e-3, 0.2, 45),
+        pytest.param("asymmetric", 0.043, 1e-3, 0.2, 45, id="45"),
+        # a run shorter than one interval: the first and the last sample
+        pytest.param("asymmetric", 5e-4, 1e-3, 0.2, 3, id="3"),
+        # an interval below the CFL step: a sample each step, and most of
+        # the buffer's rows left unwritten
+        pytest.param("asymmetric", 0.04093, 1e-5, 0.2, 4096, id="4096"),
         # the benchmark's 1D run: CFL steps below 1 ms, a sample at each k
-        ("bifurcation", 2.2, 1e-3, 0.2, 2203),
+        pytest.param("bifurcation", 2.2, 1e-3, 0.2, 2203, id="2203"),
         # two cells a vessel: CFL steps of about 5.4 ms, a sample each
-        ("bifurcation", 0.1, 1e-3, 4.5, 103)])
+        pytest.param("bifurcation", 0.1, 1e-3, 4.5, 103, id="103")])
     def test_run_samples_equal_midpoint_samples(self, network, t_end, every, dx_max,
                                                 rows, monkeypatch):
         # run_1d's sample buffer is made once, with the rows its docstring
